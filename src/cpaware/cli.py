@@ -179,7 +179,9 @@ def cmd_assess(args) -> int:
     model, _, _ = load_model(args.ckpt)
     thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
     path = Path(args.input)
-    if path.read_bytes()[:4] == b"CPAD":
+    with open(path, "rb") as fh:
+        is_dataset = fh.read(4) == b"CPAD"
+    if is_dataset:
         ds = Dataset(path)
         tensors, _, _, _ = ds.load_arrays()
     else:

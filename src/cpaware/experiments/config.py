@@ -14,12 +14,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from ..features import FeatureConfig
 from ..net.model import NetworkConfig
 from ..ofdm import FrameConfig
-from ..threats import ScenarioSpace
+from ..tensorfile import from_json
+from ..threats import ScenarioSpace, ThreatKind
 
 
 @dataclass(frozen=True)
@@ -55,42 +57,23 @@ class ExperimentConfig:
                 f"net input_shape {self.net.input_shape} does not match the "
                 f"feature tensor shape {expected}"
             )
+        if self.net.n_classes != len(ThreatKind):
+            raise ValueError(f"net n_classes {self.net.n_classes} does not match "
+                             f"the {len(ThreatKind)} intents")
 
     def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "test_seed": self.test_seed,
-            "train_per_kind": self.train_per_kind,
-            "test_per_kind": self.test_per_kind,
-            "frame": dataclasses.asdict(self.frame),
-            "feature": dataclasses.asdict(self.feature),
-            "space": dataclasses.asdict(self.space),
-            "net": self.net.to_dict(),
-            "regime": dataclasses.asdict(self.regime),
-            "theta_sweep": list(self.theta_sweep),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        space = dict(data["space"])
-        for key in ("legit_powers_w", "legit_distances_m", "adversary_powers_w",
-                    "adversary_distances_m", "noise_dbw_levels"):
-            space[key] = tuple(space[key])
-        return cls(
-            master_seed=data["master_seed"],
-            test_seed=data["test_seed"],
-            train_per_kind=data["train_per_kind"],
-            test_per_kind=data["test_per_kind"],
-            frame=FrameConfig(**data["frame"]),
-            feature=FeatureConfig(**data["feature"]),
-            space=ScenarioSpace(**space),
-            net=NetworkConfig.from_dict(data["net"]),
-            regime=TrainRegime(**data["regime"]),
-            theta_sweep=tuple(data["theta_sweep"]),
+        return from_json(
+            cls, data,
+            frame=partial(from_json, FrameConfig),
+            feature=partial(from_json, FeatureConfig),
+            space=partial(from_json, ScenarioSpace),
+            net=NetworkConfig.from_dict,
+            regime=partial(from_json, TrainRegime),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def desk_config(**overrides) -> ExperimentConfig:
@@ -115,4 +98,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    Path(path).write_text(config.to_json())
+    Path(path).write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2))

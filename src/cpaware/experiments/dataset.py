@@ -1,14 +1,9 @@
-"""Labeled dataset construction and its binary container format.
+"""Labeled dataset construction and its file.
 
-Layout (all integers little-endian):
-
-    magic "CPAD" | version u8 | config_len u32 | config JSON (utf-8)
-    | record * n
-    | footer: n_records u32 | record_offset u64 * n | footer_start u64
-      | magic "CPAX"
-
-    record: record_len u32 | meta_len u32 | meta JSON | ndim u8
-            | dims u32 * ndim | float32 little-endian tensor data
+A dataset is a ``tensorfile`` container with magic ``CPAD``.  Its
+metadata is ``{"config": experiment config, "records": [meta, ...]}``
+and its one array, ``tensors``, is the ``(n, frames, bins, 3)`` float32
+block of normalized feature tensors, in record order.
 
 Record metadata carries the intent index, both capability labels
 (raw BER and floored log10 BER), the per-sample generation seed, the
@@ -23,22 +18,19 @@ seed are byte-identical.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .. import tensorfile
 from ..features import feature_tensor
 from ..threats import ThreatKind, generate_sample
 from .config import ExperimentConfig
 
 MAGIC = b"CPAD"
-FOOT_MAGIC = b"CPAX"
-VERSION = 1
 
 _SCENARIO_STREAM = 5  # disjoint from the generator streams in threats
+_INTENT_INDICES = tuple(kind.value for kind in ThreatKind)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -82,32 +74,10 @@ def build_records(config: ExperimentConfig, per_kind: int, master_seed: int,
     return records
 
 
-def _pack_record(record: Record) -> bytes:
-    meta_bytes = json.dumps(record.meta, sort_keys=True).encode("utf-8")
-    tensor = np.ascontiguousarray(record.tensor, dtype="<f4")
-    body = struct.pack("<I", len(meta_bytes)) + meta_bytes
-    body += struct.pack("<B", tensor.ndim)
-    body += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-    body += tensor.tobytes()
-    return struct.pack("<I", len(body)) + body
-
-
 def write_dataset(path, config: ExperimentConfig, records: list[Record]) -> None:
-    config_bytes = config.to_json().encode("utf-8")
-    offsets = []
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", VERSION))
-        fh.write(struct.pack("<I", len(config_bytes)))
-        fh.write(config_bytes)
-        for record in records:
-            offsets.append(fh.tell())
-            fh.write(_pack_record(record))
-        footer_start = fh.tell()
-        fh.write(struct.pack("<I", len(records)))
-        fh.write(struct.pack(f"<{len(records)}Q", *offsets))
-        fh.write(struct.pack("<Q", footer_start))
-        fh.write(FOOT_MAGIC)
+    meta = {"config": config.to_dict(), "records": [r.meta for r in records]}
+    tensors = np.stack([np.asarray(r.tensor, dtype="<f4") for r in records])
+    tensorfile.write(path, MAGIC, meta, {"tensors": tensors})
 
 
 def build_dataset(path, config: ExperimentConfig, per_kind: int | None = None,
@@ -121,57 +91,38 @@ def build_dataset(path, config: ExperimentConfig, per_kind: int | None = None,
 
 
 class Dataset:
-    """Random-access reader over the binary container."""
+    """Random-access reader over the file; holds the float32 block in memory."""
 
     def __init__(self, path):
-        self.path = Path(path)
-        raw = self.path.read_bytes()
-        if raw[:4] != MAGIC:
-            raise ValueError(f"{path}: not a dataset file (bad magic)")
-        if raw[-4:] != FOOT_MAGIC:
-            raise ValueError(f"{path}: truncated dataset (bad footer magic)")
-        version = raw[4]
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported dataset version {version}")
-        (config_len,) = struct.unpack_from("<I", raw, 5)
-        self.config_dict = json.loads(raw[9: 9 + config_len])
-        (footer_start,) = struct.unpack_from("<Q", raw, len(raw) - 12)
-        (n_records,) = struct.unpack_from("<I", raw, footer_start)
-        self.offsets = struct.unpack_from(f"<{n_records}Q", raw, footer_start + 4)
-        self._raw = raw
+        meta, arrays = tensorfile.read(path, MAGIC, ("config", "records"))
+        self.config_dict = meta["config"]
+        self._metas = meta["records"]
+        self._tensors = arrays.get("tensors")
+        if not (set(arrays) == {"tensors"} and self._tensors.dtype == "<f4"
+                and self._tensors.ndim == 4 and isinstance(self._metas, list)
+                and len(self._metas) == len(self._tensors)):
+            raise ValueError(f"{path}: a dataset holds one 4-D float32 'tensors' "
+                             "array and one metadata record per tensor")
+        for i, record in enumerate(self._metas):
+            if not (isinstance(record, dict)
+                    and record.get("intent_index") in _INTENT_INDICES
+                    and type(record.get("log_ber")) in (int, float)):
+                raise ValueError(f"{path}: record {i} needs an intent_index in "
+                                 f"{_INTENT_INDICES} and a numeric log_ber")
 
     @property
     def config(self) -> ExperimentConfig:
         return ExperimentConfig.from_dict(self.config_dict)
 
     def __len__(self) -> int:
-        return len(self.offsets)
+        return len(self._metas)
 
     def __getitem__(self, index: int) -> Record:
-        offset = self.offsets[index]
-        (record_len,) = struct.unpack_from("<I", self._raw, offset)
-        pos = offset + 4
-        (meta_len,) = struct.unpack_from("<I", self._raw, pos)
-        pos += 4
-        meta = json.loads(self._raw[pos: pos + meta_len])
-        pos += meta_len
-        ndim = self._raw[pos]
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", self._raw, pos)
-        pos += 4 * ndim
-        count = int(np.prod(shape))
-        tensor = np.frombuffer(self._raw, dtype="<f4", count=count,
-                               offset=pos).reshape(shape)
-        return Record(meta=meta, tensor=tensor.copy())
+        return Record(meta=self._metas[index], tensor=self._tensors[index].copy())
 
     def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
         """All tensors (float64), intent indices, log-BER labels, metadata."""
-        tensors, intents, log_bers, metas = [], [], [], []
-        for i in range(len(self)):
-            record = self[i]
-            tensors.append(record.tensor.astype(np.float64))
-            intents.append(record.meta["intent_index"])
-            log_bers.append(record.meta["log_ber"])
-            metas.append(record.meta)
-        return (np.stack(tensors), np.array(intents, dtype=np.int64),
-                np.array(log_bers, dtype=np.float64), metas)
+        return (self._tensors.astype(np.float64),
+                np.array([m["intent_index"] for m in self._metas], dtype=np.int64),
+                np.array([m["log_ber"] for m in self._metas], dtype=np.float64),
+                self._metas)

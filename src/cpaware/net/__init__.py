@@ -9,12 +9,11 @@ from .losses import (
     softmax,
     total_loss,
 )
-from .model import Batch, MultitaskNet, NetworkConfig, he_init
+from .model import MultitaskNet, NetworkConfig, he_init
 from .optim import Adam
 
 __all__ = [
     "Adam",
-    "Batch",
     "MultitaskNet",
     "NetworkConfig",
     "focal_loss",

@@ -1,102 +1,34 @@
-"""Binary model checkpoints, bit-exact across save/load.
+"""Model checkpoints, bit-exact across save/load.
 
-Layout (all integers little-endian):
-
-    magic "CPA1" | version u8 | config_len u32 | config JSON (utf-8)
-    | extras_len u32 | extras JSON | n_tensors u32 | tensor records
-
-    tensor record: name_len u16 | name utf-8 | dtype u8 | ndim u8
-                   | dims u32 * ndim | raw little-endian data
-
-The tensor set covers trainable parameters (``param/``), optimizer
-moments (``adam_m/``, ``adam_v/``) and batch-norm running statistics
-(``state/``); the optimizer step counter travels in the extras JSON.
+A checkpoint is a ``tensorfile`` container with magic ``CPA1``.  Its
+metadata is ``{"config": network config, "extras": {...}}`` and its
+arrays are the trainable parameters (``param/``), the optimizer moments
+(``adam_m/``, ``adam_v/``) and the batch-norm running statistics
+(``state/``); the optimizer step counter travels in the extras.
 Reloading therefore resumes training exactly where it stopped.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-from pathlib import Path
-
 import numpy as np
 
+from .. import tensorfile
 from .model import MultitaskNet, NetworkConfig
 from .optim import Adam
 
 MAGIC = b"CPA1"
-VERSION = 1
-
-_DTYPES = {0: "<f8", 1: "<f4", 2: "<i8"}
-_DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1, np.dtype("int64"): 2}
-
-
-def _pack_tensor(name: str, array: np.ndarray) -> bytes:
-    code = _DTYPE_CODES[np.dtype(array.dtype)]
-    encoded = name.encode("utf-8")
-    header = struct.pack("<H", len(encoded)) + encoded
-    header += struct.pack("<BB", code, array.ndim)
-    header += struct.pack(f"<{array.ndim}I", *array.shape)
-    return header + np.ascontiguousarray(array).astype(_DTYPES[code]).tobytes()
-
-
-def _read_tensor(buf: memoryview, pos: int) -> tuple[str, np.ndarray, int]:
-    (name_len,) = struct.unpack_from("<H", buf, pos)
-    pos += 2
-    name = bytes(buf[pos: pos + name_len]).decode("utf-8")
-    pos += name_len
-    code, ndim = struct.unpack_from("<BB", buf, pos)
-    pos += 2
-    shape = struct.unpack_from(f"<{ndim}I", buf, pos)
-    pos += 4 * ndim
-    dtype = np.dtype(_DTYPES[code])
-    count = int(np.prod(shape)) if ndim else 1
-    data = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(shape)
-    pos += count * dtype.itemsize
-    return name, data.copy(), pos
 
 
 def write_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
                      extras: dict) -> None:
-    config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    extras_bytes = json.dumps(extras, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", VERSION))
-        fh.write(struct.pack("<I", len(config_bytes)))
-        fh.write(config_bytes)
-        fh.write(struct.pack("<I", len(extras_bytes)))
-        fh.write(extras_bytes)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, array in tensors.items():
-            fh.write(_pack_tensor(name, array))
+    tensorfile.write(path, MAGIC, {"config": config, "extras": extras}, tensors)
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    version = raw[4]
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    buf = memoryview(raw)
-    pos = 5
-    (config_len,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    config = json.loads(bytes(buf[pos: pos + config_len]))
-    pos += config_len
-    (extras_len,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    extras = json.loads(bytes(buf[pos: pos + extras_len]))
-    pos += extras_len
-    (n_tensors,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    tensors = {}
-    for _ in range(n_tensors):
-        name, array, pos = _read_tensor(buf, pos)
-        tensors[name] = array
-    return config, tensors, extras
+    meta, tensors = tensorfile.read(path, MAGIC, ("config", "extras"))
+    if not isinstance(meta["extras"], dict):
+        raise ValueError(f"{path}: checkpoint extras must be a JSON object")
+    return meta["config"], tensors, meta["extras"]
 
 
 def save_model(path, model: MultitaskNet, optimizer: Adam | None = None,
@@ -115,8 +47,9 @@ def save_model(path, model: MultitaskNet, optimizer: Adam | None = None,
 def load_model(path) -> tuple[MultitaskNet, Adam | None, dict]:
     """Rebuild a model (and its optimizer, if saved) from a checkpoint.
 
-    A tensor whose name the rebuilt model does not have raises ValueError
-    instead of being grafted into it.
+    A tensor whose name the rebuilt model does not have, or whose shape
+    or dtype differs from the model's, raises ValueError instead of being
+    grafted into it.
     """
     config_dict, tensors, extras = read_checkpoint(path)
     config = NetworkConfig.from_dict(config_dict)
@@ -124,15 +57,24 @@ def load_model(path) -> tuple[MultitaskNet, Adam | None, dict]:
     groups = {"param": model.named_params(), "state": model.named_state()}
     optimizer = None
     if "adam_step" in extras:
+        step = extras["adam_step"]
+        if not (isinstance(step, int) and step >= 0):
+            raise ValueError(f"{path}: adam_step must be a non-negative integer, not {step!r}")
         optimizer = Adam.for_params(model.named_params(),
                                     lr=extras.get("adam_lr", config.learning_rate))
-        optimizer.step_count = int(extras["adam_step"])
+        optimizer.step_count = step
         groups.update(adam_m=optimizer.m, adam_v=optimizer.v)
-    known = {f"{group}/{key}" for group, table in groups.items() for key in table}
+    known = {f"{group}/{key}": value for group, table in groups.items()
+             for key, value in table.items()}
     unknown = [name for name in tensors if name not in known]
     if unknown:
         raise ValueError(f"{path}: tensors the model does not have: {', '.join(unknown)}")
     for name, value in tensors.items():
+        expected = known[name]
+        if value.shape != expected.shape or value.dtype != expected.dtype:
+            raise ValueError(
+                f"{path}: tensor {name} has shape {value.shape} ({value.dtype}), "
+                f"the model's has shape {expected.shape} ({expected.dtype})")
         group, _, key = name.partition("/")
         if group == "param":
             model.set_param(key, value)

@@ -199,27 +199,6 @@ class AvgPool2D:
         ).reshape(b, h, w, c)
 
 
-class Flatten:
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self._in_shape = None
-
-    @property
-    def kernel_keys(self) -> tuple[str, ...]:
-        return ()
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        pass
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout.reshape(self._in_shape)
-
-
 class GlobalAvgPool:
     """Mean over all spatial positions, (B, H, W, C) -> (B, C)."""
 
@@ -242,42 +221,6 @@ class GlobalAvgPool:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         b, h, w, c = self._in_shape
         return np.broadcast_to(dout[:, None, None, :] / (h * w), self._in_shape).copy()
-
-
-class GlobalStatPool:
-    """Spatial mean and max per channel, (B, H, W, C) -> (B, 2C).
-
-    The mean summarizes texture frequency, the max its extremes; both are
-    translation invariant, which suits stationary time-frequency textures.
-    """
-
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
-
-    @property
-    def kernel_keys(self) -> tuple[str, ...]:
-        return ()
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        pass
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        b, h, w, c = x.shape
-        flat = x.reshape(b, h * w, c)
-        argmax = flat.argmax(axis=1)
-        self._cache = (x.shape, argmax)
-        return np.concatenate([flat.mean(axis=1), flat.max(axis=1)], axis=1)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        (b, h, w, c), argmax = self._cache
-        dmean, dmax = dout[:, :c], dout[:, c:]
-        dx = np.broadcast_to(dmean[:, None, :] / (h * w), (b, h * w, c)).copy()
-        batch_idx = np.repeat(np.arange(b), c)
-        chan_idx = np.tile(np.arange(c), b)
-        dx[batch_idx, argmax.reshape(-1), chan_idx] += dmax.reshape(-1)
-        return dx.reshape(b, h, w, c)
 
 
 class Dense:

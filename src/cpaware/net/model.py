@@ -1,9 +1,9 @@
 """Shared-backbone multitask network: intent classifier + log-BER regressor.
 
 The backbone is a stack of conv blocks (convolution, batch normalization,
-ReLU, average pooling), followed by a flatten; two dense heads read the
-shared features.  Both heads backpropagate into the backbone, which is
-what couples the tasks during training.
+ReLU, average pooling), followed by a global average pool; two dense
+heads read the shared per-channel features.  Both heads backpropagate
+into the backbone, which is what couples the tasks during training.
 
 Everything runs in float64; weights follow the He normal scheme
 (variance 2 / fan_in).  The dense heads start with zero biases; the
@@ -13,20 +13,12 @@ would cancel it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .layers import (
-    AvgPool2D,
-    BatchNorm2D,
-    Conv2D,
-    Dense,
-    Flatten,
-    GlobalAvgPool,
-    GlobalStatPool,
-    ReLU,
-)
+from ..tensorfile import from_json
+from .layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, GlobalAvgPool, ReLU
 from .losses import softmax
 
 
@@ -37,11 +29,6 @@ class NetworkConfig:
     input_shape: tuple  # (frames, bins, channels)
     conv_blocks: tuple = ((8, 3, 1), (16, 3, 1), (32, 3, 1))  # (filters, kernel, stride)
     pool: int = 2
-    # Head input: "meanmax" or "mean" pool the remaining spatial grid into
-    # per-channel statistics, "flatten" keeps every position.  Textures here
-    # are stationary, so pooled statistics generalize far better than a wide
-    # flatten from a few hundred training samples.
-    global_pool: str = "meanmax"
     n_classes: int = 3
     l2_coeff: float = 1e-4
     focal_gamma: float = 2.0
@@ -56,10 +43,12 @@ class NetworkConfig:
             raise ValueError("input_shape must be (frames, bins, channels)")
         if not self.conv_blocks:
             raise ValueError("at least one conv block is required")
+        if any(len(block) != 3 or min(block) <= 0 for block in self.conv_blocks):
+            raise ValueError("each conv block must be (filters, kernel, stride), all positive")
         if self.focal_gamma < 0:
             raise ValueError("focal_gamma must be non-negative")
-        if self.global_pool not in ("meanmax", "mean", "flatten"):
-            raise ValueError("global_pool must be 'meanmax', 'mean' or 'flatten'")
+        if self.pool <= 0:
+            raise ValueError("pool must be positive")
         for name in ("l2_coeff",):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -71,44 +60,11 @@ class NetworkConfig:
         return replace(self, reg_label_variance=float(variance))
 
     def to_dict(self) -> dict:
-        return {
-            "input_shape": list(self.input_shape),
-            "conv_blocks": [list(b) for b in self.conv_blocks],
-            "pool": self.pool,
-            "global_pool": self.global_pool,
-            "n_classes": self.n_classes,
-            "l2_coeff": self.l2_coeff,
-            "focal_gamma": self.focal_gamma,
-            "reg_amplification": self.reg_amplification,
-            "reg_label_variance": self.reg_label_variance,
-            "learning_rate": self.learning_rate,
-            "bn_momentum": self.bn_momentum,
-            "bn_eps": self.bn_eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
-        data = dict(data)
-        data["input_shape"] = tuple(data["input_shape"])
-        data["conv_blocks"] = tuple(tuple(b) for b in data["conv_blocks"])
-        return cls(**data)
-
-
-@dataclass
-class Batch:
-    """Stacked feature tensors with both label kinds."""
-
-    tensors: np.ndarray        # (batch, frames, bins, 3)
-    intent_one_hot: np.ndarray  # (batch, n_classes)
-    log_ber: np.ndarray        # (batch,)
-
-    def __post_init__(self) -> None:
-        n = self.tensors.shape[0]
-        if self.intent_one_hot.shape[0] != n or self.log_ber.shape[0] != n:
-            raise ValueError("batch fields disagree on the sample count")
-
-    def __len__(self) -> int:
-        return self.tensors.shape[0]
+        return from_json(cls, data)
 
 
 class MultitaskNet:
@@ -133,12 +89,8 @@ class MultitaskNet:
                 AvgPool2D(config.pool),
             ]
             h, w, c = h // config.pool, w // config.pool, filters
-        if config.global_pool:
-            self.backbone.append(GlobalAvgPool())
-            self.feature_size = c
-        else:
-            self.backbone.append(Flatten())
-            self.feature_size = h * w * c
+        self.backbone.append(GlobalAvgPool())
+        self.feature_size = c
         self.head_cls = Dense(self.feature_size, config.n_classes)
         self.head_reg = Dense(self.feature_size, 1)
         self._layer_index = {

@@ -12,7 +12,7 @@ class Adam:
     counter is shared across all parameters.
     """
 
-    def __init__(self, param_shapes: dict[str, tuple], lr: float = 1e-4,
+    def __init__(self, param_shapes: dict[str, tuple], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
             raise ValueError("lr must be positive")

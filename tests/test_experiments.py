@@ -13,7 +13,13 @@ from cpaware.experiments.config import (
     load_config,
     save_config,
 )
-from cpaware.experiments.dataset import Dataset, build_dataset, derive_seed
+from cpaware.experiments.dataset import (
+    Dataset,
+    build_dataset,
+    build_records,
+    derive_seed,
+    write_dataset,
+)
 from cpaware.experiments.metrics import (
     confusion_matrix,
     per_scale_table,
@@ -93,6 +99,16 @@ class TestDatasetFile:
         assert "adversary_power_w" in deceptive_meta
         assert "estimation_error" in deceptive_meta
 
+    @pytest.mark.parametrize("label", ["intent_index", "log_ber"])
+    def test_rejects_record_without_label(self, tmp_path, label):
+        config = mini_config()
+        records = build_records(config, per_kind=1, master_seed=1)
+        del records[1].meta[label]
+        path = tmp_path / "data.cpad"
+        write_dataset(path, config, records)
+        with pytest.raises(ValueError, match="record 1"):
+            Dataset(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.cpad"
         path.write_bytes(b"JUNK" + b"\x00" * 32)
@@ -106,6 +122,29 @@ class TestConfigSerialization:
         path = tmp_path / "config.json"
         save_config(path, config)
         assert load_config(path) == config
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.pop("test_seed"), "test_seed"),
+        (lambda d: d["net"].update(bogus=1), "bogus"),
+        (lambda d: d["frame"].pop("qam_order"), "qam_order"),
+        (lambda d: d["space"].update(bogus=1), "bogus"),
+        (lambda d: d["regime"].pop("epochs"), "epochs"),
+    ])
+    def test_missing_or_unknown_key_rejected(self, edit, key):
+        data = desk_config().to_dict()
+        edit(data)
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pool", 0, "pool must be positive"),
+        ("conv_blocks", ((0, 3, 1),), "conv block"),
+        ("n_classes", 2, "n_classes"),
+    ])
+    def test_bad_net_field_rejected(self, field, value, message):
+        net = mini_config().net
+        with pytest.raises(ValueError, match=message):
+            mini_config(net=dataclasses.replace(net, **{field: value}))
 
     def test_mismatched_net_shape_rejected(self):
         with pytest.raises(ValueError, match="input_shape"):

@@ -20,7 +20,7 @@ from cpaware.net import (
     total_loss,
     write_checkpoint,
 )
-from cpaware.net.layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, Flatten, ReLU
+from cpaware.net.layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, ReLU
 
 TINY = NetworkConfig((8, 8, 3), conv_blocks=((4, 3, 1), (6, 3, 1)),
                      focal_gamma=2.0, l2_coeff=1e-3)
@@ -114,14 +114,6 @@ class TestLayerGradients:
         layer = Dense(7, 4)
         layer.init_params(rng)
         check_layer(layer, rng.normal(size=(3, 7)))
-
-    def test_flatten_roundtrip(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 3, 4, 5))
-        layer = Flatten()
-        out = layer.forward(x)
-        assert out.shape == (2, 60)
-        np.testing.assert_array_equal(layer.backward(out), x)
 
 
 def make_toy_batch(seed=0, n=2, shape=(8, 8, 3)):
@@ -322,7 +314,7 @@ class TestForward:
         model = he_init(TINY, np.random.default_rng(44))
         x, labels, rho = make_toy_batch(45, n=6)
         # Populate running statistics with a few training passes.
-        adam = Adam.for_params(model.named_params())
+        adam = Adam.for_params(model.named_params(), lr=1e-4)
         from cpaware.experiments.training import train_step
         for _ in range(3):
             train_step(model, x, labels, rho, adam)
@@ -363,7 +355,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros(3)}
-        adam = Adam.for_params(params)
+        adam = Adam.for_params(params, lr=1e-4)
         with pytest.raises(ValueError):
             adam.step(params, {"w": np.zeros(4)})
 
@@ -401,6 +393,15 @@ class TestCheckpoint:
         path = tmp_path / "extra.ckpt"
         write_checkpoint(path, TINY.to_dict(), tensors, {})
         with pytest.raises(ValueError, match="backbone.0.b"):
+            load_model(path)
+
+    def test_rejects_wrong_shape(self, tmp_path):
+        model = he_init(TINY, np.random.default_rng(53))
+        tensors = {f"param/{k}": v for k, v in model.named_params().items()}
+        tensors["param/head_cls.w"] = np.zeros((2, 2))
+        path = tmp_path / "shape.ckpt"
+        write_checkpoint(path, TINY.to_dict(), tensors, {})
+        with pytest.raises(ValueError, match=r"head_cls\.w.*\(2, 2\).*\(6, 3\)"):
             load_model(path)
 
     def test_rejects_wrong_magic(self, tmp_path):

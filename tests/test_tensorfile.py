@@ -1,0 +1,111 @@
+"""Tests for the shared container behind dataset and checkpoint files."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cpaware import tensorfile
+from cpaware.experiments.config import ExperimentConfig
+from cpaware.experiments.dataset import Dataset, build_dataset
+from cpaware.features import FeatureConfig
+from cpaware.net import NetworkConfig, he_init, load_model, save_model
+from cpaware.net.optim import Adam
+from cpaware.ofdm import FrameConfig
+
+
+def test_roundtrip_keeps_dtype_shape_and_bytes(tmp_path):
+    arrays = {
+        "a": np.arange(6, dtype="<f4").reshape(2, 3),
+        "b": np.linspace(-1, 1, 5),
+        "c": np.arange(4, dtype="<i8").reshape(1, 2, 2),
+        "empty": np.zeros((0, 3)),
+    }
+    path = tmp_path / "x.bin"
+    tensorfile.write(path, b"TEST", {"k": [1, "v"]}, arrays)
+    meta, loaded = tensorfile.read(path, b"TEST", ["k"])
+    assert meta == {"k": [1, "v"]}
+    assert list(loaded) == list(arrays)
+    for name, value in arrays.items():
+        assert loaded[name].dtype == value.dtype
+        assert loaded[name].shape == value.shape
+        assert loaded[name].tobytes() == value.tobytes()
+
+
+def test_rejects_version_one(tmp_path):
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(b"CPA1" + struct.pack("<BI", 1, 2) + b"{}")
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        load_model(path)
+
+
+def test_rejects_unlisted_dtype(tmp_path):
+    with pytest.raises(ValueError, match="dtype"):
+        tensorfile.write(tmp_path / "x.bin", b"TEST", {}, {"a": np.zeros(2, dtype=np.int32)})
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """A small valid checkpoint and dataset: their directory and bytes."""
+    directory = tmp_path_factory.mktemp("valid")
+    net = NetworkConfig((8, 8, 3), conv_blocks=((2, 3, 1),))
+    model = he_init(net, np.random.default_rng(0))
+    ckpt = directory / "valid.ckpt"
+    save_model(ckpt, model, Adam.for_params(model.named_params(), lr=1e-3),
+               extras={"task": "multitask"})
+    data = directory / "valid.cpad"
+    build_dataset(data, ExperimentConfig(
+        train_per_kind=1, test_per_kind=1, frame=FrameConfig(8, 2, 8),
+        feature=FeatureConfig(1), net=net), per_kind=1)
+    return directory, {"checkpoint": ckpt.read_bytes(), "dataset": data.read_bytes()}
+
+
+def _load_dataset(path):
+    dataset = Dataset(path)
+    return dataset.config, dataset.load_arrays()
+
+
+LOADERS = {"checkpoint": load_model, "dataset": _load_dataset}
+
+
+def _write_corrupt(directory, kind, blob):
+    path = directory / f"corrupt.{kind}"
+    path.write_bytes(blob)
+    return path
+
+
+def _header_end(raw: bytes) -> int:
+    return 9 + struct.unpack_from("<I", raw, 5)[0]
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_truncation_raises_value_error(valid, kind, data):
+    directory, files = valid
+    raw = files[kind]
+    length = data.draw(st.one_of(st.integers(0, _header_end(raw)),
+                                 st.integers(0, len(raw) - 1)))
+    with pytest.raises(ValueError):
+        LOADERS[kind](_write_corrupt(directory, kind, raw[:length]))
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_any_byte_flip_loads_or_raises_value_error(valid, kind, data):
+    directory, files = valid
+    raw = files[kind]
+    # Many draws land in the header, where a flip changes the structure
+    # rather than a number.
+    pos = data.draw(st.one_of(st.integers(0, _header_end(raw) - 1),
+                              st.integers(0, len(raw) - 1)))
+    mask = data.draw(st.integers(1, 255))
+    blob = bytearray(raw)
+    blob[pos] ^= mask
+    try:
+        LOADERS[kind](_write_corrupt(directory, kind, bytes(blob)))
+    except ValueError:
+        pass  # the only failure a corrupt file may cause
