@@ -28,19 +28,6 @@ from .net.model import MultitaskNet
 from .threats import ThreatKind
 
 
-@dataclass(frozen=True)
-class SequentialConfig:
-    """Gate threshold plus the two single-task checkpoints of the cascade."""
-
-    threshold_ber: float
-    regression_ckpt: str
-    classifier_ckpt: str
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.threshold_ber < 1.0:
-            raise ValueError("threshold_ber must lie in (0, 1)")
-
-
 def check_same_backbone(regressor: MultitaskNet, classifier: MultitaskNet) -> None:
     """Both cascade models must share architecture and input shape."""
     a, b = regressor.config, classifier.config

@@ -10,15 +10,15 @@ Subcommands:
                 line-oriented assessment report,
 * ``baseline``  alias for ``eval --mode sequential``.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
-4 data or shape validation error, 5 unexpected internal error.
+Exit codes: 0 success, 2 usage error (bad arguments), 3 I/O error,
+4 invalid config or data (including malformed JSON), 5 unexpected
+internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -28,7 +28,12 @@ from .assessment import AssessmentThresholds, assess, assessment_row, write_repo
 from .baseline import SequentialAssessor
 from .experiments.config import desk_config, full_scale_config, load_config, save_config
 from .experiments.dataset import Dataset, build_dataset
-from .experiments.metrics import evaluate_multitask, evaluate_sequential, write_rows_csv
+from .experiments.metrics import (
+    evaluate_multitask,
+    evaluate_sequential,
+    summary_lines,
+    write_rows_csv,
+)
 from .experiments.training import save_result, train, write_log_csv
 from .features import feature_tensor
 from .net.checkpoint import load_model
@@ -140,30 +145,30 @@ def cmd_train(args) -> int:
 
 
 def _run_eval(args, mode: str) -> int:
+    if mode == "sequential":
+        if not args.ckpt2:
+            raise ValueError("sequential mode needs --ckpt (regression) and --ckpt2 (classifier)")
+        if args.rows_out and len(args.theta) > 1:
+            raise ValueError("--rows-out holds the rows of one --theta; give a single value")
     ds = Dataset(args.dataset)
     tensors, intent_idx, log_ber, _ = ds.load_arrays()
     thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
-    all_rows = []
     if mode == "multitask":
         model, _, _ = load_model(args.ckpt)
         report, rows = evaluate_multitask(model, tensors, intent_idx, log_ber,
                                           thresholds)
-        print("\n".join(report.summary_lines()))
-        all_rows = rows
+        print("\n".join(summary_lines(report, mode)))
     else:
-        if not args.ckpt2:
-            raise ValueError("sequential mode needs --ckpt (regression) and --ckpt2 (classifier)")
         regressor, _, _ = load_model(args.ckpt)
         classifier, _, _ = load_model(args.ckpt2)
         for theta in args.theta:
             assessor = SequentialAssessor(regressor, classifier, theta, thresholds)
             report, rows = evaluate_sequential(assessor, tensors, intent_idx, log_ber)
-            print("\n".join(report.summary_lines()))
-            print(f"  classifier invocations: {report.extra['classifier_invocations']}"
-                  f" / {len(rows)} (gated {report.extra['gated_count']})")
-            all_rows = rows
+            print("\n".join(summary_lines(report, f"{mode} (theta={theta:g})")))
+            print(f"  classifier invocations: {assessor.classifier_invocations}"
+                  f" / {len(rows)} (gated {assessor.gated_count})")
     if args.rows_out:
-        write_rows_csv(args.rows_out, all_rows)
+        write_rows_csv(args.rows_out, rows)
     return 0
 
 
@@ -214,7 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"cpaware: I/O error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

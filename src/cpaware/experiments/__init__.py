@@ -10,7 +10,6 @@ from .config import (
 )
 from .dataset import Dataset, build_dataset, build_records, derive_seed, write_dataset
 from .metrics import (
-    MetricsReport,
     evaluate_multitask,
     evaluate_sequential,
     report_from_rows,
@@ -22,7 +21,6 @@ from .training import TrainResult, save_result, train, train_step, write_log_csv
 __all__ = [
     "Dataset",
     "ExperimentConfig",
-    "MetricsReport",
     "TrainRegime",
     "TrainResult",
     "build_dataset",

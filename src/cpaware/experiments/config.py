@@ -38,19 +38,16 @@ class TrainRegime:
 @dataclass(frozen=True)
 class ExperimentConfig:
     master_seed: int = 1
-    test_seed: int = 2
     train_per_kind: int = 200
-    test_per_kind: int = 100
     frame: FrameConfig = field(default_factory=lambda: FrameConfig(64, 8, 64))
     feature: FeatureConfig = field(default_factory=lambda: FeatureConfig(3))
     space: ScenarioSpace = field(default_factory=ScenarioSpace)
     net: NetworkConfig = field(default_factory=lambda: NetworkConfig((64, 64, 3)))
     regime: TrainRegime = field(default_factory=TrainRegime)
-    theta_sweep: tuple = (1e-2, 1e-3, 1e-4)
 
     def __post_init__(self) -> None:
-        if self.train_per_kind <= 0 or self.test_per_kind <= 0:
-            raise ValueError("sample counts must be positive")
+        if self.train_per_kind <= 0:
+            raise ValueError("train_per_kind must be positive")
         expected = (self.frame.n_symbols, self.frame.n_subcarriers, 3)
         if tuple(self.net.input_shape) != expected:
             raise ValueError(
@@ -77,7 +74,7 @@ class ExperimentConfig:
 
 
 def desk_config(**overrides) -> ExperimentConfig:
-    """Laptop-scale defaults: 64x64 frames, 200/100 samples per kind."""
+    """Laptop-scale defaults: 64x64 frames, 200 training samples per kind."""
     return dataclasses.replace(ExperimentConfig(), **overrides)
 
 
@@ -85,7 +82,6 @@ def full_scale_config(**overrides) -> ExperimentConfig:
     """Full frame geometry and sample counts; hours of CPU, not minutes."""
     base = ExperimentConfig(
         train_per_kind=3600,
-        test_per_kind=3600,
         frame=FrameConfig(512, 64, 600),
         feature=FeatureConfig(15),
         net=NetworkConfig((600, 512, 3)),

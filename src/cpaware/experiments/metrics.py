@@ -10,15 +10,17 @@ matrix.  Grading quality is summarized per severity scale (0-7) with
 and scales without support are flagged ``n/a`` rather than reported as
 zero.  Classes without support likewise carry NaN precision/recall.
 
-``evaluate_multitask`` and ``evaluate_sequential`` also return one raw
-prediction row per sample, so every reported number can be recomputed
-from the dump alone.
+``evaluate_multitask`` and ``evaluate_sequential`` first build one raw
+prediction row per sample; their report is ``report_from_rows`` of those
+rows plus the two losses, ``loss_cls`` (focal) and ``loss_reg`` (MSE).
+Every reported number except the cascade's ``loss_cls``, which scores
+the classifier on gated samples too, can therefore be recomputed from
+the dump alone.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,39 +44,22 @@ ROW_FIELDS = ("sample_id", "true_intent", "pred_intent", "true_log_ber",
               "p_deceptive", "p_disruptive", "p_non_adversarial", "gated")
 
 
-@dataclass
-class MetricsReport:
-    mode: str
-    intent_confusion: np.ndarray
-    intent_precision: np.ndarray
-    intent_recall: np.ndarray
-    intent_accuracy: float
-    scale_confusion: np.ndarray
-    assessment_accuracy: float
-    per_scale: list[dict]
-    loss_cls: float
-    loss_reg: float
-    loss_cls_per_class: np.ndarray
-    loss_reg_per_class: np.ndarray
-    theta: float | None = None
-    extra: dict = field(default_factory=dict)
-
-    def summary_lines(self) -> list[str]:
-        label = self.mode if self.theta is None else f"{self.mode} (theta={self.theta:g})"
-        lines = [f"[{label}] intent accuracy {self.intent_accuracy:.4f}, "
-                 f"assessment accuracy {self.assessment_accuracy:.4f}, "
-                 f"loss_cls {self.loss_cls:.4g}, loss_reg {self.loss_reg:.4g}"]
-        for i, name in enumerate(INTENT_ORDER):
-            lines.append(
-                f"  {name:<16} precision {_fmt(self.intent_precision[i])}"
-                f"  recall {_fmt(self.intent_recall[i])}"
-            )
-        for row in self.per_scale:
-            lines.append(
-                f"  scale {row['scale']}: support {row['support']:>4}  "
-                f"recall {_fmt(row['recall'])}  accuracy {_fmt(row['accuracy'])}"
-            )
-        return lines
+def summary_lines(report: dict, label: str) -> list[str]:
+    """The printed form of a report from ``evaluate_multitask``/``_sequential``."""
+    lines = [f"[{label}] intent accuracy {report['intent_accuracy']:.4f}, "
+             f"assessment accuracy {report['assessment_accuracy']:.4f}, "
+             f"loss_cls {report['loss_cls']:.4g}, loss_reg {report['loss_reg']:.4g}"]
+    for i, name in enumerate(INTENT_ORDER):
+        lines.append(
+            f"  {name:<16} precision {_fmt(report['intent_precision'][i])}"
+            f"  recall {_fmt(report['intent_recall'][i])}"
+        )
+    for row in report["per_scale"]:
+        lines.append(
+            f"  scale {row['scale']}: support {row['support']:>4}  "
+            f"recall {_fmt(row['recall'])}  accuracy {_fmt(row['accuracy'])}"
+        )
+    return lines
 
 
 def _fmt(value) -> str:
@@ -129,110 +114,53 @@ def true_scales_from_labels(intent_idx: np.ndarray, log_ber: np.ndarray,
     ])
 
 
-def _per_class_losses(intent_idx, one_hot, probs, log_ber, rho_hat, gamma):
-    cls = np.full(3, np.nan)
-    reg = np.full(3, np.nan)
-    for k in range(3):
-        mask = intent_idx == k
-        if mask.any():
-            cls[k] = focal_loss(one_hot[mask], probs[mask], gamma)
-            reg[k] = mse_loss(log_ber[mask], rho_hat[mask])[0]
-    return cls, reg
-
-
-def _build_report(mode, intent_idx, pred_idx, true_scales, pred_scales,
-                  losses, theta=None, extra=None) -> MetricsReport:
-    intent_conf = confusion_matrix(intent_idx, pred_idx, 3)
-    precision, recall = precision_recall(intent_conf)
-    scale_conf = confusion_matrix(true_scales, pred_scales, N_SCALES)
-    return MetricsReport(
-        mode=mode,
-        intent_confusion=intent_conf,
-        intent_precision=precision,
-        intent_recall=recall,
-        intent_accuracy=float(np.mean(pred_idx == intent_idx)),
-        scale_confusion=scale_conf,
-        assessment_accuracy=float(np.mean(pred_scales == true_scales)),
-        per_scale=per_scale_table(true_scales, pred_scales),
-        loss_cls=losses[0],
-        loss_reg=losses[1],
-        loss_cls_per_class=losses[2],
-        loss_reg_per_class=losses[3],
-        theta=theta,
-        extra=extra or {},
-    )
-
-
 def evaluate_multitask(model: MultitaskNet, tensors: np.ndarray,
                        intent_idx: np.ndarray, log_ber: np.ndarray,
                        thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS,
-                       ) -> tuple[MetricsReport, list[dict]]:
+                       ) -> tuple[dict, list[dict]]:
     probs, rho_hat = model.predict_batched(tensors)
-    one_hot = one_hot_labels(intent_idx)
     assessments = [assess(p, float(r), thresholds) for p, r in zip(probs, rho_hat)]
-    pred_idx = np.array([a.kind.value for a in assessments])
-    pred_scales = np.array([a.scale for a in assessments])
-    true_scales = true_scales_from_labels(intent_idx, log_ber, thresholds)
-
-    loss_cls = focal_loss(one_hot, probs, model.config.focal_gamma)
-    loss_reg = mse_loss(log_ber, rho_hat)[0]
-    per_cls, per_reg = _per_class_losses(intent_idx, one_hot, probs, log_ber,
-                                         rho_hat, model.config.focal_gamma)
-    report = _build_report("multitask", intent_idx, pred_idx, true_scales,
-                           pred_scales, (loss_cls, loss_reg, per_cls, per_reg))
-    rows = _make_rows(intent_idx, log_ber, pred_idx, rho_hat, true_scales,
-                      pred_scales, probs=probs)
-    return report, rows
+    rows = _make_rows(assessments, intent_idx, log_ber, thresholds, probs=probs)
+    loss_cls = focal_loss(one_hot_labels(intent_idx), probs, model.config.focal_gamma)
+    return _report(rows, loss_cls), rows
 
 
 def evaluate_sequential(assessor: SequentialAssessor, tensors: np.ndarray,
                         intent_idx: np.ndarray, log_ber: np.ndarray,
-                        ) -> tuple[MetricsReport, list[dict]]:
+                        ) -> tuple[dict, list[dict]]:
     assessor.reset_counters()
     assessments, gated = assessor.assess_batch(tensors)
-    pred_idx = np.array([a.kind.value for a in assessments])
-    pred_scales = np.array([a.scale for a in assessments])
-    rho_hat = np.array([a.log_ber_pred for a in assessments])
-    true_scales = true_scales_from_labels(intent_idx, log_ber, assessor.thresholds)
-
-    one_hot = one_hot_labels(intent_idx)
+    rows = _make_rows(assessments, intent_idx, log_ber, assessor.thresholds, gated=gated)
+    # The cascade's loss_cls scores the classifier on every sample, gated or not.
     cls_probs, _ = assessor.classifier.predict_batched(tensors)
-    loss_cls = focal_loss(one_hot, cls_probs, assessor.classifier.config.focal_gamma)
-    loss_reg = mse_loss(log_ber, rho_hat)[0]
-    per_cls, per_reg = _per_class_losses(
-        intent_idx, one_hot, cls_probs, log_ber, rho_hat,
-        assessor.classifier.config.focal_gamma,
-    )
-    report = _build_report(
-        "sequential", intent_idx, pred_idx, true_scales, pred_scales,
-        (loss_cls, loss_reg, per_cls, per_reg), theta=assessor.threshold_ber,
-        extra={"classifier_invocations": assessor.classifier_invocations,
-               "gated_count": assessor.gated_count},
-    )
-    rows = _make_rows(intent_idx, log_ber, pred_idx, rho_hat, true_scales,
-                      pred_scales, gated=gated)
-    return report, rows
+    loss_cls = focal_loss(one_hot_labels(intent_idx), cls_probs,
+                          assessor.classifier.config.focal_gamma)
+    return _report(rows, loss_cls), rows
 
 
-def _make_rows(intent_idx, log_ber, pred_idx, rho_hat, true_scales, pred_scales,
+def _report(rows, loss_cls) -> dict:
+    """``report_from_rows`` plus ``loss_cls`` and the rows' log-BER MSE."""
+    loss_reg, _ = mse_loss(np.array([r["true_log_ber"] for r in rows]),
+                           np.array([r["pred_log_ber"] for r in rows]))
+    return {**report_from_rows(rows), "loss_cls": loss_cls, "loss_reg": loss_reg}
+
+
+def _make_rows(assessments, intent_idx, log_ber, thresholds,
                probs=None, gated=None) -> list[dict]:
-    rows = []
-    for i in range(len(intent_idx)):
-        row = {
-            "sample_id": i,
-            "true_intent": int(intent_idx[i]),
-            "pred_intent": int(pred_idx[i]),
-            "true_log_ber": float(log_ber[i]),
-            "pred_log_ber": float(rho_hat[i]),
-            "true_scale": int(true_scales[i]),
-            "pred_scale": int(pred_scales[i]),
-            "p_deceptive": float(probs[i][0]) if probs is not None else "",
-            "p_disruptive": float(probs[i][1]) if probs is not None else "",
-            "p_non_adversarial": float(probs[i][2]) if probs is not None else "",
-            "gated": int(gated[i]) if gated is not None else 0,
-        }
-        rows.append(row)
-    return rows
+    true_scales = true_scales_from_labels(intent_idx, log_ber, thresholds)
+    return [{
+        "sample_id": i,
+        "true_intent": int(intent_idx[i]),
+        "pred_intent": a.kind.value,
+        "true_log_ber": float(log_ber[i]),
+        "pred_log_ber": a.log_ber_pred,
+        "true_scale": int(true_scales[i]),
+        "pred_scale": a.scale,
+        "p_deceptive": float(probs[i][0]) if probs is not None else "",
+        "p_disruptive": float(probs[i][1]) if probs is not None else "",
+        "p_non_adversarial": float(probs[i][2]) if probs is not None else "",
+        "gated": int(gated[i]) if gated is not None else 0,
+    } for i, a in enumerate(assessments)]
 
 
 def write_rows_csv(path, rows: list[dict]) -> None:

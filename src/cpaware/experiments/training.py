@@ -13,7 +13,8 @@ Tasks:
 * ``capability``  - regression head and loss only.
 
 Single-task runs share the architecture and every hyperparameter with
-the multitask run; only the backpropagated objective differs.
+the multitask run; only the backpropagated objective differs: each task
+weights the two head losses by 0 or 1 (``TASKS``).
 
 The regression label variance is measured on the training labels once,
 frozen into the network config, and recorded in checkpoints.
@@ -32,12 +33,12 @@ from ..net.losses import (
     focal_loss_with_logit_grad,
     mse_loss,
     regression_weight,
-    total_loss,
 )
 from ..net.model import MultitaskNet, NetworkConfig, he_init
 from ..net.optim import Adam
 
-TASKS = ("multitask", "intent", "capability")
+# Task -> weights of the (classification, regression) head losses.
+TASKS = {"multitask": (1.0, 1.0), "intent": (1.0, 0.0), "capability": (0.0, 1.0)}
 
 LOG_FIELDS = ("step", "epoch", "loss_cls", "loss_reg", "loss_total")
 
@@ -70,20 +71,10 @@ def train_step(model: MultitaskNet, x: np.ndarray, intent_one_hot: np.ndarray,
     )
     loss_reg, dreg = mse_loss(log_ber, rho_hat)
     w_reg = regression_weight(cfg.reg_amplification, cfg.reg_label_variance)
-
-    if task == "multitask":
-        model.backward(dlogits, w_reg * dreg)
-        loss = total_loss(loss_cls, loss_reg, cfg.reg_amplification,
-                          cfg.reg_label_variance, model.kernel_sq_sum(),
-                          cfg.l2_coeff)
-    elif task == "intent":
-        model.backward(dlogits, None)
-        loss = loss_cls + cfg.l2_coeff * model.kernel_sq_sum()
-    elif task == "capability":
-        model.backward(None, w_reg * dreg)
-        loss = (w_reg * loss_reg + cfg.l2_coeff * model.kernel_sq_sum())
-    else:
-        raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+    use_cls, use_reg = TASKS[task]
+    model.backward(use_cls * dlogits, use_reg * w_reg * dreg)
+    loss = (use_cls * loss_cls + use_reg * w_reg * loss_reg
+            + cfg.l2_coeff * model.kernel_sq_sum())
 
     params = model.named_params()
     grads = model.named_grads()
@@ -104,7 +95,7 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
           ) -> TrainResult:
     """Train a model on in-memory arrays; see the module docstring."""
     if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+        raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training set")

@@ -22,6 +22,10 @@ from .layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, GlobalAvgPool, ReLU
 from .losses import softmax
 
 
+def _positive_ints(values) -> bool:
+    return all(type(v) is int and v > 0 for v in values)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture plus the loss/optimizer hyperparameters it trains with."""
@@ -39,12 +43,13 @@ class NetworkConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        if len(self.input_shape) != 3:
-            raise ValueError("input_shape must be (frames, bins, channels)")
+        if len(self.input_shape) != 3 or not _positive_ints(self.input_shape):
+            raise ValueError("input_shape must be (frames, bins, channels), positive integers")
         if not self.conv_blocks:
             raise ValueError("at least one conv block is required")
-        if any(len(block) != 3 or min(block) <= 0 for block in self.conv_blocks):
-            raise ValueError("each conv block must be (filters, kernel, stride), all positive")
+        if any(len(block) != 3 or not _positive_ints(block) for block in self.conv_blocks):
+            raise ValueError("each conv block must be (filters, kernel, stride), "
+                             "positive integers")
         if self.focal_gamma < 0:
             raise ValueError("focal_gamma must be non-negative")
         if self.pool <= 0:
@@ -164,27 +169,14 @@ class MultitaskNet:
         log_ber = self.head_reg.forward(out, train).reshape(-1)
         return logits, log_ber
 
-    def backward(self, dlogits: np.ndarray | None,
-                 dlog_ber: np.ndarray | None) -> None:
-        """Backpropagate head cotangents; either may be None (no task signal)."""
-        batch = None
-        dfeat = None
-        if dlogits is not None:
-            dfeat = self.head_cls.backward(dlogits)
-            batch = dlogits.shape[0]
-        else:
-            self.head_cls.grads = {k: np.zeros_like(v)
-                                   for k, v in self.head_cls.params.items()}
-        if dlog_ber is not None:
-            dreg = self.head_reg.backward(dlog_ber.reshape(-1, 1))
-            dfeat = dreg if dfeat is None else dfeat + dreg
-            batch = dlog_ber.shape[0]
-        else:
-            self.head_reg.grads = {k: np.zeros_like(v)
-                                   for k, v in self.head_reg.params.items()}
-        if dfeat is None:
-            raise ValueError("at least one head cotangent is required")
-        out = dfeat
+    def backward(self, dlogits: np.ndarray, dlog_ber: np.ndarray) -> None:
+        """Backpropagate both head cotangents through the shared backbone.
+
+        A head with no task signal gets a zero cotangent, which gives it
+        zero gradients and adds nothing to the backbone's.
+        """
+        out = (self.head_cls.backward(dlogits)
+               + self.head_reg.backward(dlog_ber.reshape(-1, 1)))
         for layer in reversed(self.backbone):
             out = layer.backward(out)
 

@@ -32,6 +32,7 @@ VERSION = 2
 DTYPES = ("<f4", "<f8", "<i8")
 
 _PREFIX = struct.Struct("<4sBI")
+_SCALARS = {"int": (int,), "float": (int, float)}  # annotation -> accepted JSON types
 
 
 def write(path, magic: bytes, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -107,15 +108,24 @@ def from_json(cls, data, **convert):
 
     ``data`` must hold every field of ``cls`` and no other key.  JSON
     arrays become tuples; ``convert`` maps a field name to a function
-    that builds its value instead, such as a nested dataclass.  A missing
-    or unknown key, or a value of the wrong type, raises ValueError.
+    that builds its value instead, such as a nested dataclass.  A field
+    annotated ``int`` takes an integer (not a boolean), and one annotated
+    ``float`` an integer or a float.  A missing or unknown key, or a
+    value of the wrong type, raises ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
     if set(data) != names:
         raise ValueError(f"{cls.__name__}: missing keys {sorted(names - set(data))}, "
                          f"unknown keys {sorted(set(data) - names)}")
+    for f in fields:
+        allowed = _SCALARS.get(getattr(f.type, "__name__", f.type))
+        value = data[f.name]
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ValueError(f"{cls.__name__}.{f.name}: expected {allowed[-1].__name__}, "
+                             f"got {value!r}")
     try:
         return cls(**{k: convert[k](v) if k in convert else _tuples(v) for k, v in data.items()})
     except (TypeError, RecursionError) as exc:

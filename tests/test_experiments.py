@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from cpaware import tensorfile
+from cpaware.baseline import SequentialAssessor
 from cpaware.cli import main as cli_main
 from cpaware.experiments.config import (
     ExperimentConfig,
@@ -22,13 +24,18 @@ from cpaware.experiments.dataset import (
 )
 from cpaware.experiments.metrics import (
     confusion_matrix,
+    evaluate_multitask,
+    evaluate_sequential,
     per_scale_table,
     precision_recall,
+    read_rows_csv,
     report_from_rows,
     true_scales_from_labels,
+    write_rows_csv,
 )
+from cpaware.experiments.training import save_result, train
 from cpaware.features import FeatureConfig
-from cpaware.net import NetworkConfig
+from cpaware.net import NetworkConfig, focal_loss, he_init, mse_loss
 from cpaware.ofdm import FrameConfig
 from cpaware.threats import ThreatKind
 
@@ -37,7 +44,6 @@ def mini_config(**overrides) -> ExperimentConfig:
     """A seconds-scale config for format and CLI tests."""
     base = ExperimentConfig(
         train_per_kind=4,
-        test_per_kind=2,
         frame=FrameConfig(16, 2, 16),
         feature=FeatureConfig(1),
         net=NetworkConfig((16, 16, 3), conv_blocks=((4, 3, 1), (8, 3, 1))),
@@ -118,13 +124,13 @@ class TestDatasetFile:
 
 class TestConfigSerialization:
     def test_json_roundtrip(self, tmp_path):
-        config = desk_config(master_seed=42, theta_sweep=(1e-2, 5e-4))
+        config = desk_config(master_seed=42, train_per_kind=7)
         path = tmp_path / "config.json"
         save_config(path, config)
         assert load_config(path) == config
 
     @pytest.mark.parametrize("edit, key", [
-        (lambda d: d.pop("test_seed"), "test_seed"),
+        (lambda d: d.pop("master_seed"), "master_seed"),
         (lambda d: d["net"].update(bogus=1), "bogus"),
         (lambda d: d["frame"].pop("qam_order"), "qam_order"),
         (lambda d: d["space"].update(bogus=1), "bogus"),
@@ -136,9 +142,28 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d["regime"].update(epochs=2.0), "epochs"),
+        (lambda d: d.update(master_seed=True), "master_seed"),
+        (lambda d: d["space"].update(jitter_rad="0.002"), "jitter_rad"),
+        (lambda d: d["net"].update(pool=2.0), "pool"),
+    ])
+    def test_wrong_typed_scalar_rejected(self, edit, key):
+        data = desk_config().to_dict()
+        edit(data)
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(data)
+
+    def test_integer_accepted_for_float_field(self):
+        data = desk_config().to_dict()
+        data["net"]["l2_coeff"] = 0
+        assert ExperimentConfig.from_dict(data).net.l2_coeff == 0
+
     @pytest.mark.parametrize("field, value, message", [
         ("pool", 0, "pool must be positive"),
         ("conv_blocks", ((0, 3, 1),), "conv block"),
+        ("conv_blocks", ((4.0, 3, 1),), "conv block"),
+        ("input_shape", (16.0, 16, 3), "input_shape"),
         ("n_classes", 2, "n_classes"),
     ])
     def test_bad_net_field_rejected(self, field, value, message):
@@ -224,6 +249,51 @@ class TestMetricHelpers:
         )
 
 
+def random_eval_set(n=12, seed=20):
+    """Feature-shaped noise with balanced intents and log-BER labels."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, 16, 16, 3)), np.arange(n) % 3,
+            rng.uniform(-6.0, -1.0, size=n))
+
+
+class TestEvaluation:
+    def test_multitask_report_recomputed_from_dump(self, tmp_path):
+        model = he_init(mini_config().net, np.random.default_rng(21))
+        x, intent_idx, log_ber = random_eval_set()
+        report, rows = evaluate_multitask(model, x, intent_idx, log_ber)
+        write_rows_csv(tmp_path / "rows.csv", rows)
+        dumped = read_rows_csv(tmp_path / "rows.csv")
+
+        recomputed = report_from_rows(dumped)
+        for key in ("intent_accuracy", "assessment_accuracy", "per_scale"):
+            assert report[key] == recomputed[key], key
+        for key in ("intent_confusion", "intent_precision", "intent_recall"):
+            np.testing.assert_array_equal(report[key], recomputed[key], err_msg=key)
+        probs = np.array([[float(r["p_deceptive"]), float(r["p_disruptive"]),
+                           float(r["p_non_adversarial"])] for r in dumped])
+        rho_hat = np.array([float(r["pred_log_ber"]) for r in dumped])
+        assert report["loss_cls"] == focal_loss(np.eye(3)[intent_idx], probs,
+                                                model.config.focal_gamma)
+        assert report["loss_reg"] == mse_loss(log_ber, rho_hat)[0]
+
+    def test_sequential_gated_count_is_the_gated_column(self):
+        net = mini_config().net
+        regressor = he_init(net, np.random.default_rng(22))
+        classifier = he_init(net, np.random.default_rng(23))
+        x, intent_idx, log_ber = random_eval_set(n=30, seed=24)
+        # Centre the regressor's predictions on log-BER -3 so a gate at
+        # 1e-3 passes some samples and stops others.
+        _, rho_hat = regressor.predict_batched(x)
+        regressor.head_reg.params["b"] = regressor.head_reg.params["b"] - np.median(rho_hat) - 3
+        assessor = SequentialAssessor(regressor, classifier, threshold_ber=1e-3)
+        report, rows = evaluate_sequential(assessor, x, intent_idx, log_ber)
+        gated = sum(r["gated"] for r in rows)
+        assert gated == assessor.gated_count
+        assert 0 < gated < len(rows)
+        assert assessor.classifier_invocations == len(rows) - gated
+        assert report["assessment_accuracy"] == report_from_rows(rows)["assessment_accuracy"]
+
+
 class TestCli:
     def test_generate_train_eval_assess(self, tmp_path, capsys):
         config = mini_config()
@@ -268,6 +338,38 @@ class TestCli:
                          "--ckpt2", str(cls_ckpt), "--theta", "1e-2", "1e-3"]) == 0
         out = capsys.readouterr().out
         assert "classifier invocations" in out
+
+    def test_rows_out_needs_a_single_theta(self, tmp_path):
+        data = tmp_path / "d.cpad"
+        build_dataset(data, mini_config(), per_kind=2)
+        x, intent_idx, log_ber, _ = Dataset(data).load_arrays()
+        for task in ("capability", "intent"):
+            result = train(x, intent_idx, log_ber, mini_config().net, task=task,
+                           epochs=1, batch_size=6, seed=1)
+            save_result(tmp_path / f"{task}.ckpt", result, seed=1, batch_size=6)
+        rows = tmp_path / "rows.csv"
+        args = ["baseline", "--dataset", str(data), "--ckpt", str(tmp_path / "capability.ckpt"),
+                "--ckpt2", str(tmp_path / "intent.ckpt"), "--rows-out", str(rows)]
+        assert cli_main(args + ["--theta", "1e-2", "1e-3"]) == 4
+        assert not rows.exists()
+        assert cli_main(args + ["--theta", "1e-2"]) == 0
+        assert len(read_rows_csv(rows)) == 6
+
+    def test_truncated_config_exits_with_config_code(self, tmp_path):
+        path = tmp_path / "config.json"
+        save_config(path, mini_config())
+        path.write_text(path.read_text()[:40])
+        assert cli_main(["generate", "--config", str(path),
+                         "--out", str(tmp_path / "d.cpad")]) == 4
+
+    def test_wrong_typed_dataset_config_exits_with_data_code(self, tmp_path):
+        data = tmp_path / "d.cpad"
+        build_dataset(data, mini_config(), per_kind=2)
+        meta, arrays = tensorfile.read(data, b"CPAD", ("config", "records"))
+        meta["config"]["regime"]["epochs"] = 2.0
+        tensorfile.write(data, b"CPAD", meta, arrays)
+        assert cli_main(["train", "--dataset", str(data),
+                         "--out", str(tmp_path / "x.ckpt")]) == 4
 
     def test_missing_file_exits_with_io_code(self, tmp_path):
         assert cli_main(["train", "--dataset", str(tmp_path / "nope.cpad"),

@@ -14,6 +14,7 @@ from cpaware.net import (
     he_init,
     load_model,
     mse_loss,
+    read_checkpoint,
     regression_weight,
     save_model,
     softmax,
@@ -180,7 +181,7 @@ class TestComposedGradient:
         model = he_init(TINY, np.random.default_rng(12))
         x, labels, rho = make_toy_batch(13)
         logits, _ = model.forward(x, train=True)
-        model.backward(np.zeros_like(logits), None)
+        model.backward(np.zeros_like(logits), np.zeros(logits.shape[0]))
         for name, grad in model.named_grads().items():
             np.testing.assert_array_equal(grad, np.zeros_like(grad), err_msg=name)
 
@@ -385,6 +386,15 @@ class TestCheckpoint:
         probs_b, rho_b = loaded.predict(x)
         np.testing.assert_array_equal(probs_a, probs_b)
         np.testing.assert_array_equal(rho_a, rho_b)
+
+    def test_rejects_float_conv_block(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(path, he_init(TINY, np.random.default_rng(53)))
+        config, tensors, extras = read_checkpoint(path)
+        config["conv_blocks"][0][0] = 4.0
+        write_checkpoint(path, config, tensors, extras)
+        with pytest.raises(ValueError, match="conv block"):
+            load_model(path)
 
     def test_rejects_unknown_tensor(self, tmp_path):
         model = he_init(TINY, np.random.default_rng(52))

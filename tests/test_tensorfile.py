@@ -57,7 +57,7 @@ def valid(tmp_path_factory):
                extras={"task": "multitask"})
     data = directory / "valid.cpad"
     build_dataset(data, ExperimentConfig(
-        train_per_kind=1, test_per_kind=1, frame=FrameConfig(8, 2, 8),
+        train_per_kind=1, frame=FrameConfig(8, 2, 8),
         feature=FeatureConfig(1), net=net), per_kind=1)
     return directory, {"checkpoint": ckpt.read_bytes(), "dataset": data.read_bytes()}
 

@@ -100,6 +100,19 @@ class TestTaskCoupling:
         assert last["loss_reg"] < first["loss_reg"]
 
 
+class TestTaskWeights:
+    @pytest.mark.parametrize("task, idle, used", [("intent", "head_reg.b", "head_cls.b"),
+                                                  ("capability", "head_cls.b", "head_reg.b")])
+    def test_idle_head_bias_stays_zero(self, task, idle, used):
+        """The head a task does not train gets zero gradients, and biases
+        carry no L2 term, so its bias never leaves its initial zero."""
+        x, idx, rho = toy_set(13)
+        params = train(x, idx, rho, TOY_NET, task=task, epochs=5, batch_size=8,
+                       seed=14).model.named_params()
+        np.testing.assert_array_equal(params[idle], 0.0)
+        assert np.all(params[used] != 0.0)
+
+
 class TestDeterminismAndResume:
     def test_identical_runs_identical_checkpoints(self, tmp_path):
         x, idx, rho = toy_set(8)
