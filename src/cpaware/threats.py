@@ -35,8 +35,10 @@ sample at the same seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -285,8 +287,14 @@ class ScenarioSpace:
     def __post_init__(self) -> None:
         for name in ("legit_powers_w", "legit_distances_m", "adversary_powers_w",
                      "adversary_distances_m", "noise_dbw_levels"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"{name} must be non-empty")
+            for value in values:
+                if (isinstance(value, bool) or not isinstance(value, Real)
+                        or not math.isfinite(value)):
+                    raise ValueError(f"{name} entries must be finite real numbers, "
+                                     f"got {value!r}")
 
     def _link(self, power_w: float, distance_m: float) -> LinkBudget:
         return LinkBudget(

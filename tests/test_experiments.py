@@ -1,6 +1,7 @@
 """Tests for dataset persistence, metric helpers, config and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -92,6 +93,28 @@ class TestDatasetFile:
         assert record.meta["index"] == 5
         assert "channel_min" in record.meta and "channel_max" in record.meta
         assert ds.config.frame == config.frame
+
+    def test_pinned_arrays_digest(self, tmp_path):
+        """Generation and features stay bit-exact on a non-square 16-QAM set.
+
+        The frame is 16 symbols by 24 bins, the disk radius 4, and the
+        16-QAM decisions set every log-BER label, so the disk extrema and
+        the QAM slicer both feed the digest.
+        """
+        config = ExperimentConfig(
+            frame=FrameConfig(24, 2, 16, qam_order=16),
+            feature=FeatureConfig(4),
+            net=NetworkConfig((16, 24, 3), conv_blocks=((4, 3, 1),)),
+        )
+        path = tmp_path / "data.cpad"
+        build_dataset(path, config, per_kind=2, master_seed=3)
+        tensors, intents, log_ber, _ = Dataset(path).load_arrays()
+        digest = hashlib.sha256()
+        digest.update(tensors.astype("<f4").tobytes())
+        digest.update(intents.astype("<i8").tobytes())
+        digest.update(log_ber.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "c774ff4b367ca3e4564fa7461c4ecf564489af4ab78ff77cd9f377b4f17e93fa")
 
     def test_adversarial_metadata_recorded(self, tmp_path):
         config = mini_config()
@@ -361,6 +384,22 @@ class TestCli:
         path.write_text(path.read_text()[:40])
         assert cli_main(["generate", "--config", str(path),
                          "--out", str(tmp_path / "d.cpad")]) == 4
+
+    @pytest.mark.parametrize("field, value", [
+        ("legit_powers_w", "0.5"),
+        ("legit_distances_m", True),
+        ("adversary_powers_w", None),
+        ("adversary_distances_m", [750e3]),
+        ("noise_dbw_levels", "-56"),
+    ])
+    def test_non_numeric_value_set_exits_with_config_code(self, tmp_path, field, value):
+        path = tmp_path / "config.json"
+        data = mini_config().to_dict()
+        data["space"][field] = [value]
+        path.write_text(json.dumps(data))
+        out = tmp_path / "d.cpad"
+        assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 4
+        assert not out.exists()
 
     def test_wrong_typed_dataset_config_exits_with_data_code(self, tmp_path):
         data = tmp_path / "d.cpad"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpaware.channel import NoiseConfig, awgn
 from cpaware.features import (
@@ -101,10 +103,29 @@ class TestLocalExtrema:
         np.testing.assert_array_equal(sup, matrix)
         np.testing.assert_array_equal(inf, matrix)
 
-    @pytest.mark.parametrize("radius", [1, 3, 7])
-    def test_matches_brute_force_oracle(self, radius):
+    @pytest.mark.parametrize("shape, radius", [
+        pytest.param((32, 32), 1, id="1"),
+        pytest.param((32, 32), 3, id="3"),
+        pytest.param((32, 32), 7, id="7"),
+        pytest.param((9, 23), 4, id="9x23-r4"),
+        pytest.param((23, 9), 6, id="23x9-r6"),
+        pytest.param((5, 3), 7, id="5x3-r7"),
+        pytest.param((1, 12), 2, id="1x12-r2"),
+        pytest.param((20, 40), 15, id="20x40-r15"),
+    ])
+    def test_matches_brute_force_oracle(self, shape, radius):
         rng = np.random.default_rng(radius)
-        matrix = rng.normal(size=(32, 32))
+        matrix = rng.normal(size=shape)
+        sup, inf = local_extrema(matrix, radius)
+        sup_ref, inf_ref = brute_force_extrema(matrix, radius)
+        np.testing.assert_array_equal(sup, sup_ref)
+        np.testing.assert_array_equal(inf, inf_ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+           radius=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_oracle_property(self, rows, cols, radius, seed):
+        matrix = np.random.default_rng(seed).normal(size=(rows, cols))
         sup, inf = local_extrema(matrix, radius)
         sup_ref, inf_ref = brute_force_extrema(matrix, radius)
         np.testing.assert_array_equal(sup, sup_ref)

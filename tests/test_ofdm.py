@@ -46,6 +46,15 @@ def naive_dft(series: np.ndarray) -> np.ndarray:
     return out
 
 
+def nearest_neighbour_bits(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Decision oracle: first minimum of the distance to every alphabet point."""
+    alphabet = qam_alphabet(cfg.qam_order)
+    flat = grid.T.reshape(-1)
+    labels = np.argmin(np.abs(flat[:, None] - alphabet[None, :]), axis=1)
+    shifts = np.arange(cfg.bits_per_symbol - 1, -1, -1)
+    return ((labels[:, None] >> shifts) & 1).reshape(-1)
+
+
 class TestFrameConfig:
     def test_bits_per_sample(self):
         cfg = FrameConfig(512, 64, 600, qam_order=4)
@@ -114,6 +123,25 @@ class TestQamMapping:
         cfg = FrameConfig(16, 4, 3, qam_order=order)
         bits = random_bits(cfg.bits_per_sample, np.random.default_rng(seed))
         np.testing.assert_array_equal(qam_demodulate(qam_modulate(bits, cfg), cfg), bits)
+
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_slicer_matches_nearest_neighbour_oracle(self, order):
+        rng = np.random.default_rng(order)
+        alphabet = qam_alphabet(order)
+        n = 400
+        noisy = [alphabet[rng.integers(order, size=n)]
+                 + sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                 for sigma in (0.0, 0.05, 0.3, 1.0, 5.0)]
+        far = rng.uniform(-20, 20, size=n) + 1j * rng.uniform(-20, 20, size=n)
+        # The origin and the axes sit exactly between amplitudes, where the
+        # oracle keeps the first (smallest) label.
+        on_axes = np.concatenate([[0j], rng.normal(size=n) + 0j, 1j * rng.normal(size=n)])
+        points = np.concatenate(noisy + [far, 10 * alphabet, on_axes])
+        cfg = FrameConfig(points.size, 0, 1, qam_order=order)
+        grid = points.reshape(-1, 1)
+        np.testing.assert_array_equal(qam_demodulate(grid, cfg),
+                                      nearest_neighbour_bits(grid, cfg))
 
 
 class TestOfdm:
