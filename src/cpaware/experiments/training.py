@@ -33,6 +33,7 @@ from ..net.losses import (
     focal_loss_with_logit_grad,
     mse_loss,
     regression_weight,
+    total_loss,
 )
 from ..net.model import MultitaskNet, NetworkConfig, he_init
 from ..net.optim import Adam
@@ -73,8 +74,8 @@ def train_step(model: MultitaskNet, x: np.ndarray, intent_one_hot: np.ndarray,
     w_reg = regression_weight(cfg.reg_amplification, cfg.reg_label_variance)
     use_cls, use_reg = TASKS[task]
     model.backward(use_cls * dlogits, use_reg * w_reg * dreg)
-    loss = (use_cls * loss_cls + use_reg * w_reg * loss_reg
-            + cfg.l2_coeff * model.kernel_sq_sum())
+    loss = total_loss(use_cls * loss_cls, use_reg * loss_reg, cfg.reg_amplification,
+                      cfg.reg_label_variance, model.kernel_sq_sum(), cfg.l2_coeff)
 
     params = model.named_params()
     grads = model.named_grads()

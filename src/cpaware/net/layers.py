@@ -2,13 +2,21 @@
 
 Every layer keeps its learnable arrays in ``params`` and, after a
 backward call, the matching cotangents in ``grads`` (same keys, same
-shapes).  Forward caches whatever backward needs; layers are therefore
-not reentrant, one in-flight batch at a time.
+shapes).  ``forward(train=True)`` caches whatever backward needs, so
+layers are not reentrant: one in-flight training batch at a time.
+``forward(train=False)`` keeps no cache, so inference holds only the
+activation it is passing on.
+
+The hot layers do their work in a few large BLAS calls: the convolution
+is an im2col GEMM per kernel row (Chellapilla et al. 2006), and batch
+normalization reduces over a (batch * height * width, channels) view
+with one GEMV and one ``einsum`` per statistic.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Conv2D:
@@ -18,6 +26,12 @@ class Conv2D:
     no bias: every convolution here feeds a BatchNorm2D, whose mean
     subtraction cancels a per-channel bias exactly and whose ``beta``
     does its job.
+
+    Kernel row i contributes ``cols_i @ w[i]``, where ``cols_i`` holds
+    the k input pixels under that row for every output position,
+    shape (batch * Ho * Wo, k * in_channels).  Only the padded input is
+    cached for backward; ``cols_i`` is rebuilt there one row at a time,
+    which keeps the full im2col matrix out of memory.
     """
 
     def __init__(self, in_channels: int, out_channels: int,
@@ -33,7 +47,7 @@ class Conv2D:
             "w": np.zeros((kernel_size, kernel_size, in_channels, out_channels)),
         }
         self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
+        self._xp = None
 
     @property
     def kernel_keys(self) -> tuple[str, ...]:
@@ -49,39 +63,46 @@ class Conv2D:
         k, s, p = self.kernel_size, self.stride, self.pad
         return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
+    def _cols(self, xp: np.ndarray, i: int, ho: int, wo: int) -> np.ndarray:
+        """im2col matrix of kernel row i, columns ordered (kernel column, channel)."""
+        k, s = self.kernel_size, self.stride
+        rows = xp[:, i: i + s * (ho - 1) + 1: s]
+        windows = sliding_window_view(rows, k, axis=2)[:, :, : s * (wo - 1) + 1: s]
+        return windows.swapaxes(3, 4).reshape(-1, k * self.in_channels)
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         b, h, w, _ = x.shape
         ho, wo = self.out_shape(h, w)
-        k, s, p = self.kernel_size, self.stride, self.pad
+        k, p = self.kernel_size, self.pad
         xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
-        out = np.zeros((b, ho, wo, self.out_channels))
-        weight = self.params["w"]
-        for i in range(k):
-            for j in range(k):
-                window = xp[:, i: i + s * ho: s, j: j + s * wo: s, :]
-                out += np.tensordot(window, weight[i, j], axes=([3], [0]))
-        self._cache = (xp, x.shape)
-        return out
+        weight = self.params["w"].reshape(k, k * self.in_channels, self.out_channels)
+        out = self._cols(xp, 0, ho, wo) @ weight[0]
+        for i in range(1, k):
+            out += self._cols(xp, i, ho, wo) @ weight[i]
+        self._xp = xp if train else None
+        return out.reshape(b, ho, wo, self.out_channels)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        xp, x_shape = self._cache
-        b, h, w, _ = x_shape
-        ho, wo = dout.shape[1], dout.shape[2]
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Kernel gradient into ``grads``; the input gradient unless ``input_grad`` is False."""
+        xp = self._xp
+        _, ho, wo, o = dout.shape
         k, s, p = self.kernel_size, self.stride, self.pad
         weight = self.params["w"]
-        dw = np.zeros_like(weight)
+        flat = dout.reshape(-1, o)
+        dw = np.empty_like(weight)
+        for i in range(k):
+            dw[i] = (self._cols(xp, i, ho, wo).T @ flat).reshape(k, self.in_channels, o)
+        self.grads = {"w": dw}
+        if not input_grad:
+            return None
         dxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
-                window = xp[:, i: i + s * ho: s, j: j + s * wo: s, :]
-                dw[i, j] = np.tensordot(window, dout, axes=([0, 1, 2], [0, 1, 2]))
                 dxp[:, i: i + s * ho: s, j: j + s * wo: s, :] += np.tensordot(
                     dout, weight[i, j], axes=([3], [1])
                 )
-        self.grads = {"w": dw}
-        if p:
-            return dxp[:, p: p + h, p: p + w, :]
-        return dxp
+        h, w = xp.shape[1] - 2 * p, xp.shape[2] - 2 * p
+        return dxp[:, p: p + h, p: p + w, :]
 
 
 class BatchNorm2D:
@@ -89,7 +110,9 @@ class BatchNorm2D:
 
     Training mode normalizes with biased batch statistics and refreshes the
     exponential running averages; inference mode uses the running averages
-    only, so a sample's output never depends on its batch mates.
+    only, so a sample's output never depends on its batch mates.  Inference
+    applies the folded affine map ``x * a + b`` with
+    ``a = gamma / sqrt(running_var + eps)`` and ``b = beta - running_mean * a``.
     """
 
     def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
@@ -113,34 +136,42 @@ class BatchNorm2D:
         self.state["running_var"] = np.ones(self.channels)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if train:
-            mean = x.mean(axis=(0, 1, 2))
-            var = x.var(axis=(0, 1, 2))
-            m = self.momentum
-            self.state["running_mean"] = m * self.state["running_mean"] + (1 - m) * mean
-            self.state["running_var"] = m * self.state["running_var"] + (1 - m) * var
-        else:
-            mean = self.state["running_mean"]
-            var = self.state["running_var"]
+        flat = x.reshape(-1, self.channels)
+        gamma, beta = self.params["gamma"], self.params["beta"]
+        if not train:
+            self._cache = None
+            scale = gamma / np.sqrt(self.state["running_var"] + self.eps)
+            out = flat * scale
+            out += beta - self.state["running_mean"] * scale
+            return out.reshape(x.shape)
+        n = flat.shape[0]
+        mean = (np.ones(n) @ flat) / n
+        xhat = flat - mean
+        var = np.einsum("ij,ij->j", xhat, xhat) / n
+        m = self.momentum
+        self.state["running_mean"] = m * self.state["running_mean"] + (1 - m) * mean
+        self.state["running_var"] = m * self.state["running_var"] + (1 - m) * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, x.shape)
-        return self.params["gamma"] * xhat + self.params["beta"]
+        xhat *= inv_std
+        self._cache = (xhat, inv_std)
+        out = xhat * gamma
+        out += beta
+        return out.reshape(x.shape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        xhat, inv_std, x_shape = self._cache
-        n = x_shape[0] * x_shape[1] * x_shape[2]
-        self.grads = {
-            "gamma": (dout * xhat).sum(axis=(0, 1, 2)),
-            "beta": dout.sum(axis=(0, 1, 2)),
-        }
-        dxhat = dout * self.params["gamma"]
-        dx = (inv_std / n) * (
-            n * dxhat
-            - dxhat.sum(axis=(0, 1, 2))
-            - xhat * (dxhat * xhat).sum(axis=(0, 1, 2))
-        )
-        return dx
+        xhat, inv_std = self._cache
+        flat = dout.reshape(-1, self.channels)
+        n = flat.shape[0]
+        dgamma = np.einsum("ij,ij->j", flat, xhat)
+        dbeta = np.ones(n) @ flat
+        self.grads = {"gamma": dgamma, "beta": dbeta}
+        # dx = (gamma * inv_std / n) * (n * dout - dbeta - xhat * dgamma),
+        # built in one buffer.
+        dx = xhat * (dgamma / n)
+        dx += dbeta / n
+        np.subtract(flat, dx, out=dx)
+        dx *= self.params["gamma"] * inv_std
+        return dx.reshape(dout.shape)
 
 
 class ReLU:
@@ -157,11 +188,12 @@ class ReLU:
         pass
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out = np.maximum(x, 0.0)
+        self._mask = out > 0 if train else None
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, dout, 0.0)
+        return dout * self._mask
 
 
 class AvgPool2D:
@@ -183,12 +215,18 @@ class AvgPool2D:
         pass
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        b, h, w, c = x.shape
+        h, w = x.shape[1:3]
         p = self.pool
         if h % p or w % p:
             raise ValueError(f"spatial dims {(h, w)} not divisible by pool {p}")
-        self._in_shape = x.shape
-        return x.reshape(b, h // p, p, w // p, p, c).mean(axis=(2, 4))
+        self._in_shape = x.shape if train else None
+        out = x[:, 0::p, 0::p].copy()
+        for i in range(p):
+            for j in range(p):
+                if i or j:
+                    out += x[:, i::p, j::p]
+        out /= p * p
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         b, h, w, c = self._in_shape
@@ -215,7 +253,7 @@ class GlobalAvgPool:
         pass
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._in_shape = x.shape
+        self._in_shape = x.shape if train else None
         return x.mean(axis=(1, 2))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -245,7 +283,7 @@ class Dense:
         self.params["b"] = np.zeros(self.out_features)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._x = x
+        self._x = x if train else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

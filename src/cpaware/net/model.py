@@ -8,7 +8,11 @@ into the backbone, which is what couples the tasks during training.
 Everything runs in float64; weights follow the He normal scheme
 (variance 2 / fan_in).  The dense heads start with zero biases; the
 convolutions have none, since the batch normalization after each one
-would cancel it.
+would cancel it.  The convolutions run as im2col GEMMs (see ``layers``).
+
+Only ``forward(train=True)`` caches activations for ``backward``;
+``predict`` runs the layers in inference mode, which keeps no cache, so
+it holds the activations of one layer at a time rather than all of them.
 """
 
 from __future__ import annotations
@@ -177,8 +181,10 @@ class MultitaskNet:
         """
         out = (self.head_cls.backward(dlogits)
                + self.head_reg.backward(dlog_ber.reshape(-1, 1)))
-        for layer in reversed(self.backbone):
+        for layer in reversed(self.backbone[1:]):
             out = layer.backward(out)
+        # Nothing reads the gradient with respect to the network input.
+        self.backbone[0].backward(out, input_grad=False)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inference-mode class probabilities and log-BER predictions."""

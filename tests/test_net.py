@@ -1,6 +1,7 @@
 """Tests for the from-scratch network: layers, losses, gradients, optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,12 @@ class TestLayerGradients:
         layer.init_params(rng)
         check_layer(layer, rng.normal(size=(2, 8, 8, 2)))
 
+    def test_conv_kernel_5_stride_2_non_square(self):
+        rng = np.random.default_rng(7)
+        layer = Conv2D(2, 3, kernel_size=5, stride=2)
+        layer.init_params(rng)
+        check_layer(layer, rng.normal(size=(2, 9, 6, 2)))
+
     def test_batchnorm(self):
         rng = np.random.default_rng(3)
         layer = BatchNorm2D(3)
@@ -115,6 +122,115 @@ class TestLayerGradients:
         layer = Dense(7, 4)
         layer.init_params(rng)
         check_layer(layer, rng.normal(size=(3, 7)))
+
+
+def conv_loop_reference(x, weight, stride):
+    """Direct-loop convolution and its adjoints, one output pixel at a time."""
+    k = weight.shape[0]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    ho = (xp.shape[1] - k) // stride + 1
+    wo = (xp.shape[2] - k) // stride + 1
+    out = np.zeros((x.shape[0], ho, wo, weight.shape[3]))
+    for r in range(ho):
+        for c in range(wo):
+            patch = xp[:, r * stride: r * stride + k, c * stride: c * stride + k, :]
+            out[:, r, c, :] = np.einsum("bijc,ijco->bo", patch, weight)
+    return out, xp
+
+
+def conv_loop_backward(xp, weight, stride, dout):
+    k = weight.shape[0]
+    p = k // 2
+    dw = np.zeros_like(weight)
+    dxp = np.zeros_like(xp)
+    for r in range(dout.shape[1]):
+        for c in range(dout.shape[2]):
+            rows = slice(r * stride, r * stride + k)
+            cols = slice(c * stride, c * stride + k)
+            dw += np.einsum("bijc,bo->ijco", xp[:, rows, cols, :], dout[:, r, c, :])
+            dxp[:, rows, cols, :] += np.einsum("ijco,bo->bijc", weight, dout[:, r, c, :])
+    return dw, dxp[:, p: xp.shape[1] - p, p: xp.shape[2] - p, :]
+
+
+class TestConvOracle:
+    """The im2col convolution against a direct loop over output pixels.
+
+    With stride 2, even sizes leave the last row or column unread (for
+    kernel 1 a real input row, otherwise a padding row).
+    """
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", [(8, 5), (7, 10), (9, 9)])
+    @pytest.mark.parametrize("in_channels", [1, 3])
+    def test_matches_direct_loop(self, kernel, stride, shape, in_channels):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + in_channels)
+        layer = Conv2D(in_channels, 4, kernel_size=kernel, stride=stride)
+        layer.init_params(rng)
+        x = rng.normal(size=(2, *shape, in_channels))
+        out = layer.forward(x, train=True)
+        expected, xp = conv_loop_reference(x, layer.params["w"], stride)
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+        dout = rng.normal(size=out.shape)
+        dx = layer.backward(dout)
+        dw_ref, dx_ref = conv_loop_backward(xp, layer.params["w"], stride, dout)
+        np.testing.assert_allclose(layer.grads["w"], dw_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+
+    def test_without_input_grad_keeps_kernel_grad(self):
+        rng = np.random.default_rng(9)
+        layer = Conv2D(3, 4, kernel_size=3, stride=1)
+        layer.init_params(rng)
+        x = rng.normal(size=(2, 6, 7, 3))
+        dout = rng.normal(size=layer.forward(x, train=True).shape)
+        layer.backward(dout)
+        dw = layer.grads["w"]
+        assert layer.backward(dout, input_grad=False) is None
+        np.testing.assert_array_equal(layer.grads["w"], dw)
+
+
+class TestInferenceMode:
+    def test_batchnorm_folded_inference_matches_formula(self):
+        rng = np.random.default_rng(60)
+        layer = BatchNorm2D(5, eps=1e-3)
+        layer.params["gamma"] = rng.normal(1.0, 0.3, 5)
+        layer.params["beta"] = rng.normal(0.0, 0.5, 5)
+        layer.state["running_mean"] = rng.normal(0.0, 2.0, 5)
+        layer.state["running_var"] = rng.uniform(0.1, 4.0, 5)
+        x = rng.normal(size=(3, 4, 6, 5))
+        expected = (layer.params["gamma"] * (x - layer.state["running_mean"])
+                    / np.sqrt(layer.state["running_var"] + layer.eps)
+                    + layer.params["beta"])
+        np.testing.assert_allclose(layer.forward(x, train=False), expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_avgpool_matches_block_mean(self):
+        x = np.random.default_rng(61).normal(size=(2, 6, 9, 3))
+        expected = x.reshape(2, 2, 3, 3, 3, 3).mean(axis=(2, 4))
+        np.testing.assert_array_equal(AvgPool2D(3).forward(x, train=False), expected)
+
+    def test_predict_keeps_no_activation_cache(self):
+        """Inference holds one activation at a time, not a cache per layer.
+
+        At 64x64 with batch 8 the largest activation (8 channels) is 2 MiB.
+        Keeping every layer's backward cache through ``predict`` peaked at
+        8.9 MiB and left 5.6 MiB allocated after it returned; without the
+        caches the peak is about 7 MiB and nothing stays behind.
+        """
+        model = he_init(NetworkConfig((64, 64, 3)), np.random.default_rng(62))
+        x = np.random.default_rng(63).normal(size=(8, 64, 64, 3))
+        tracemalloc.start()
+        try:
+            probs, log_ber = model.predict(x)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (8, 3) and log_ber.shape == (8,)
+        assert peak < 8 * 2**20
+        assert retained < 2**16
 
 
 def make_toy_batch(seed=0, n=2, shape=(8, 8, 3)):

@@ -109,3 +109,52 @@ def test_any_byte_flip_loads_or_raises_value_error(valid, kind, data):
         LOADERS[kind](_write_corrupt(directory, kind, bytes(blob)))
     except ValueError:
         pass  # the only failure a corrupt file may cause
+
+
+@pytest.fixture(scope="module")
+def splice_sources(valid):
+    """Valid files whose headers and data are spliced together, by name.
+
+    Each kind has one file laid out like the ``valid`` one (its data fits
+    the other header exactly) and one with different array shapes.
+    """
+    directory, files = valid
+    net = NetworkConfig((8, 8, 3), conv_blocks=((2, 3, 1),))
+    wider = NetworkConfig((8, 8, 3), conv_blocks=((3, 3, 1),))
+    same_ckpt, wider_ckpt = directory / "same.ckpt", directory / "wider.ckpt"
+    model = he_init(net, np.random.default_rng(1))
+    save_model(same_ckpt, model, Adam.for_params(model.named_params(), lr=1e-3),
+               extras={"task": "multitask"})
+    save_model(wider_ckpt, he_init(wider, np.random.default_rng(2)))
+    config = ExperimentConfig(train_per_kind=1, frame=FrameConfig(8, 2, 8),
+                              feature=FeatureConfig(1), net=net)
+    same_data, larger_data = directory / "same.cpad", directory / "larger.cpad"
+    build_dataset(same_data, config, per_kind=1, master_seed=99)
+    build_dataset(larger_data, config, per_kind=2)
+    return {
+        ("checkpoint", "valid"): files["checkpoint"],
+        ("checkpoint", "same"): same_ckpt.read_bytes(),
+        ("checkpoint", "wider"): wider_ckpt.read_bytes(),
+        ("dataset", "valid"): files["dataset"],
+        ("dataset", "same"): same_data.read_bytes(),
+        ("dataset", "larger"): larger_data.read_bytes(),
+    }
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_splice_loads_or_raises_value_error(valid, splice_sources, data):
+    """The header of one valid file joined to the data of another."""
+    directory, _ = valid
+    names = sorted(splice_sources)
+    head_name = data.draw(st.sampled_from(names))
+    body_name = data.draw(st.sampled_from([n for n in names if n != head_name]))
+    head, body = splice_sources[head_name], splice_sources[body_name]
+    blob = head[:_header_end(head)] + body[_header_end(body):]
+    kind = head_name[0]
+    try:
+        LOADERS[kind](_write_corrupt(directory, kind, blob))
+    except ValueError:
+        return  # the only failure a corrupt file may cause
+    # A splice loads only when the data is exactly as long as the header says.
+    assert len(blob) == len(head)
