@@ -16,7 +16,6 @@ from .assessment import (
     assess,
     capability_state,
     categorize_ber,
-    threat_scale,
 )
 from .channel import LinkBudget, NoiseConfig, awgn, channel_gain
 from .features import FeatureConfig, FeatureTensor, feature_tensor, local_extrema, spectrogram
@@ -34,9 +33,6 @@ from .threats import (
     ScenarioSpace,
     ThreatKind,
     ThreatScenario,
-    gen_deceptive,
-    gen_disruptive,
-    gen_non_adversarial,
     generate_sample,
     label_log_ber,
 )

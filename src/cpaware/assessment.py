@@ -123,20 +123,6 @@ def capability_state(category: BerCategory, intent: ThreatKind) -> Capability:
     return order[category]
 
 
-def _decode_one_hot(vec: np.ndarray, enum_cls):
-    vec = np.asarray(vec)
-    if vec.shape != (3,) or not np.all((vec == 0) | (vec == 1)) or vec.sum() != 1:
-        raise ValueError(f"malformed one-hot vector: {vec!r}")
-    return enum_cls(int(np.argmax(vec)))
-
-
-def threat_scale(intent_one_hot: np.ndarray, capability_one_hot: np.ndarray) -> int:
-    """Severity grade of an (intent, capability) state pair."""
-    kind = _decode_one_hot(intent_one_hot, ThreatKind)
-    capability = _decode_one_hot(capability_one_hot, Capability)
-    return THREAT_SCALE[(kind, capability)]
-
-
 def assess(class_probs: np.ndarray, log_ber_pred: float,
            thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS) -> ThreatAssessment:
     """Grade one sample from the network's two outputs.

@@ -55,21 +55,20 @@ class SequentialAssessor:
         self.classifier_invocations = 0
         self.gated_count = 0
 
-    def assess_batch(self, tensors: np.ndarray,
-                     batch_size: int = 64) -> tuple[list[ThreatAssessment], np.ndarray]:
+    def assess_batch(self, tensors: np.ndarray) -> tuple[list[ThreatAssessment], np.ndarray]:
         """Assess a stack of feature tensors.
 
         Returns the per-sample assessments and a boolean gate mask (True
         where the regression gate suppressed the classifier).
         """
-        _, log_ber_pred = self.regressor.predict_batched(tensors, batch_size)
+        _, log_ber_pred = self.regressor.predict_batched(tensors)
         ber_pred = 10.0 ** log_ber_pred
         gated = ber_pred <= self.threshold_ber
         self.gated_count += int(gated.sum())
 
         kinds = np.full(tensors.shape[0], ThreatKind.NON_ADVERSARIAL, dtype=object)
         if np.any(~gated):
-            probs, _ = self.classifier.predict_batched(tensors[~gated], batch_size)
+            probs, _ = self.classifier.predict_batched(tensors[~gated])
             self.classifier_invocations += int((~gated).sum())
             kinds[~gated] = [ThreatKind(int(np.argmax(p))) for p in probs]
 

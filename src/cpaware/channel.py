@@ -2,15 +2,12 @@
 
 The composite amplitude gain of a line-of-sight optical link is
 
-    h(n) = sqrt(G_t * G_r * eta_t * eta_r * L_path(n) * L_point)
+    h = sqrt(G_t * G_r * eta_t * eta_r * L_path * L_point)
 
 with aperture gains ``G = (pi * D / lambda)**2``, free-space path loss
-``L_path = (lambda / (4 pi d(n)))**2`` and pointing loss
+``L_path = (lambda / (4 pi d))**2`` and pointing loss
 ``L_point = exp(-8 * jitter**2 / divergence**2)``.  The link is exo-
 atmospheric, so no turbulence or absorption terms appear.
-
-Distance may drift linearly across a sample, ``d(n) = d0 + v * n``; the
-default drift is zero (constant gain per sample).
 
 All dB values in this package are decibel-watts, ``10 * log10`` of a
 power quantity.
@@ -37,7 +34,6 @@ class LinkBudget:
     rx_efficiency: float = 1.0
     jitter_rad: float = 0.0
     divergence_rad: float = 0.02
-    drift_m_per_sample: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("tx_power_w", "distance_m", "wavelength_m",
@@ -49,12 +45,6 @@ class LinkBudget:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if self.jitter_rad < 0:
             raise ValueError("jitter_rad must be non-negative")
-
-    def distance_at(self, n: float) -> float:
-        d = self.distance_m + self.drift_m_per_sample * n
-        if d <= 0:
-            raise ValueError(f"drift drives distance non-positive at n={n}")
-        return d
 
 
 def aperture_gain(aperture_m: float, wavelength_m: float) -> float:
@@ -69,36 +59,24 @@ def pointing_loss(jitter_rad: float, divergence_rad: float) -> float:
     return math.exp(-8.0 * jitter_rad**2 / divergence_rad**2)
 
 
-def gain_breakdown(link: LinkBudget, n: float = 0) -> dict[str, float]:
+def gain_breakdown(link: LinkBudget) -> dict[str, float]:
     """Multiplicative factors of the squared gain, by name."""
     return {
         "tx_gain": aperture_gain(link.tx_aperture_m, link.wavelength_m),
         "rx_gain": aperture_gain(link.rx_aperture_m, link.wavelength_m),
         "tx_efficiency": link.tx_efficiency,
         "rx_efficiency": link.rx_efficiency,
-        "path_loss": path_loss(link.distance_at(n), link.wavelength_m),
+        "path_loss": path_loss(link.distance_m, link.wavelength_m),
         "pointing_loss": pointing_loss(link.jitter_rad, link.divergence_rad),
     }
 
 
-def channel_gain(link: LinkBudget, n: float = 0) -> float:
-    """Composite amplitude gain h(n) > 0."""
+def channel_gain(link: LinkBudget) -> float:
+    """Composite amplitude gain h > 0."""
     product = 1.0
-    for factor in gain_breakdown(link, n).values():
+    for factor in gain_breakdown(link).values():
         product *= factor
     return math.sqrt(product)
-
-
-def gain_series(link: LinkBudget, length: int) -> np.ndarray:
-    """Per-sample amplitude gains h(0..length-1)."""
-    if link.drift_m_per_sample == 0.0:
-        return np.full(length, channel_gain(link))
-    return np.array([channel_gain(link, n) for n in range(length)])
-
-
-def received_power_dbw(link: LinkBudget, n: float = 0) -> float:
-    """Received signal power P * h(n)**2 in dBW."""
-    return 10.0 * math.log10(link.tx_power_w * channel_gain(link, n) ** 2)
 
 
 @dataclass(frozen=True)

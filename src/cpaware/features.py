@@ -142,23 +142,8 @@ def _normalize_channels(stack: np.ndarray) -> FeatureTensor:
 
 
 def feature_tensor(received: np.ndarray, frame: FrameConfig,
-                   cfg: FeatureConfig, square: bool = False) -> FeatureTensor:
-    """Full feature stack of a prefix-intact received sample.
-
-    With ``square=True`` the bin axis is linearly resampled to the frame
-    count before the extrema maps, giving a square tensor when frames and
-    bins disagree.
-    """
-    payload = remove_cp(received, frame)
-    spec = spectrogram(payload, frame)
-    if square and spec.shape[1] != spec.shape[0]:
-        spec = _resample_bins(spec, spec.shape[0])
+                   cfg: FeatureConfig) -> FeatureTensor:
+    """Full feature stack of a prefix-intact received sample."""
+    spec = spectrogram(remove_cp(received, frame), frame)
     sup, inf = local_extrema(spec, cfg.disk_radius)
     return _normalize_channels(np.stack([spec, sup, inf], axis=-1))
-
-
-def _resample_bins(matrix: np.ndarray, n_bins: int) -> np.ndarray:
-    """Linear interpolation along the bin axis to a new bin count."""
-    old = np.arange(matrix.shape[1])
-    new = np.linspace(0, matrix.shape[1] - 1, n_bins)
-    return np.stack([np.interp(new, old, row) for row in matrix])

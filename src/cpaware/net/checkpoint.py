@@ -75,11 +75,5 @@ def load_model(path) -> tuple[MultitaskNet, Adam | None, dict]:
             raise ValueError(
                 f"{path}: tensor {name} has shape {value.shape} ({value.dtype}), "
                 f"the model's has shape {expected.shape} ({expected.dtype})")
-        group, _, key = name.partition("/")
-        if group == "param":
-            model.set_param(key, value)
-        elif group == "state":
-            model.set_state(key, value)
-        else:
-            groups[group][key] = value
+        expected[...] = value
     return model, optimizer, extras

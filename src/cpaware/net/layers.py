@@ -1,11 +1,14 @@
 """Minimal NHWC layer zoo with hand-written backward passes.
 
-Every layer keeps its learnable arrays in ``params`` and, after a
-backward call, the matching cotangents in ``grads`` (same keys, same
-shapes).  ``forward(train=True)`` caches whatever backward needs, so
-layers are not reentrant: one in-flight training batch at a time.
-``forward(train=False)`` keeps no cache, so inference holds only the
-activation it is passing on.
+The layer protocol: every layer keeps its learnable arrays in ``params``
+and, after a backward call, the matching cotangents in ``grads`` (same
+keys, same shapes); layers with nothing to learn share one empty,
+read-only mapping for both.  A layer with non-trainable arrays keeps
+them in ``state``, and a layer whose initial weights are random draws
+them in ``init_params(rng)``; both are optional.  ``forward(train=True)``
+caches whatever backward needs, so layers are not reentrant: one
+in-flight training batch at a time.  ``forward(train=False)`` keeps no
+cache, so inference holds only the activation it is passing on.
 
 The hot layers do their work in a few large BLAS calls: the convolution
 is an im2col GEMM per kernel row (Chellapilla et al. 2006), and batch
@@ -15,8 +18,12 @@ with one GEMV and one ``einsum`` per statistic.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+_NO_ARRAYS = MappingProxyType({})
 
 
 class Conv2D:
@@ -48,10 +55,6 @@ class Conv2D:
         }
         self.grads: dict[str, np.ndarray] = {}
         self._xp = None
-
-    @property
-    def kernel_keys(self) -> tuple[str, ...]:
-        return ("w",)
 
     def init_params(self, rng: np.random.Generator) -> None:
         fan_in = self.kernel_size**2 * self.in_channels
@@ -125,16 +128,6 @@ class BatchNorm2D:
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
-    @property
-    def kernel_keys(self) -> tuple[str, ...]:
-        return ()
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        self.params["gamma"] = np.ones(self.channels)
-        self.params["beta"] = np.zeros(self.channels)
-        self.state["running_mean"] = np.zeros(self.channels)
-        self.state["running_var"] = np.ones(self.channels)
-
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         flat = x.reshape(-1, self.channels)
         gamma, beta = self.params["gamma"], self.params["beta"]
@@ -175,17 +168,10 @@ class BatchNorm2D:
 
 
 class ReLU:
+    params = grads = _NO_ARRAYS
+
     def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self._mask = None
-
-    @property
-    def kernel_keys(self) -> tuple[str, ...]:
-        return ()
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        pass
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         out = np.maximum(x, 0.0)
@@ -199,20 +185,13 @@ class ReLU:
 class AvgPool2D:
     """Non-overlapping average pooling; spatial dims must divide evenly."""
 
+    params = grads = _NO_ARRAYS
+
     def __init__(self, pool: int = 2):
         if pool <= 0:
             raise ValueError("pool must be positive")
         self.pool = pool
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self._in_shape = None
-
-    @property
-    def kernel_keys(self) -> tuple[str, ...]:
-        return ()
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        pass
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         h, w = x.shape[1:3]
@@ -240,17 +219,10 @@ class AvgPool2D:
 class GlobalAvgPool:
     """Mean over all spatial positions, (B, H, W, C) -> (B, C)."""
 
+    params = grads = _NO_ARRAYS
+
     def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self._in_shape = None
-
-    @property
-    def kernel_keys(self) -> tuple[str, ...]:
-        return ()
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        pass
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         self._in_shape = x.shape if train else None
@@ -271,10 +243,6 @@ class Dense:
         }
         self.grads: dict[str, np.ndarray] = {}
         self._x = None
-
-    @property
-    def kernel_keys(self) -> tuple[str, ...]:
-        return ("w",)
 
     def init_params(self, rng: np.random.Generator) -> None:
         self.params["w"] = rng.normal(

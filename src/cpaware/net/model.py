@@ -9,6 +9,8 @@ Everything runs in float64; weights follow the He normal scheme
 (variance 2 / fan_in).  The dense heads start with zero biases; the
 convolutions have none, since the batch normalization after each one
 would cancel it.  The convolutions run as im2col GEMMs (see ``layers``).
+L2 regularization covers every parameter of two or more dimensions,
+which are exactly the convolution and dense weights.
 
 Only ``forward(train=True)`` caches activations for ``backward``;
 ``predict`` runs the layers in inference mode, which keeps no cache, so
@@ -24,6 +26,9 @@ import numpy as np
 from ..tensorfile import from_json
 from .layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, GlobalAvgPool, ReLU
 from .losses import softmax
+
+# Inference batch budget in input pixels: 16 samples at 64x64, 1 at 600x512.
+PREDICT_PIXELS = 2**16
 
 
 def _positive_ints(values) -> bool:
@@ -102,11 +107,6 @@ class MultitaskNet:
         self.feature_size = c
         self.head_cls = Dense(self.feature_size, config.n_classes)
         self.head_reg = Dense(self.feature_size, 1)
-        self._layer_index = {
-            **{f"backbone.{i}": layer for i, layer in enumerate(self.backbone)},
-            "head_cls": self.head_cls,
-            "head_reg": self.head_reg,
-        }
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -118,49 +118,34 @@ class MultitaskNet:
 
     def init_params(self, rng: np.random.Generator) -> None:
         for _, layer in self._named_layers():
-            layer.init_params(rng)
+            if hasattr(layer, "init_params"):
+                layer.init_params(rng)
+
+    def _named(self, table: str) -> dict[str, np.ndarray]:
+        return {f"{prefix}.{key}": value for prefix, layer in self._named_layers()
+                for key, value in getattr(layer, table, {}).items()}
 
     def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, layer in self._named_layers():
-            for key, value in layer.params.items():
-                out[f"{prefix}.{key}"] = value
-        return out
+        return self._named("params")
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, layer in self._named_layers():
-            for key, value in layer.grads.items():
-                out[f"{prefix}.{key}"] = value
-        return out
+        return self._named("grads")
 
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        prefix, key = name.rsplit(".", 1)
-        self._layer_index[prefix].params[key] = value
+    def named_state(self) -> dict[str, np.ndarray]:
+        """Non-trainable state (batch-norm running statistics)."""
+        return self._named("state")
 
     def kernel_names(self) -> list[str]:
-        """Weight matrices subject to L2 regularization (no biases, no BN)."""
-        names = []
-        for prefix, layer in self._named_layers():
-            for key in layer.kernel_keys:
-                names.append(f"{prefix}.{key}")
-        return names
+        """Parameters subject to L2 regularization: every one of two or more dimensions.
+
+        Those are the convolution and dense weights; biases and the
+        batch-norm scale and shift are 1-D.
+        """
+        return [name for name, value in self.named_params().items() if value.ndim >= 2]
 
     def kernel_sq_sum(self) -> float:
         params = self.named_params()
         return float(sum(np.sum(params[k] ** 2) for k in self.kernel_names()))
-
-    def named_state(self) -> dict[str, np.ndarray]:
-        """Non-trainable state (batch-norm running statistics)."""
-        out = {}
-        for prefix, layer in self._named_layers():
-            for key, value in getattr(layer, "state", {}).items():
-                out[f"{prefix}.{key}"] = value
-        return out
-
-    def set_state(self, name: str, value: np.ndarray) -> None:
-        prefix, key = name.rsplit(".", 1)
-        self._layer_index[prefix].state[key] = value
 
     # -- computation ------------------------------------------------------
 
@@ -191,11 +176,15 @@ class MultitaskNet:
         logits, log_ber = self.forward(x, train=False)
         return softmax(logits), log_ber
 
-    def predict_batched(self, x: np.ndarray,
-                        batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    def predict_batched(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``predict`` in batches of at most PREDICT_PIXELS input pixels (one sample at least).
+
+        Inference memory then follows the input size, not the sample count.
+        """
+        batch = max(1, PREDICT_PIXELS // (x.shape[1] * x.shape[2]))
         probs, log_ber = [], []
-        for start in range(0, x.shape[0], batch_size):
-            p, r = self.predict(x[start: start + batch_size])
+        for start in range(0, x.shape[0], batch):
+            p, r = self.predict(x[start: start + batch])
             probs.append(p)
             log_ber.append(r)
         return np.concatenate(probs), np.concatenate(log_ber)

@@ -178,17 +178,6 @@ def ofdm_modulate(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     return blocks.reshape(-1)
 
 
-def add_cp(series: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Prepend each block's tail; input is the prefix-free series."""
-    series = np.asarray(series)
-    if series.size % cfg.n_subcarriers != 0:
-        raise ValueError("series length is not a multiple of n_subcarriers")
-    if cfg.cp_len == 0:
-        return series.copy()
-    blocks = series.reshape(-1, cfg.n_subcarriers)
-    return np.concatenate([blocks[:, -cfg.cp_len:], blocks], axis=1).reshape(-1)
-
-
 def remove_cp(series: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Strip the first cp_len samples of every block."""
     series = np.asarray(series)

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import LinkBudget, NoiseConfig, awgn, channel_gain, gain_series
+from .channel import LinkBudget, NoiseConfig, awgn, channel_gain
 from .ofdm import (
     FrameConfig,
     compute_ber,
@@ -126,22 +126,14 @@ def label_log_ber(ber: float, frame: FrameConfig) -> float:
     return float(np.log10(max(ber, floor)))
 
 
-def _tx_amplitude(link: LinkBudget, length: int):
-    """sqrt(P) * h(n); a scalar unless the link drifts."""
-    root_p = np.sqrt(link.tx_power_w)
-    if link.drift_m_per_sample == 0.0:
-        return root_p * channel_gain(link)
-    return root_p * gain_series(link, length)
+def _tx_amplitude(link: LinkBudget) -> float:
+    """sqrt(P) * h."""
+    return np.sqrt(link.tx_power_w) * channel_gain(link)
 
 
-def _decode_ber(received, amplitude, frame: FrameConfig, ref_bits) -> float:
+def _decode_ber(received, amplitude: float, frame: FrameConfig, ref_bits) -> float:
     """Equalize with a known amplitude and count bit errors."""
-    payload = remove_cp(received, frame)
-    if np.ndim(amplitude) == 0:
-        grid = ofdm_demodulate(payload, complex(amplitude), frame)
-    else:
-        gains = remove_cp(np.asarray(amplitude), frame)
-        grid = ofdm_demodulate(payload / gains, 1.0, frame)
+    grid = ofdm_demodulate(remove_cp(received, frame), complex(amplitude), frame)
     return compute_ber(ref_bits, qam_demodulate(grid, frame))
 
 
@@ -152,7 +144,7 @@ def generate_components(scenario: ThreatScenario, seed: int) -> dict:
 
     legit_bits = random_bits(frame.bits_per_sample, _stream(seed, _STREAM_LEGIT_BITS))
     x = ofdm_modulate(qam_modulate(legit_bits, frame), frame)
-    legit_amp = _tx_amplitude(scenario.legit_link, length)
+    legit_amp = _tx_amplitude(scenario.legit_link)
     noise = awgn(length, scenario.noise, _stream(seed, _STREAM_NOISE))
 
     parts: dict = {
@@ -185,7 +177,7 @@ def generate_components(scenario: ThreatScenario, seed: int) -> dict:
             frame.bits_per_sample, _stream(seed, _STREAM_MALICIOUS_BITS)
         )
         s = ofdm_modulate(qam_modulate(malicious_bits, frame), frame)
-        adv_amp = _tx_amplitude(adv, length)
+        adv_amp = _tx_amplitude(adv)
         estimate = legit_amp * (1.0 - scenario.estimation_error)
         parts.update(
             malicious_bits=malicious_bits,
@@ -241,24 +233,6 @@ def _assemble(scenario: ThreatScenario, seed: int, parts: dict) -> LabeledSample
 def generate_sample(scenario: ThreatScenario, seed: int) -> LabeledSample:
     """Generate one labelled sample; deterministic in (scenario, seed)."""
     return _assemble(scenario, seed, generate_components(scenario, seed))
-
-
-def gen_non_adversarial(scenario: ThreatScenario, seed: int) -> LabeledSample:
-    if scenario.kind is not ThreatKind.NON_ADVERSARIAL:
-        raise ValueError("scenario kind must be NON_ADVERSARIAL")
-    return generate_sample(scenario, seed)
-
-
-def gen_disruptive(scenario: ThreatScenario, seed: int) -> LabeledSample:
-    if scenario.kind is not ThreatKind.DISRUPTIVE:
-        raise ValueError("scenario kind must be DISRUPTIVE")
-    return generate_sample(scenario, seed)
-
-
-def gen_deceptive(scenario: ThreatScenario, seed: int) -> LabeledSample:
-    if scenario.kind is not ThreatKind.DECEPTIVE:
-        raise ValueError("scenario kind must be DECEPTIVE")
-    return generate_sample(scenario, seed)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ from cpaware.assessment import (
     Capability,
     THREAT_SCALE,
     assess,
+    assess_with_intent,
     assessment_row,
     capability_state,
     categorize_ber,
-    threat_scale,
     write_report,
 )
 from cpaware.threats import ThreatKind
@@ -77,8 +77,12 @@ class TestThreatScale:
             (ThreatKind.DECEPTIVE, Capability.LOW): 7,
         }
         assert THREAT_SCALE == expected
-        for (kind, cap), scale in expected.items():
-            assert threat_scale(kind.one_hot, cap.one_hot) == scale
+        graded = {}
+        for kind in ThreatKind:
+            for log_ber in (-1.0, -3.0, -5.0):  # high, moderate, low BER
+                a = assess_with_intent(kind, log_ber)
+                graded[(a.kind, a.capability)] = a.scale
+        assert graded == expected
 
     def test_scale_three_is_the_only_shared_grade(self):
         preimages: dict[int, int] = {}
@@ -87,12 +91,6 @@ class TestThreatScale:
         assert preimages[3] == 2
         assert all(count == 1 for scale, count in preimages.items() if scale != 3)
         assert sorted(preimages) == [0, 1, 2, 3, 4, 5, 6, 7]
-
-    def test_rejects_malformed_one_hot(self):
-        with pytest.raises(ValueError):
-            threat_scale(np.array([1, 1, 0]), Capability.HIGH.one_hot)
-        with pytest.raises(ValueError):
-            threat_scale(np.array([0.5, 0.5, 0.0]), Capability.HIGH.one_hot)
 
 
 class TestAssess:

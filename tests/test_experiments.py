@@ -116,6 +116,19 @@ class TestDatasetFile:
         assert digest.hexdigest() == (
             "c774ff4b367ca3e4564fa7461c4ecf564489af4ab78ff77cd9f377b4f17e93fa")
 
+    def test_pinned_file_digest(self, tmp_path):
+        """The whole file of the set above is pinned too: header, config JSON,
+        record metadata and tensors, so a change to any of them shows."""
+        config = ExperimentConfig(
+            frame=FrameConfig(24, 2, 16, qam_order=16),
+            feature=FeatureConfig(4),
+            net=NetworkConfig((16, 24, 3), conv_blocks=((4, 3, 1),)),
+        )
+        path = tmp_path / "data.cpad"
+        build_dataset(path, config, per_kind=2, master_seed=3)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b86a9eeec746327e6780b0f6feee87dfb8a236847fd975c301f8ca66ae072f24")
+
     def test_adversarial_metadata_recorded(self, tmp_path):
         config = mini_config()
         path = tmp_path / "data.cpad"

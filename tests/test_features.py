@@ -211,10 +211,3 @@ class TestFeatureTensor:
         round_tripped = tensor.denormalize()
         spec = spectrogram(series, frame)
         np.testing.assert_allclose(round_tripped[:, :, 0], spec, atol=1e-9)
-
-    def test_square_resize_hook(self):
-        frame = FrameConfig(16, 0, 8)
-        rng = np.random.default_rng(4)
-        series = rng.normal(size=frame.payload_len) + 0j
-        tensor = feature_tensor(series, frame, FeatureConfig(1), square=True)
-        assert tensor.shape == (8, 8, 3)

@@ -232,6 +232,32 @@ class TestInferenceMode:
         assert peak < 8 * 2**20
         assert retained < 2**16
 
+    def test_predict_batched_memory_follows_input_size(self):
+        """At 2**16 input pixels a sample the batch is one sample, so 8 samples peak like one.
+
+        With a fixed batch of 64 all 8 samples went through at once and
+        the peak grew with the sample count.
+        """
+        model = he_init(NetworkConfig((128, 512, 3), conv_blocks=((4, 3, 1),)),
+                        np.random.default_rng(64))
+        x = np.random.default_rng(65).normal(size=(8, 128, 512, 3))
+
+        def peak_of(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, single = peak_of(lambda: model.predict(x[:1]))
+        (probs, log_ber), batched = peak_of(lambda: model.predict_batched(x))
+        assert batched < 2 * single
+        for i in range(8):
+            p, r = model.predict(x[i: i + 1])
+            np.testing.assert_array_equal(probs[i: i + 1], p)
+            np.testing.assert_array_equal(log_ber[i: i + 1], r)
+
 
 def make_toy_batch(seed=0, n=2, shape=(8, 8, 3)):
     rng = np.random.default_rng(seed)
@@ -403,6 +429,12 @@ class TestHeInit:
                 np.testing.assert_array_equal(value, 0.0)
             if name.endswith("gamma"):
                 np.testing.assert_array_equal(value, 1.0)
+
+    def test_kernel_names_are_the_weight_matrices(self):
+        """L2 covers the conv and dense weights, in layer order; no bias, no BN."""
+        model = MultitaskNet(NetworkConfig((64, 64, 3)))
+        assert model.kernel_names() == ["backbone.0.w", "backbone.4.w", "backbone.8.w",
+                                        "head_cls.w", "head_reg.w"]
 
     def test_deterministic(self):
         a = he_init(TINY, np.random.default_rng(32)).named_params()

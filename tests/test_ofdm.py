@@ -11,7 +11,6 @@ from scipy import stats
 from cpaware.channel import NoiseConfig, awgn
 from cpaware.ofdm import (
     FrameConfig,
-    add_cp,
     compute_ber,
     ofdm_demodulate,
     ofdm_modulate,
@@ -203,15 +202,21 @@ class TestOfdm:
 
 class TestCyclicPrefix:
     def test_remove_inverts_add(self):
+        """Each modulated block starts with a copy of its own last cp_len samples."""
         cfg = FrameConfig(16, 4, 3)
-        rng = np.random.default_rng(5)
-        series = rng.normal(size=cfg.payload_len) + 1j * rng.normal(size=cfg.payload_len)
-        np.testing.assert_array_equal(remove_cp(add_cp(series, cfg), cfg), series)
+        grid = qam_modulate(random_bits(cfg.bits_per_sample, np.random.default_rng(5)), cfg)
+        series = ofdm_modulate(grid, cfg)
+        blocks = series.reshape(cfg.n_symbols, cfg.block_len)
+        np.testing.assert_array_equal(blocks[:, :cfg.cp_len], blocks[:, -cfg.cp_len:])
+        np.testing.assert_array_equal(remove_cp(series, cfg),
+                                      ofdm_modulate(grid, FrameConfig(16, 0, 3)))
 
     def test_literal_prefix_layout(self):
         cfg = FrameConfig(4, 2, 1)
         series = np.array([1, 2, 3, 4], dtype=complex)
-        np.testing.assert_array_equal(add_cp(series, cfg), [3, 4, 1, 2, 3, 4])
+        # The unitary spectrum of [1, 2, 3, 4]; a 4-point transform of it is exact.
+        grid = np.array([[5], [-1 + 1j], [-1], [-1 - 1j]])
+        np.testing.assert_array_equal(ofdm_modulate(grid, cfg), [3, 4, 1, 2, 3, 4])
         np.testing.assert_array_equal(
             remove_cp(np.array([3, 4, 1, 2, 3, 4], dtype=complex), cfg), series
         )

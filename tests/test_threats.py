@@ -18,9 +18,6 @@ from cpaware.threats import (
     ScenarioSpace,
     ThreatKind,
     ThreatScenario,
-    gen_deceptive,
-    gen_disruptive,
-    gen_non_adversarial,
     generate_components,
     generate_sample,
     label_log_ber,
@@ -82,14 +79,14 @@ class TestLabelLogBer:
 class TestNonAdversarial:
     def test_noiseless_gives_floor_label(self):
         sc = scenario(ThreatKind.NON_ADVERSARIAL, noise_dbw=-300.0)
-        sample = gen_non_adversarial(sc, seed=11)
+        sample = generate_sample(sc, seed=11)
         assert sample.raw_ber == 0.0
         assert sample.log_ber == pytest.approx(math.log10(1 / FRAME.bits_per_sample))
 
     def test_deterministic_bytes(self):
         sc = scenario(ThreatKind.NON_ADVERSARIAL)
-        a = gen_non_adversarial(sc, seed=77)
-        b = gen_non_adversarial(sc, seed=77)
+        a = generate_sample(sc, seed=77)
+        b = generate_sample(sc, seed=77)
         assert a.received.tobytes() == b.received.tobytes()
         assert a.raw_ber == b.raw_ber
         assert a.metadata == b.metadata
@@ -98,14 +95,14 @@ class TestNonAdversarial:
         """Generator BER at 1500 km vs a 20x-bits oracle at identical SNR."""
         frame = FrameConfig(512, 64, 60)
         sc = scenario(ThreatKind.NON_ADVERSARIAL, legit_d=1500e3, frame=frame)
-        sample = gen_non_adversarial(sc, seed=5)
+        sample = generate_sample(sc, seed=5)
 
         amp = math.sqrt(0.5) * channel_gain(sc.legit_link)
         snr = 0.5 * channel_gain(sc.legit_link) ** 2 / sc.noise.linear_variance
         rng = np.random.default_rng(99)
         errors = total = 0
         for _ in range(20):
-            ref = gen_non_adversarial(sc, seed=int(rng.integers(2**32)))
+            ref = generate_sample(sc, seed=int(rng.integers(2**32)))
             errors += ref.raw_ber * frame.bits_per_sample
             total += frame.bits_per_sample
         oracle_ber = errors / total
@@ -113,24 +110,20 @@ class TestNonAdversarial:
         assert oracle_ber == pytest.approx(stats.norm.sf(math.sqrt(snr)), rel=0.2)
         assert sample.raw_ber == pytest.approx(oracle_ber, rel=0.25)
 
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            gen_non_adversarial(scenario(ThreatKind.DISRUPTIVE), seed=1)
-
 
 class TestDisruptive:
     def test_zero_obfuscation_equals_non_adversarial_bit_exact(self):
         sc_jam = scenario(ThreatKind.DISRUPTIVE, p_obf=0.0)
         sc_clean = scenario(ThreatKind.NON_ADVERSARIAL)
         for seed in (0, 1, 31337):
-            jammed = gen_disruptive(sc_jam, seed)
-            clean = gen_non_adversarial(sc_clean, seed)
+            jammed = generate_sample(sc_jam, seed)
+            clean = generate_sample(sc_clean, seed)
             np.testing.assert_array_equal(jammed.received, clean.received)
             assert jammed.raw_ber == clean.raw_ber
 
     def test_strong_jammer_drives_ber_to_half(self):
         sc = scenario(ThreatKind.DISRUPTIVE, adv_d=750e3, adv_p=5e4, p_obf=1.0)
-        sample = gen_disruptive(sc, seed=8)
+        sample = generate_sample(sc, seed=8)
         assert sample.raw_ber == pytest.approx(0.5, abs=0.02)
 
     def test_obfuscation_mask_is_bernoulli_per_sample(self):
@@ -143,7 +136,7 @@ class TestDisruptive:
 
     def test_label_uses_legitimate_bits(self):
         sc = scenario(ThreatKind.DISRUPTIVE, adv_d=750e3, p_obf=1.0)
-        sample = gen_disruptive(sc, seed=4)
+        sample = generate_sample(sc, seed=4)
         parts = generate_components(sc, seed=4)
         ber = _decode(sample.received, parts["legit_amp"], parts["legit_bits"])
         assert sample.raw_ber == ber
@@ -165,7 +158,7 @@ class TestDeceptive:
         """With zero estimation error the received signal holds no trace of x."""
         sc = scenario(ThreatKind.DECEPTIVE, est_err=0.0, noise_dbw=-300.0)
         parts = generate_components(sc, seed=13)
-        sample = gen_deceptive(sc, seed=13)
+        sample = generate_sample(sc, seed=13)
         residual = sample.received - parts["spoof_term"] - parts["noise"]
         x = parts["legit_series"]
         corr = abs(np.vdot(x, residual))
@@ -174,7 +167,7 @@ class TestDeceptive:
     def test_full_estimation_error_leaves_legit_untouched(self):
         sc = scenario(ThreatKind.DECEPTIVE, est_err=1.0)
         parts = generate_components(sc, seed=14)
-        sample = gen_deceptive(sc, seed=14)
+        sample = generate_sample(sc, seed=14)
         expected = parts["legit_term"] + parts["spoof_term"] + parts["noise"]
         np.testing.assert_array_equal(sample.received, expected)
 
@@ -187,8 +180,8 @@ class TestDeceptive:
         """
         sc_a = scenario(ThreatKind.DECEPTIVE, est_err=0.3)
         sc_b = scenario(ThreatKind.DECEPTIVE, est_err=0.0)
-        y_a = gen_deceptive(sc_a, seed=15).received
-        y_b = gen_deceptive(sc_b, seed=15).received
+        y_a = generate_sample(sc_a, seed=15).received
+        y_b = generate_sample(sc_b, seed=15).received
         parts = generate_components(sc_a, seed=15)
         x = parts["legit_series"]
         coeff = np.vdot(x, y_a - y_b) / np.vdot(x, x)
@@ -197,7 +190,7 @@ class TestDeceptive:
     def test_label_counts_malicious_bits(self):
         """Capable spoofer: adversary decodes cleanly, legit receiver ruined."""
         sc = scenario(ThreatKind.DECEPTIVE, legit_d=1500e3, adv_d=750e3, adv_p=0.5)
-        sample = gen_deceptive(sc, seed=16)
+        sample = generate_sample(sc, seed=16)
         parts = generate_components(sc, seed=16)
         assert sample.raw_ber == _decode(sample.received, parts["adv_amp"],
                                          parts["malicious_bits"])
@@ -208,7 +201,7 @@ class TestDeceptive:
     def test_zero_power_adversary_degrades_to_noise(self):
         """err=0 plus a vanishing spoofer leaves (statistically) pure noise."""
         sc = scenario(ThreatKind.DECEPTIVE, est_err=0.0, adv_p=1e-30)
-        sample = gen_deceptive(sc, seed=17)
+        sample = generate_sample(sc, seed=17)
         parts = generate_components(sc, seed=17)
         noise_energy = np.mean(np.abs(parts["noise"]) ** 2)
         assert np.mean(np.abs(sample.received) ** 2) == pytest.approx(
