@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``generate``  build a labeled dataset file from a JSON config,
-* ``train``     train the multitask model or a single-task variant,
+* ``train``     train the multitask model or a single-task variant (a
+                resumed run's mode, seed and batch size must match),
 * ``eval``      score a checkpoint (multitask) or a cascade (sequential)
                 on a dataset, dumping metrics and raw predictions,
 * ``assess``    grade samples with a multitask checkpoint and write the
@@ -20,6 +21,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ import numpy as np
 from .assessment import AssessmentThresholds, assess, assessment_row, write_report
 from .baseline import SequentialAssessor
 from .experiments.config import desk_config, full_scale_config, load_config, save_config
-from .experiments.dataset import Dataset, build_dataset
+from .experiments.dataset import MAGIC, Dataset, build_dataset
 from .experiments.metrics import (
     evaluate_multitask,
     evaluate_sequential,
@@ -58,7 +61,8 @@ def _add_train(sub):
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--resume", help="checkpoint to continue from")
+    p.add_argument("--resume", help="checkpoint to continue from; the run's mode, "
+                   "seed and batch size must match the checkpoint's")
     p.add_argument("--log", help="write the per-step loss log CSV here")
 
 
@@ -115,11 +119,9 @@ def cmd_generate(args) -> int:
         config = desk_config() if args.preset == "desk" else full_scale_config()
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    per_kind = args.count_per_kind or config.train_per_kind
     if args.dump_config:
         save_config(args.dump_config, config)
-    count = build_dataset(args.out, config, per_kind=per_kind,
-                          master_seed=config.master_seed)
+    count = build_dataset(args.out, config, per_kind=args.count_per_kind)
     print(f"wrote {count} samples to {args.out} (seed {config.master_seed})")
     return 0
 
@@ -127,19 +129,18 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     ds = Dataset(args.dataset)
     config = ds.config
+    flags = {"epochs": args.epochs, "batch_size": args.batch_size, "train_seed": args.seed}
+    regime = dataclasses.replace(config.regime, **{k: v for k, v in flags.items() if v is not None})
     tensors, intent_idx, log_ber, _ = ds.load_arrays()
-    epochs = args.epochs or config.regime.epochs
-    batch_size = args.batch_size or config.regime.batch_size
-    seed = args.seed if args.seed is not None else config.regime.train_seed
     result = train(tensors, intent_idx, log_ber, config.net, task=args.mode,
-                   epochs=epochs, batch_size=batch_size, seed=seed,
-                   resume_from=args.resume)
-    save_result(args.out, result, seed=seed, batch_size=batch_size)
+                   epochs=regime.epochs, batch_size=regime.batch_size,
+                   seed=regime.train_seed, resume_from=args.resume)
+    save_result(args.out, result)
     if args.log:
         write_log_csv(args.log, result.log)
     final = result.log[-1]["loss_total"] if result.log else float("nan")
-    print(f"trained {args.mode} for {len(result.log)} steps "
-          f"(label variance {result.label_variance:.6g}, final loss {final:.6g}); "
+    print(f"trained {args.mode} for {len(result.log)} steps (label variance "
+          f"{result.model.config.reg_label_variance:.6g}, final loss {final:.6g}); "
           f"saved {args.out}")
     return 0
 
@@ -150,8 +151,7 @@ def _run_eval(args, mode: str) -> int:
             raise ValueError("sequential mode needs --ckpt (regression) and --ckpt2 (classifier)")
         if args.rows_out and len(args.theta) > 1:
             raise ValueError("--rows-out holds the rows of one --theta; give a single value")
-    ds = Dataset(args.dataset)
-    tensors, intent_idx, log_ber, _ = ds.load_arrays()
+    tensors, intent_idx, log_ber, _ = Dataset(args.dataset).load_arrays()
     thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
     if mode == "multitask":
         model, _, _ = load_model(args.ckpt)
@@ -185,18 +185,26 @@ def cmd_assess(args) -> int:
     thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
     path = Path(args.input)
     with open(path, "rb") as fh:
-        is_dataset = fh.read(4) == b"CPAD"
-    if is_dataset:
-        ds = Dataset(path)
-        tensors, _, _, _ = ds.load_arrays()
+        head = fh.read(len(MAGIC))
+    if head == MAGIC:
+        tensors, _, _, _ = Dataset(path).load_arrays()
     else:
+        if head != b"PK\x03\x04":  # an .npz is a zip archive
+            raise ValueError(f"{path}: neither a dataset nor an .npz archive")
         if not args.config:
             raise ValueError("--config is required for raw .npz input")
         config = load_config(args.config)
-        payload = np.load(path)
-        if "samples" not in payload:
-            raise ValueError(f"{path}: expected an array named 'samples'")
-        feats = feature_tensor(payload["samples"], config.frame, config.feature)
+        try:
+            with np.load(path) as payload:
+                if "samples" not in payload:
+                    raise ValueError(f"{path}: expected an array named 'samples'")
+                samples = payload["samples"]
+        except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError,
+                RuntimeError) as exc:  # what a damaged archive raises besides ValueError
+            raise ValueError(f"{path}: corrupt .npz archive ({exc!r})") from None
+        if not np.issubdtype(samples.dtype, np.number):
+            raise ValueError(f"{path}: 'samples' must be numeric, not {samples.dtype}")
+        feats = feature_tensor(samples, config.frame, config.feature)
         tensors = feats.data[None, ...]
     probs, rho_hat = model.predict_batched(tensors)
     rows = [assessment_row(i, assess(p, float(r), thresholds))

@@ -48,6 +48,8 @@ class Record:
 def build_records(config: ExperimentConfig, per_kind: int, master_seed: int,
                   progress=None) -> list[Record]:
     """Generate per_kind samples for each intent, in intent order."""
+    if per_kind <= 0:
+        raise ValueError(f"per_kind (samples per intent) must be positive, not {per_kind}")
     records = []
     index = 0
     for kind in ThreatKind:
@@ -121,8 +123,8 @@ class Dataset:
         return Record(meta=self._metas[index], tensor=self._tensors[index].copy())
 
     def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
-        """All tensors (float64), intent indices, log-BER labels, metadata."""
-        return (self._tensors.astype(np.float64),
+        """The float32 tensor block (not a copy), intent indices, log-BER labels, metadata."""
+        return (self._tensors,
                 np.array([m["intent_index"] for m in self._metas], dtype=np.int64),
                 np.array([m["log_ber"] for m in self._metas], dtype=np.float64),
                 self._metas)

@@ -4,7 +4,9 @@ The loop is serial and fully reproducible: parameter initialization
 draws from a stream derived from (seed, 0) and the epoch-e shuffle from
 (seed, 1, e), so a run is a pure function of (data, config, task, seed).
 Resuming from a checkpoint replays the exact remaining schedule, because
-the batch order depends only on the global step counter.
+the batch order depends only on the global step counter.  A resume must
+be given the task, seed and batch size its checkpoint records, and takes
+the network config, label variance included, from the checkpoint.
 
 Tasks:
 
@@ -16,15 +18,15 @@ Single-task runs share the architecture and every hyperparameter with
 the multitask run; only the backpropagated objective differs: each task
 weights the two head losses by 0 or 1 (``TASKS``).
 
-The regression label variance is measured on the training labels once,
-frozen into the network config, and recorded in checkpoints.
+The regression label variance is measured on the training labels of a
+fresh run, frozen into the network config, and recorded in checkpoints.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,11 +39,14 @@ from ..net.losses import (
 )
 from ..net.model import MultitaskNet, NetworkConfig, he_init
 from ..net.optim import Adam
+from .config import TrainRegime
 
 # Task -> weights of the (classification, regression) head losses.
 TASKS = {"multitask": (1.0, 1.0), "intent": (1.0, 0.0), "capability": (0.0, 1.0)}
 
 LOG_FIELDS = ("step", "epoch", "loss_cls", "loss_reg", "loss_total")
+# Checkpoint extras naming a run's task, seed and batch size; a resume must match them.
+RUN_RECORD = ("task", "train_seed", "batch_size")
 
 
 @dataclass
@@ -50,7 +55,8 @@ class TrainResult:
     optimizer: Adam
     log: list[dict]
     task: str
-    label_variance: float
+    seed: int
+    batch_size: int
 
 
 def one_hot_labels(intent_idx: np.ndarray, n_classes: int = 3) -> np.ndarray:
@@ -90,39 +96,38 @@ def train_step(model: MultitaskNet, x: np.ndarray, intent_one_hot: np.ndarray,
 
 
 def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
-          config: NetworkConfig, task: str = "multitask", epochs: int = 20,
-          batch_size: int = 16, seed: int = 7, resume_from=None,
+          config: NetworkConfig, task: str = "multitask",
+          epochs: int = TrainRegime.epochs, batch_size: int = TrainRegime.batch_size,
+          seed: int = TrainRegime.train_seed, resume_from=None,
           max_steps: int | None = None, freeze_backbone: bool = False,
           ) -> TrainResult:
     """Train a model on in-memory arrays; see the module docstring."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    TrainRegime(epochs, batch_size, seed)  # the regime's own check of the schedule
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    labels = one_hot_labels(intent_idx, config.n_classes)
     log_ber = np.asarray(log_ber, dtype=float)
-
-    variance = float(np.var(log_ber))
-    if task != "intent" and variance <= 0:
-        raise ValueError(
-            "training labels have zero variance; set reg_label_variance manually"
-        )
-    config = config.with_label_variance(variance if variance > 0 else
-                                        config.reg_label_variance)
 
     if resume_from is not None:
         model, optimizer, extras = load_model(resume_from)
         if optimizer is None:
             raise ValueError(f"{resume_from}: checkpoint has no optimizer state")
-        if extras.get("task", task) != task:
-            raise ValueError(
-                f"checkpoint was trained on task {extras.get('task')!r}, not {task!r}"
-            )
-        config = model.config
+        for key, value in zip(RUN_RECORD, (task, seed, batch_size)):
+            if extras.get(key, value) != value:
+                raise ValueError(f"{resume_from}: the checkpoint's run has {key} "
+                                 f"{extras[key]!r}, not {value!r}; resume with its settings")
     else:
+        variance = float(np.var(log_ber))
+        if variance > 0:
+            config = replace(config, reg_label_variance=variance)
+        elif task != "intent":
+            raise ValueError("training labels have zero variance, so the regression "
+                             "loss weight 1/(reg_amplification * variance) is undefined")
         model = he_init(config, np.random.default_rng([seed, 0]))
-        optimizer = Adam.for_params(model.named_params(), lr=config.learning_rate)
+        optimizer = Adam(model.named_params(), config.learning_rate)
+    labels = one_hot_labels(intent_idx, model.config.n_classes)
 
     steps_per_epoch = math.ceil(n / batch_size)
     total_steps = epochs * steps_per_epoch
@@ -143,13 +148,12 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
         log.append({"step": step + 1, "epoch": epoch, **entry})
 
     return TrainResult(model=model, optimizer=optimizer, log=log, task=task,
-                       label_variance=config.reg_label_variance)
+                       seed=seed, batch_size=batch_size)
 
 
-def save_result(path, result: TrainResult, seed: int, batch_size: int) -> None:
+def save_result(path, result: TrainResult) -> None:
     save_model(path, result.model, result.optimizer,
-               extras={"task": result.task, "train_seed": seed,
-                       "batch_size": batch_size})
+               extras=dict(zip(RUN_RECORD, (result.task, result.seed, result.batch_size))))
 
 
 def write_log_csv(path, log: list[dict]) -> None:

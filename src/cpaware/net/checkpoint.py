@@ -4,8 +4,10 @@ A checkpoint is a ``tensorfile`` container with magic ``CPA1``.  Its
 metadata is ``{"config": network config, "extras": {...}}`` and its
 arrays are the trainable parameters (``param/``), the optimizer moments
 (``adam_m/``, ``adam_v/``) and the batch-norm running statistics
-(``state/``); the optimizer step counter travels in the extras.
-Reloading therefore resumes training exactly where it stopped.
+(``state/``).  The extras are the run record (training writes ``task``,
+``train_seed`` and ``batch_size``) plus the optimizer step ``adam_step``;
+the optimizer's rate is the config's ``learning_rate``.  Reloading
+therefore resumes training exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ def save_model(path, model: MultitaskNet, optimizer: Adam | None = None,
         tensors.update({f"adam_m/{k}": v for k, v in optimizer.m.items()})
         tensors.update({f"adam_v/{k}": v for k, v in optimizer.v.items()})
         meta["adam_step"] = optimizer.step_count
-        meta["adam_lr"] = optimizer.lr
     write_checkpoint(path, model.config.to_dict(), tensors, meta)
 
 
@@ -60,8 +61,7 @@ def load_model(path) -> tuple[MultitaskNet, Adam | None, dict]:
         step = extras["adam_step"]
         if not (isinstance(step, int) and step >= 0):
             raise ValueError(f"{path}: adam_step must be a non-negative integer, not {step!r}")
-        optimizer = Adam.for_params(model.named_params(),
-                                    lr=extras.get("adam_lr", config.learning_rate))
+        optimizer = Adam(model.named_params(), config.learning_rate)
         optimizer.step_count = step
         groups.update(adam_m=optimizer.m, adam_v=optimizer.v)
     known = {f"{group}/{key}": value for group, table in groups.items()

@@ -19,7 +19,7 @@ it holds the activations of one layer at a time rather than all of them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class NetworkConfig:
         for name in ("reg_amplification", "reg_label_variance", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def with_label_variance(self, variance: float) -> "NetworkConfig":
-        return replace(self, reg_label_variance=float(variance))
 
     def to_dict(self) -> dict:
         return asdict(self)

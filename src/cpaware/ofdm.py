@@ -73,11 +73,6 @@ class FrameConfig:
         """Time samples per transmitted sample, cyclic prefixes included."""
         return self.n_symbols * self.block_len
 
-    @property
-    def payload_len(self) -> int:
-        """Time samples per transmitted sample after prefix removal."""
-        return self.n_symbols * self.n_subcarriers
-
 
 def _gray_decode(value: int) -> int:
     """Invert the reflected binary (Gray) code."""

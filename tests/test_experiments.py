@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +38,16 @@ from cpaware.experiments.metrics import (
 )
 from cpaware.experiments.training import save_result, train
 from cpaware.features import FeatureConfig
-from cpaware.net import NetworkConfig, focal_loss, he_init, mse_loss
+from cpaware.net import (
+    NetworkConfig,
+    focal_loss,
+    he_init,
+    load_model,
+    mse_loss,
+    read_checkpoint,
+    save_model,
+    write_checkpoint,
+)
 from cpaware.ofdm import FrameConfig
 from cpaware.threats import ThreatKind
 
@@ -82,9 +93,16 @@ class TestDatasetFile:
         assert count == 12
         ds = Dataset(path)
         assert len(ds) == 12
-        tensors, intent_idx, log_ber, metas = ds.load_arrays()
+        tracemalloc.start()
+        try:
+            tensors, intent_idx, log_ber, metas = ds.load_arrays()
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert tensors.shape == (12, 16, 16, 3)
-        assert tensors.dtype == np.float64
+        assert tensors.dtype == np.float32
+        # The held float32 block is returned as is: no float64 copy of it.
+        assert allocated < tensors.size * 8
         for kind in ThreatKind:
             assert int(np.sum(intent_idx == kind.value)) == 4
         assert np.all(log_ber <= 0)
@@ -382,7 +400,7 @@ class TestCli:
         for task in ("capability", "intent"):
             result = train(x, intent_idx, log_ber, mini_config().net, task=task,
                            epochs=1, batch_size=6, seed=1)
-            save_result(tmp_path / f"{task}.ckpt", result, seed=1, batch_size=6)
+            save_result(tmp_path / f"{task}.ckpt", result)
         rows = tmp_path / "rows.csv"
         args = ["baseline", "--dataset", str(data), "--ckpt", str(tmp_path / "capability.ckpt"),
                 "--ckpt2", str(tmp_path / "intent.ckpt"), "--rows-out", str(rows)]
@@ -442,3 +460,101 @@ class TestCli:
                          "--epochs", "1"]) == 0
         assert cli_main(["eval", "--dataset", str(data), "--ckpt", str(ckpt),
                          "--mode", "sequential"]) == 4
+
+
+def _npz_bytes(**arrays) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+class TestCliExitCodes:
+    """Bad values exit 4 (or 2 for argparse) and write nothing; never 0 or 5."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        data, config = tmp_path / "d.cpad", tmp_path / "config.json"
+        build_dataset(data, mini_config(), per_kind=2)
+        save_config(config, mini_config())
+        return {"train": ["--dataset", str(data)], "generate": ["--config", str(config)]}
+
+    @pytest.mark.parametrize("command, flag, value, names", [
+        ("train", "--epochs", "0", "epochs"),
+        ("train", "--epochs", "-1", "epochs"),
+        ("train", "--batch-size", "0", "batch_size"),
+        ("train", "--batch-size", "-1", "batch_size"),
+        ("generate", "--count-per-kind", "0", "per_kind"),
+        ("generate", "--count-per-kind", "-3", "per_kind"),
+    ])
+    def test_non_positive_count_exits_with_config_code(self, tmp_path, capsys, inputs,
+                                                        command, flag, value, names):
+        out = tmp_path / "out"
+        argv = [command, *inputs[command], flag, value, "--out", str(out)]
+        assert cli_main(argv) == 4
+        assert names in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--dataset", "d.cpad", "--epochs", "2.5"],
+        ["train", "--dataset", "d.cpad", "--batch-size", "eight"],
+        ["train", "--dataset", "d.cpad", "--seed", "1e3"],
+        ["generate", "--count-per-kind", "2.5"],
+        ["generate", "--seed", "x"],
+    ])
+    def test_non_integer_value_exits_with_usage_code(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_bare_resume_must_repeat_the_runs_settings(self, tmp_path, capsys, inputs):
+        first, resumed = tmp_path / "first.ckpt", tmp_path / "resumed.ckpt"
+        train_args = ["train", *inputs["train"]]
+        assert cli_main(train_args + ["--out", str(first), "--epochs", "1",
+                                      "--seed", "5", "--batch-size", "8"]) == 0
+        capsys.readouterr()
+        assert cli_main(train_args + ["--out", str(resumed), "--epochs", "2",
+                                      "--resume", str(first)]) == 4
+        assert "train_seed" in capsys.readouterr().err
+        assert not resumed.exists()
+        assert cli_main(train_args + ["--out", str(resumed), "--epochs", "2", "--seed", "5",
+                                      "--batch-size", "8", "--resume", str(first)]) == 0
+        assert load_model(resumed)[1].step_count == 2
+
+    @pytest.mark.parametrize("adam_lr", ["x", None, [1], True])
+    def test_stale_adam_lr_is_ignored(self, tmp_path, inputs, adam_lr):
+        """Older checkpoints stored a second learning rate; the config's is the one used."""
+        ckpt = tmp_path / "m.ckpt"
+        train_args = ["train", *inputs["train"], "--epochs", "1"]
+        assert cli_main(train_args + ["--out", str(ckpt)]) == 0
+        config, tensors, extras = read_checkpoint(ckpt)
+        write_checkpoint(ckpt, config, tensors, {**extras, "adam_lr": adam_lr})
+        _, optimizer, _ = load_model(ckpt)
+        assert optimizer.lr == mini_config().net.learning_rate
+        data = inputs["train"][1]
+        assert cli_main(["assess", "--ckpt", str(ckpt), "--input", data,
+                         "--out", str(tmp_path / "report.csv")]) == 0
+        assert cli_main(["train", "--dataset", data, "--epochs", "2", "--resume", str(ckpt),
+                         "--out", str(tmp_path / "resumed.ckpt")]) == 0
+
+    @pytest.mark.parametrize("payload", [
+        b"PK\x03\x04" + bytes(64),                          # zip magic, no archive
+        b"",                                                  # empty file
+        _npz_bytes(samples=np.ones(288, complex))[:300],      # truncated archive
+        _npy_bytes(np.ones(288, complex)),                    # a bare .npy
+        _npz_bytes(other=np.ones(288, complex)),              # no 'samples' array
+        _npz_bytes(samples=np.array(["a"] * 288)),            # non-numeric samples
+    ], ids=["zip-magic", "empty", "truncated", "npy", "no-samples", "strings"])
+    def test_bad_npz_exits_with_data_code(self, tmp_path, inputs, payload):
+        ckpt, npz, report = tmp_path / "m.ckpt", tmp_path / "in.npz", tmp_path / "r.csv"
+        save_model(ckpt, he_init(mini_config().net, np.random.default_rng(0)))
+        npz.write_bytes(payload)
+        assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(npz),
+                         "--config", inputs["generate"][1], "--out", str(report)]) == 4
+        assert not report.exists()

@@ -463,7 +463,7 @@ class TestForward:
         model = he_init(TINY, np.random.default_rng(44))
         x, labels, rho = make_toy_batch(45, n=6)
         # Populate running statistics with a few training passes.
-        adam = Adam.for_params(model.named_params(), lr=1e-4)
+        adam = Adam(model.named_params(), lr=1e-4)
         from cpaware.experiments.training import train_step
         for _ in range(3):
             train_step(model, x, labels, rho, adam)
@@ -480,13 +480,13 @@ class TestForward:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
-        adam = Adam.for_params(params, lr=1e-2)
+        adam = Adam(params, lr=1e-2)
         adam.step(params, {"w": np.zeros(3)})
         np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
 
     def test_first_step_equals_learning_rate(self):
         params = {"w": np.array([0.0])}
-        adam = Adam.for_params(params, lr=1e-4)
+        adam = Adam(params, lr=1e-4)
         adam.step(params, {"w": np.array([1.0])})
         # Bias correction makes the first update -lr / (1 + eps').
         assert params["w"][0] == pytest.approx(-1e-4, rel=1e-6)
@@ -495,7 +495,7 @@ class TestAdam:
     def test_deterministic_two_steps(self):
         def run():
             params = {"w": np.linspace(-1, 1, 5)}
-            adam = Adam.for_params(params, lr=1e-3)
+            adam = Adam(params, lr=1e-3)
             for grad in (np.ones(5), np.full(5, -0.5)):
                 adam.step(params, {"w": grad})
             return params["w"]
@@ -504,7 +504,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros(3)}
-        adam = Adam.for_params(params, lr=1e-4)
+        adam = Adam(params, lr=1e-4)
         with pytest.raises(ValueError):
             adam.step(params, {"w": np.zeros(4)})
 
@@ -512,7 +512,7 @@ class TestAdam:
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
         model = he_init(TINY, np.random.default_rng(50))
-        adam = Adam.for_params(model.named_params(), lr=3e-4)
+        adam = Adam(model.named_params(), lr=3e-4)
         x, labels, rho = make_toy_batch(51, n=4)
         from cpaware.experiments.training import train_step
         for _ in range(5):

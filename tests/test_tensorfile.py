@@ -53,7 +53,7 @@ def valid(tmp_path_factory):
     net = NetworkConfig((8, 8, 3), conv_blocks=((2, 3, 1),))
     model = he_init(net, np.random.default_rng(0))
     ckpt = directory / "valid.ckpt"
-    save_model(ckpt, model, Adam.for_params(model.named_params(), lr=1e-3),
+    save_model(ckpt, model, Adam(model.named_params(), lr=1e-3),
                extras={"task": "multitask"})
     data = directory / "valid.cpad"
     build_dataset(data, ExperimentConfig(
@@ -123,7 +123,7 @@ def splice_sources(valid):
     wider = NetworkConfig((8, 8, 3), conv_blocks=((3, 3, 1),))
     same_ckpt, wider_ckpt = directory / "same.ckpt", directory / "wider.ckpt"
     model = he_init(net, np.random.default_rng(1))
-    save_model(same_ckpt, model, Adam.for_params(model.named_params(), lr=1e-3),
+    save_model(same_ckpt, model, Adam(model.named_params(), lr=1e-3),
                extras={"task": "multitask"})
     save_model(wider_ckpt, he_init(wider, np.random.default_rng(2)))
     config = ExperimentConfig(train_per_kind=1, frame=FrameConfig(8, 2, 8),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpaware.net import NetworkConfig, load_model
+from cpaware.net import NetworkConfig, load_model, save_model
 from cpaware.experiments.training import save_result, train, write_log_csv
 
 TOY_SHAPE = (16, 16, 3)
@@ -55,7 +55,7 @@ class TestLabelVariance:
         result = train(x, idx, rho, TOY_NET, epochs=1, batch_size=32, seed=4)
         mean = sum(rho) / len(rho)
         two_pass = sum((v - mean) ** 2 for v in rho) / len(rho)
-        assert result.label_variance == pytest.approx(two_pass, abs=1e-9)
+        assert result.model.config.reg_label_variance == pytest.approx(two_pass, abs=1e-9)
 
     def test_zero_variance_rejected(self):
         x, idx, _ = toy_set(4)
@@ -118,8 +118,8 @@ class TestDeterminismAndResume:
         x, idx, rho = toy_set(8)
         a = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=9)
         b = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=9)
-        save_result(tmp_path / "a.ckpt", a, seed=9, batch_size=8)
-        save_result(tmp_path / "b.ckpt", b, seed=9, batch_size=8)
+        save_result(tmp_path / "a.ckpt", a)
+        save_result(tmp_path / "b.ckpt", b)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_resume_matches_uninterrupted(self, tmp_path):
@@ -130,7 +130,7 @@ class TestDeterminismAndResume:
         half = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=10,
                      max_steps=10)
         ckpt = tmp_path / "half.ckpt"
-        save_result(ckpt, half, seed=10, batch_size=8)
+        save_result(ckpt, half)
         resumed = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=10,
                         resume_from=ckpt)
 
@@ -145,10 +145,30 @@ class TestDeterminismAndResume:
         result = train(x, idx, rho, TOY_NET, task="intent", epochs=1,
                        batch_size=8, seed=11)
         ckpt = tmp_path / "intent.ckpt"
-        save_result(ckpt, result, seed=11, batch_size=8)
+        save_result(ckpt, result)
         with pytest.raises(ValueError, match="task"):
             train(x, idx, rho, TOY_NET, task="capability", epochs=1,
                   batch_size=8, seed=11, resume_from=ckpt)
+
+    @pytest.mark.parametrize("key, change", [("task", {"task": "intent"}),
+                                             ("train_seed", {"seed": 12}),
+                                             ("batch_size", {"batch_size": 4})])
+    def test_run_record_mismatch_on_resume_rejected(self, tmp_path, key, change):
+        x, idx, rho = toy_set(10)
+        run = {"task": "multitask", "seed": 11, "batch_size": 8}
+        ckpt = tmp_path / "run.ckpt"
+        save_result(ckpt, train(x, idx, rho, TOY_NET, epochs=1, **run))
+        with pytest.raises(ValueError, match=key):
+            train(x, idx, rho, TOY_NET, epochs=2, resume_from=ckpt, **{**run, **change})
+
+    def test_checkpoint_without_run_record_resumes(self, tmp_path):
+        x, idx, rho = toy_set(10)
+        result = train(x, idx, rho, TOY_NET, epochs=1, batch_size=8, seed=11)
+        ckpt = tmp_path / "bare.ckpt"
+        save_model(ckpt, result.model, result.optimizer)
+        resumed = train(x, idx, rho, TOY_NET, task="intent", epochs=2, batch_size=8,
+                        seed=3, resume_from=ckpt)
+        assert resumed.optimizer.step_count == 8
 
 
 class TestLog:
@@ -170,3 +190,9 @@ class TestLog:
         x, idx, rho = toy_set(12)
         with pytest.raises(ValueError, match="task"):
             train(x, idx, rho, TOY_NET, task="both", epochs=1, batch_size=8)
+
+    @pytest.mark.parametrize("setting", [{"epochs": 0}, {"epochs": -1}, {"batch_size": 0}])
+    def test_non_positive_schedule_rejected(self, setting):
+        x, idx, rho = toy_set(12)
+        with pytest.raises(ValueError, match="must be positive"):
+            train(x, idx, rho, TOY_NET, **{"epochs": 1, "batch_size": 8, **setting})
