@@ -8,15 +8,7 @@ regression), and grading on an 8-level threat scale, plus the
 conventional sequential cascade as a benchmark.
 """
 
-from .assessment import (
-    AssessmentThresholds,
-    BerCategory,
-    Capability,
-    ThreatAssessment,
-    assess,
-    capability_state,
-    categorize_ber,
-)
+from .assessment import AssessmentThresholds, assess
 from .channel import LinkBudget, NoiseConfig, awgn, channel_gain
 from .features import FeatureConfig, FeatureTensor, feature_tensor, local_extrema, spectrogram
 from .ofdm import (

@@ -15,37 +15,29 @@ The severity scale is an exact lookup over (intent, capability):
     deceptive          5       6      7
 
 Scale 3 is the only grade reachable from two state pairs.
+
+Grading works on whole arrays: ``assess`` takes intent indices
+(``ThreatKind`` values) and predicted log10 BERs and returns capability
+indices (into ``CAPABILITY_NAMES``) and scales.  The caller decides the
+intent; ``np.argmax`` over class probabilities resolves a tie to the
+lowest index, the deceptive class (the conservative reading).  The BER is
+Python's scalar ``10.0 ** x`` of each sample, because NumPy's array power
+differs from it by one ULP on about 5% of inputs, which can move a sample
+across a threshold and changes the report's ``ber_pred``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .threats import ThreatKind
+from .threats import INTENT_NAMES, ThreatKind
 
-
-class BerCategory(Enum):
-    HIGH = "high"
-    MODERATE = "moderate"
-    LOW = "low"
-
-
-class Capability(Enum):
-    """Capability classes; the value is the one-hot index."""
-
-    HIGH = 0
-    MODERATE = 1
-    LOW = 2
-
-    @property
-    def one_hot(self) -> np.ndarray:
-        vec = np.zeros(3)
-        vec[self.value] = 1.0
-        return vec
+CAPABILITY_NAMES = ("high", "moderate", "low")
+ONE_HOT_BITS = ("100", "010", "001")
 
 
 @dataclass(frozen=True)
@@ -62,114 +54,60 @@ class AssessmentThresholds:
 
 DEFAULT_THRESHOLDS = AssessmentThresholds()
 
-THREAT_SCALE = {
-    (ThreatKind.NON_ADVERSARIAL, Capability.HIGH): 2,
-    (ThreatKind.NON_ADVERSARIAL, Capability.MODERATE): 1,
-    (ThreatKind.NON_ADVERSARIAL, Capability.LOW): 0,
-    (ThreatKind.DISRUPTIVE, Capability.HIGH): 4,
-    (ThreatKind.DISRUPTIVE, Capability.MODERATE): 3,
-    (ThreatKind.DISRUPTIVE, Capability.LOW): 3,
-    (ThreatKind.DECEPTIVE, Capability.HIGH): 5,
-    (ThreatKind.DECEPTIVE, Capability.MODERATE): 6,
-    (ThreatKind.DECEPTIVE, Capability.LOW): 7,
-}
+# [intent index, capability index], rows in ThreatKind order.
+THREAT_SCALE = np.array([[5, 6, 7],   # deceptive
+                         [4, 3, 3],   # disruptive
+                         [2, 1, 0]])  # non-adversarial
+THREAT_SCALE.flags.writeable = False
 
 N_SCALES = 8
 
 
-@dataclass(frozen=True)
-class ThreatAssessment:
-    kind: ThreatKind
-    capability: Capability
-    scale: int
-    log_ber_pred: float
-
-    @property
-    def intent_one_hot(self) -> np.ndarray:
-        return self.kind.one_hot
-
-    @property
-    def capability_one_hot(self) -> np.ndarray:
-        return self.capability.one_hot
-
-    @property
-    def ber_estimate(self) -> float:
-        return float(10.0 ** self.log_ber_pred)
-
-
-def categorize_ber(log_ber_pred: float,
-                   thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS) -> BerCategory:
-    """Classify a predicted log10 BER; boundaries fall to MODERATE."""
-    if not np.isfinite(log_ber_pred):
+def assess(intent_idx, log_ber_pred,
+           thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Capability index and 0-7 scale of each sample; see the module docstring."""
+    intent_idx = np.asarray(intent_idx, dtype=np.int64)
+    if not np.all(np.isfinite(log_ber_pred)):
         raise ValueError("log_ber_pred must be finite")
-    ber = 10.0 ** log_ber_pred
-    if ber > thresholds.high_ber:
-        return BerCategory.HIGH
-    if ber < thresholds.low_ber:
-        return BerCategory.LOW
-    return BerCategory.MODERATE
+    ber = np.array([10.0 ** float(v) for v in log_ber_pred], dtype=float)
+    # 0 high, 1 moderate, 2 low BER: the capability order, inverted for deception.
+    category = np.where(ber > thresholds.high_ber, 0, np.where(ber < thresholds.low_ber, 2, 1))
+    capability = np.where(intent_idx == ThreatKind.DECEPTIVE.value, 2 - category, category)
+    return capability, THREAT_SCALE[intent_idx, capability]
 
 
-def capability_state(category: BerCategory, intent: ThreatKind) -> Capability:
-    """Map a BER category to capability; inverted for deceptive intents."""
-    if intent is ThreatKind.DECEPTIVE:
-        order = {BerCategory.HIGH: Capability.LOW,
-                 BerCategory.MODERATE: Capability.MODERATE,
-                 BerCategory.LOW: Capability.HIGH}
-    else:
-        order = {BerCategory.HIGH: Capability.HIGH,
-                 BerCategory.MODERATE: Capability.MODERATE,
-                 BerCategory.LOW: Capability.LOW}
-    return order[category]
+def unreachable_scales(bits_per_sample: int,
+                       thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS) -> list[int]:
+    """Grades that no true label of a frame with this many bits can take.
 
-
-def assess(class_probs: np.ndarray, log_ber_pred: float,
-           thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS) -> ThreatAssessment:
-    """Grade one sample from the network's two outputs.
-
-    Intent is the argmax class; ties resolve to the lowest class index,
-    which is the deceptive class (the conservative reading).
+    A label is log10(k / bits) for k = 1..bits errors (``label_log_ber``
+    floors k = 0 at one), and the BER category is monotone in k, so every
+    reachable grade shows at k = 1, at k = bits or at one of the three
+    counts from ``floor(threshold * bits)`` up (the third in case round-off
+    moves a count that lies on a threshold to the other side).
     """
-    class_probs = np.asarray(class_probs)
-    if class_probs.shape != (3,):
-        raise ValueError("class_probs must have shape (3,)")
-    kind = ThreatKind(int(np.argmax(class_probs)))
-    return assess_with_intent(kind, log_ber_pred, thresholds)
-
-
-def assess_with_intent(kind: ThreatKind, log_ber_pred: float,
-                       thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS
-                       ) -> ThreatAssessment:
-    """Grade a sample whose intent decision was made elsewhere."""
-    capability = capability_state(categorize_ber(log_ber_pred, thresholds), kind)
-    return ThreatAssessment(
-        kind=kind,
-        capability=capability,
-        scale=THREAT_SCALE[(kind, capability)],
-        log_ber_pred=float(log_ber_pred),
-    )
+    counts = {1, bits_per_sample}
+    for threshold in (thresholds.low_ber, thresholds.high_ber):
+        base = math.floor(threshold * bits_per_sample)
+        counts.update(min(max(k, 1), bits_per_sample) for k in (base, base + 1, base + 2))
+    log_ber = [float(np.log10(k / bits_per_sample)) for k in sorted(counts)]
+    _, scale = assess(np.repeat(np.arange(len(ThreatKind)), len(log_ber)),
+                      log_ber * len(ThreatKind), thresholds)
+    return sorted(set(range(N_SCALES)) - set(scale.tolist()))
 
 
 REPORT_FIELDS = ("sample_id", "intent", "intent_bits", "capability",
                  "capability_bits", "scale", "log_ber_pred", "ber_pred")
 
 
-def assessment_row(sample_id, a: ThreatAssessment) -> dict:
-    return {
-        "sample_id": sample_id,
-        "intent": a.kind.name.lower(),
-        "intent_bits": "".join(str(int(b)) for b in a.intent_one_hot),
-        "capability": a.capability.name.lower(),
-        "capability_bits": "".join(str(int(b)) for b in a.capability_one_hot),
-        "scale": a.scale,
-        "log_ber_pred": a.log_ber_pred,
-        "ber_pred": a.ber_estimate,
-    }
-
-
-def write_report(path, rows: list[dict]) -> None:
-    """Line-oriented assessment report, one CSV row per sample."""
+def write_report(path, intent_idx, log_ber_pred,
+                 thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS) -> None:
+    """Grade the samples and write the line-oriented report, one CSV row each."""
+    capability, scale = assess(intent_idx, log_ber_pred, thresholds)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_FIELDS)
+        for i, (k, c, s, r) in enumerate(zip(intent_idx, capability, scale, log_ber_pred)):
+            writer.writerow((i, INTENT_NAMES[k], ONE_HOT_BITS[k], CAPABILITY_NAMES[c],
+                             ONE_HOT_BITS[c], int(s), float(r), 10.0 ** float(r)))

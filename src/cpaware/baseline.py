@@ -18,12 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assessment import (
-    AssessmentThresholds,
-    DEFAULT_THRESHOLDS,
-    ThreatAssessment,
-    assess_with_intent,
-)
 from .net.model import MultitaskNet
 from .threats import ThreatKind
 
@@ -42,7 +36,6 @@ class SequentialAssessor:
     regressor: MultitaskNet
     classifier: MultitaskNet
     threshold_ber: float
-    thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS
     classifier_invocations: int = 0
     gated_count: int = 0
 
@@ -55,25 +48,21 @@ class SequentialAssessor:
         self.classifier_invocations = 0
         self.gated_count = 0
 
-    def assess_batch(self, tensors: np.ndarray) -> tuple[list[ThreatAssessment], np.ndarray]:
-        """Assess a stack of feature tensors.
+    def assess_batch(self, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the cascade over a stack of feature tensors.
 
-        Returns the per-sample assessments and a boolean gate mask (True
-        where the regression gate suppressed the classifier).
+        Returns each sample's intent index and predicted log-BER, for the
+        caller to grade with ``assessment.assess``, and a boolean gate mask
+        (True where the regression gate suppressed the classifier, leaving
+        the sample non-adversarial).
         """
         _, log_ber_pred = self.regressor.predict_batched(tensors)
-        ber_pred = 10.0 ** log_ber_pred
-        gated = ber_pred <= self.threshold_ber
+        gated = 10.0 ** log_ber_pred <= self.threshold_ber
         self.gated_count += int(gated.sum())
 
-        kinds = np.full(tensors.shape[0], ThreatKind.NON_ADVERSARIAL, dtype=object)
+        intent_idx = np.full(tensors.shape[0], ThreatKind.NON_ADVERSARIAL.value)
         if np.any(~gated):
             probs, _ = self.classifier.predict_batched(tensors[~gated])
             self.classifier_invocations += int((~gated).sum())
-            kinds[~gated] = [ThreatKind(int(np.argmax(p))) for p in probs]
-
-        assessments = [
-            assess_with_intent(kind, float(rho), self.thresholds)
-            for kind, rho in zip(kinds, log_ber_pred)
-        ]
-        return assessments, gated
+            intent_idx[~gated] = np.argmax(probs, axis=1)
+        return intent_idx, log_ber_pred, gated

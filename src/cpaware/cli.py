@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assessment import AssessmentThresholds, assess, assessment_row, write_report
+from .assessment import AssessmentThresholds, unreachable_scales, write_report
 from .baseline import SequentialAssessor
 from .experiments.config import desk_config, full_scale_config, load_config, save_config
 from .experiments.dataset import MAGIC, Dataset, build_dataset
@@ -119,9 +119,9 @@ def cmd_generate(args) -> int:
         config = desk_config() if args.preset == "desk" else full_scale_config()
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
+    count = build_dataset(args.out, config, per_kind=args.count_per_kind)
     if args.dump_config:
         save_config(args.dump_config, config)
-    count = build_dataset(args.out, config, per_kind=args.count_per_kind)
     print(f"wrote {count} samples to {args.out} (seed {config.master_seed})")
     return 0
 
@@ -151,7 +151,8 @@ def _run_eval(args, mode: str) -> int:
             raise ValueError("sequential mode needs --ckpt (regression) and --ckpt2 (classifier)")
         if args.rows_out and len(args.theta) > 1:
             raise ValueError("--rows-out holds the rows of one --theta; give a single value")
-    tensors, intent_idx, log_ber, _ = Dataset(args.dataset).load_arrays()
+    ds = Dataset(args.dataset)
+    tensors, intent_idx, log_ber, _ = ds.load_arrays()
     thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
     if mode == "multitask":
         model, _, _ = load_model(args.ckpt)
@@ -162,11 +163,16 @@ def _run_eval(args, mode: str) -> int:
         regressor, _, _ = load_model(args.ckpt)
         classifier, _, _ = load_model(args.ckpt2)
         for theta in args.theta:
-            assessor = SequentialAssessor(regressor, classifier, theta, thresholds)
-            report, rows = evaluate_sequential(assessor, tensors, intent_idx, log_ber)
+            assessor = SequentialAssessor(regressor, classifier, theta)
+            report, rows = evaluate_sequential(assessor, tensors, intent_idx, log_ber,
+                                               thresholds)
             print("\n".join(summary_lines(report, f"{mode} (theta={theta:g})")))
             print(f"  classifier invocations: {assessor.classifier_invocations}"
                   f" / {len(rows)} (gated {assessor.gated_count})")
+    unreachable = unreachable_scales(ds.config.frame.bits_per_sample, thresholds)
+    if unreachable:
+        print("  unreachable scales at this frame and thresholds: "
+              + ", ".join(map(str, unreachable)))
     if args.rows_out:
         write_rows_csv(args.rows_out, rows)
     return 0
@@ -207,10 +213,8 @@ def cmd_assess(args) -> int:
         feats = feature_tensor(samples, config.frame, config.feature)
         tensors = feats.data[None, ...]
     probs, rho_hat = model.predict_batched(tensors)
-    rows = [assessment_row(i, assess(p, float(r), thresholds))
-            for i, (p, r) in enumerate(zip(probs, rho_hat))]
-    write_report(args.out, rows)
-    print(f"assessed {len(rows)} samples; report written to {args.out}")
+    write_report(args.out, np.argmax(probs, axis=1), rho_hat, thresholds)
+    print(f"assessed {len(rho_hat)} samples; report written to {args.out}")
     return 0
 
 

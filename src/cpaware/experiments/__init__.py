@@ -13,7 +13,6 @@ from .metrics import (
     evaluate_multitask,
     evaluate_sequential,
     report_from_rows,
-    true_scales_from_labels,
     write_rows_csv,
 )
 from .training import TrainResult, save_result, train, train_step, write_log_csv
@@ -36,7 +35,6 @@ __all__ = [
     "save_result",
     "train",
     "train_step",
-    "true_scales_from_labels",
     "write_dataset",
     "write_log_csv",
     "write_rows_csv",

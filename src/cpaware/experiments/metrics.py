@@ -11,7 +11,9 @@ and scales without support are flagged ``n/a`` rather than reported as
 zero.  Classes without support likewise carry NaN precision/recall.
 
 ``evaluate_multitask`` and ``evaluate_sequential`` first build one raw
-prediction row per sample; their report is ``report_from_rows`` of those
+prediction row per sample, grading the predicted intents and log-BERs and
+the labels (the true scale is ``assess(intent, log_ber)[1]``) with one
+``assess`` call each; their report is ``report_from_rows`` of those
 rows plus the two losses, ``loss_cls`` (focal) and ``loss_reg`` (MSE).
 Every reported number except the cascade's ``loss_cls``, which scores
 the classifier on gated samples too, can therefore be recomputed from
@@ -24,20 +26,12 @@ import csv
 
 import numpy as np
 
-from ..assessment import (
-    AssessmentThresholds,
-    DEFAULT_THRESHOLDS,
-    N_SCALES,
-    assess,
-    assess_with_intent,
-)
+from ..assessment import AssessmentThresholds, DEFAULT_THRESHOLDS, N_SCALES, assess
 from ..baseline import SequentialAssessor
 from ..net.losses import focal_loss, mse_loss
 from ..net.model import MultitaskNet
-from ..threats import ThreatKind
+from ..threats import INTENT_NAMES
 from .training import one_hot_labels
-
-INTENT_ORDER = tuple(k.name.lower() for k in ThreatKind)
 
 ROW_FIELDS = ("sample_id", "true_intent", "pred_intent", "true_log_ber",
               "pred_log_ber", "true_scale", "pred_scale",
@@ -49,7 +43,7 @@ def summary_lines(report: dict, label: str) -> list[str]:
     lines = [f"[{label}] intent accuracy {report['intent_accuracy']:.4f}, "
              f"assessment accuracy {report['assessment_accuracy']:.4f}, "
              f"loss_cls {report['loss_cls']:.4g}, loss_reg {report['loss_reg']:.4g}"]
-    for i, name in enumerate(INTENT_ORDER):
+    for i, name in enumerate(INTENT_NAMES):
         lines.append(
             f"  {name:<16} precision {_fmt(report['intent_precision'][i])}"
             f"  recall {_fmt(report['intent_recall'][i])}"
@@ -104,33 +98,24 @@ def per_scale_table(true_scales: np.ndarray, pred_scales: np.ndarray) -> list[di
     return rows
 
 
-def true_scales_from_labels(intent_idx: np.ndarray, log_ber: np.ndarray,
-                            thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS
-                            ) -> np.ndarray:
-    """Ground-truth severity grades implied by the dataset labels."""
-    return np.array([
-        assess_with_intent(ThreatKind(int(i)), float(rho), thresholds).scale
-        for i, rho in zip(intent_idx, log_ber)
-    ])
-
-
 def evaluate_multitask(model: MultitaskNet, tensors: np.ndarray,
                        intent_idx: np.ndarray, log_ber: np.ndarray,
                        thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS,
                        ) -> tuple[dict, list[dict]]:
     probs, rho_hat = model.predict_batched(tensors)
-    assessments = [assess(p, float(r), thresholds) for p, r in zip(probs, rho_hat)]
-    rows = _make_rows(assessments, intent_idx, log_ber, thresholds, probs=probs)
+    rows = _make_rows(np.argmax(probs, axis=1), rho_hat, intent_idx, log_ber,
+                      thresholds, probs=probs)
     loss_cls = focal_loss(one_hot_labels(intent_idx), probs, model.config.focal_gamma)
     return _report(rows, loss_cls), rows
 
 
 def evaluate_sequential(assessor: SequentialAssessor, tensors: np.ndarray,
                         intent_idx: np.ndarray, log_ber: np.ndarray,
+                        thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS,
                         ) -> tuple[dict, list[dict]]:
     assessor.reset_counters()
-    assessments, gated = assessor.assess_batch(tensors)
-    rows = _make_rows(assessments, intent_idx, log_ber, assessor.thresholds, gated=gated)
+    pred_idx, rho_hat, gated = assessor.assess_batch(tensors)
+    rows = _make_rows(pred_idx, rho_hat, intent_idx, log_ber, thresholds, gated=gated)
     # The cascade's loss_cls scores the classifier on every sample, gated or not.
     cls_probs, _ = assessor.classifier.predict_batched(tensors)
     loss_cls = focal_loss(one_hot_labels(intent_idx), cls_probs,
@@ -145,22 +130,23 @@ def _report(rows, loss_cls) -> dict:
     return {**report_from_rows(rows), "loss_cls": loss_cls, "loss_reg": loss_reg}
 
 
-def _make_rows(assessments, intent_idx, log_ber, thresholds,
+def _make_rows(pred_idx, pred_log_ber, intent_idx, log_ber, thresholds,
                probs=None, gated=None) -> list[dict]:
-    true_scales = true_scales_from_labels(intent_idx, log_ber, thresholds)
+    _, pred_scales = assess(pred_idx, pred_log_ber, thresholds)
+    _, true_scales = assess(intent_idx, log_ber, thresholds)
     return [{
         "sample_id": i,
         "true_intent": int(intent_idx[i]),
-        "pred_intent": a.kind.value,
+        "pred_intent": int(pred_idx[i]),
         "true_log_ber": float(log_ber[i]),
-        "pred_log_ber": a.log_ber_pred,
+        "pred_log_ber": float(pred_log_ber[i]),
         "true_scale": int(true_scales[i]),
-        "pred_scale": a.scale,
+        "pred_scale": int(pred_scales[i]),
         "p_deceptive": float(probs[i][0]) if probs is not None else "",
         "p_disruptive": float(probs[i][1]) if probs is not None else "",
         "p_non_adversarial": float(probs[i][2]) if probs is not None else "",
         "gated": int(gated[i]) if gated is not None else 0,
-    } for i, a in enumerate(assessments)]
+    } for i in range(len(pred_idx))]
 
 
 def write_rows_csv(path, rows: list[dict]) -> None:

@@ -127,6 +127,7 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
                              "loss weight 1/(reg_amplification * variance) is undefined")
         model = he_init(config, np.random.default_rng([seed, 0]))
         optimizer = Adam(model.named_params(), config.learning_rate)
+    model.check_input(x)  # also when a resume has no steps left to run
     labels = one_hot_labels(intent_idx, model.config.n_classes)
 
     steps_per_epoch = math.ceil(n / batch_size)

@@ -146,8 +146,16 @@ class MultitaskNet:
 
     # -- computation ------------------------------------------------------
 
+    def check_input(self, x: np.ndarray) -> None:
+        """Reject samples not of ``input_shape``, which global pooling would not."""
+        shape, expected = tuple(np.shape(x)[1:]), tuple(self.config.input_shape)
+        if shape != expected:
+            raise ValueError(f"input samples have shape {shape}, but the model "
+                             f"was built for input_shape {expected}")
+
     def forward(self, x: np.ndarray, train: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Logits (batch, n_classes) and log-BER predictions (batch,)."""
+        self.check_input(x)
         out = np.asarray(x, dtype=float)
         for layer in self.backbone:
             out = layer.forward(out, train)

@@ -57,20 +57,15 @@ from .ofdm import (
 
 
 class ThreatKind(Enum):
-    """Intent classes; the value is the one-hot index."""
+    """Intent classes; the value is the intent index."""
 
     DECEPTIVE = 0
     DISRUPTIVE = 1
     NON_ADVERSARIAL = 2
 
-    @property
-    def one_hot(self) -> np.ndarray:
-        vec = np.zeros(3)
-        vec[self.value] = 1.0
-        return vec
 
-
-INTENT_NAMES = {k: k.name.lower() for k in ThreatKind}
+# Indexed by intent index.
+INTENT_NAMES = tuple(k.name.lower() for k in ThreatKind)
 
 
 # Derived-stream tags; one PRNG stream per randomness consumer.
@@ -112,7 +107,6 @@ class LabeledSample:
 
     received: np.ndarray
     kind: ThreatKind
-    intent: np.ndarray
     log_ber: float
     raw_ber: float
     metadata: dict = field(default_factory=dict)
@@ -206,7 +200,7 @@ def _assemble(scenario: ThreatScenario, seed: int, parts: dict) -> LabeledSample
         ber = _decode_ber(received, parts["legit_amp"], frame, parts["legit_bits"])
 
     meta = {
-        "kind": INTENT_NAMES[kind],
+        "kind": INTENT_NAMES[kind.value],
         "seed": int(seed),
         "legit_power_w": scenario.legit_link.tx_power_w,
         "legit_distance_m": scenario.legit_link.distance_m,
@@ -223,7 +217,6 @@ def _assemble(scenario: ThreatScenario, seed: int, parts: dict) -> LabeledSample
     return LabeledSample(
         received=received,
         kind=kind,
-        intent=kind.one_hot,
         log_ber=label_log_ber(ber, frame),
         raw_ber=ber,
         metadata=meta,

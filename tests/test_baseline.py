@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cpaware.assessment import assess
 from cpaware.baseline import SequentialAssessor, check_same_backbone
 from cpaware.net import NetworkConfig, he_init
 from cpaware.threats import ThreatKind
@@ -32,11 +33,12 @@ class TestGate:
         regressor, classifier = make_models()
         pin_regressor_output(regressor, -5.0)  # predicted BER 1e-5
         cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-2)
-        assessments, gated = cascade.assess_batch(features())
+        intent_idx, log_ber_pred, gated = cascade.assess_batch(features())
         assert cascade.classifier_invocations == 0
-        assert cascade.gated_count == len(assessments)
+        assert cascade.gated_count == len(intent_idx)
         assert np.all(gated)
-        assert all(a.kind is ThreatKind.NON_ADVERSARIAL for a in assessments)
+        assert np.all(intent_idx == ThreatKind.NON_ADVERSARIAL.value)
+        np.testing.assert_array_equal(log_ber_pred, -5.0)
 
     def test_above_gate_invokes_classifier_for_all(self):
         regressor, classifier = make_models(1)
@@ -54,13 +56,12 @@ class TestGate:
         _, rho_hat = regressor.predict_batched(x)
         for theta in (1e-2, 1e-3, 1e-4):
             cascade = SequentialAssessor(regressor, classifier, threshold_ber=theta)
-            assessments, gated = cascade.assess_batch(x)
+            intent_idx, log_ber_pred, gated = cascade.assess_batch(x)
+            np.testing.assert_array_equal(log_ber_pred, rho_hat)
             expected_gated = 10.0 ** rho_hat <= theta
             np.testing.assert_array_equal(gated, expected_gated)
             assert cascade.classifier_invocations == int((~expected_gated).sum())
-            for a, is_gated in zip(assessments, gated):
-                if is_gated:
-                    assert a.kind is ThreatKind.NON_ADVERSARIAL
+            assert np.all(intent_idx[gated] == ThreatKind.NON_ADVERSARIAL.value)
 
     def test_lower_threshold_never_decreases_invocations(self):
         regressor, classifier = make_models(3)
@@ -78,23 +79,21 @@ class TestGate:
         regressor, classifier = make_models(4)
         x = features(4, n=24)
         cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-300)
-        assessments, gated = cascade.assess_batch(x)
+        intent_idx, _, gated = cascade.assess_batch(x)
         assert not np.any(gated)
         assert cascade.classifier_invocations == x.shape[0]
         probs, _ = classifier.predict_batched(x)
-        standalone = np.argmax(probs, axis=1)
-        cascade_decisions = np.array([a.kind.value for a in assessments])
-        np.testing.assert_array_equal(cascade_decisions, standalone)
+        np.testing.assert_array_equal(intent_idx, np.argmax(probs, axis=1))
 
     def test_structural_false_negative_on_capable_spoofer(self):
         """A deceptive sample predicted at BER 1e-5 is graded benign."""
         regressor, classifier = make_models(5)
         pin_regressor_output(regressor, -5.0)
         cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-2)
-        assessments, _ = cascade.assess_batch(features(5, n=1))
+        intent_idx, log_ber_pred, _ = cascade.assess_batch(features(5, n=1))
         # The true intent (deceptive) never enters the cascade's view.
-        assert assessments[0].kind is ThreatKind.NON_ADVERSARIAL
-        assert assessments[0].scale == 0
+        assert intent_idx[0] == ThreatKind.NON_ADVERSARIAL.value
+        assert assess(intent_idx, log_ber_pred)[1][0] == 0
 
 
 class TestConfigValidation:

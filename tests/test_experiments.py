@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cpaware import tensorfile
+from cpaware.assessment import assess
 from cpaware.baseline import SequentialAssessor
 from cpaware.cli import main as cli_main
 from cpaware.experiments.config import (
@@ -33,7 +34,6 @@ from cpaware.experiments.metrics import (
     precision_recall,
     read_rows_csv,
     report_from_rows,
-    true_scales_from_labels,
     write_rows_csv,
 )
 from cpaware.experiments.training import save_result, train
@@ -281,7 +281,7 @@ class TestMetricHelpers:
         intent_idx = np.array([2, 1, 0])
         log_ber = np.array([-1.0, -3.0, -5.0])
         np.testing.assert_array_equal(
-            true_scales_from_labels(intent_idx, log_ber), [2, 3, 5]
+            assess(intent_idx, log_ber)[1], [2, 3, 5]
         )
 
     def test_report_from_rows_matches_direct_computation(self):
@@ -377,6 +377,23 @@ class TestCli:
         assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(data),
                          "--out", str(report)]) == 0
         assert report.read_text().startswith("sample_id,intent")
+
+    def test_eval_flags_unreachable_scales(self, tmp_path, capsys):
+        """A 512-bit frame floors labels at BER 1/512, above the default low_ber."""
+        data, ckpt = tmp_path / "d.cpad", tmp_path / "m.ckpt"
+        build_dataset(data, mini_config(), per_kind=2)
+        assert cli_main(["train", "--dataset", str(data), "--epochs", "1",
+                         "--out", str(ckpt)]) == 0
+        line = "  unreachable scales at this frame and thresholds: 0, 5\n"
+        evals = (["eval", "--dataset", str(data), "--ckpt", str(ckpt)],
+                 ["baseline", "--dataset", str(data), "--ckpt", str(ckpt), "--ckpt2", str(ckpt),
+                  "--theta", "1e-2", "1e-3"])
+        for argv in evals:
+            capsys.readouterr()
+            assert cli_main(argv) == 0
+            assert capsys.readouterr().out.count(line) == 1, argv
+            assert cli_main(argv + ["--low-ber", "3e-3"]) == 0
+            assert "unreachable" not in capsys.readouterr().out, argv
 
     def test_sequential_eval_and_baseline_alias(self, tmp_path, capsys):
         config = mini_config()
@@ -558,3 +575,41 @@ class TestCliExitCodes:
         assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(npz),
                          "--config", inputs["generate"][1], "--out", str(report)]) == 4
         assert not report.exists()
+
+    def test_checkpoint_of_another_input_shape_exits_with_data_code(self, tmp_path, capsys,
+                                                                    inputs):
+        """A 16x16 checkpoint used on a 32x32 set: each command exits 4, writes nothing."""
+        ckpt = tmp_path / "m.ckpt"
+        assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
+        wide = mini_config(frame=FrameConfig(32, 2, 32),
+                           net=NetworkConfig((32, 32, 3), conv_blocks=((4, 3, 1), (8, 3, 1))))
+        data, config, npz = tmp_path / "wide.cpad", tmp_path / "wide.json", tmp_path / "in.npz"
+        build_dataset(data, wide, per_kind=2)
+        save_config(config, wide)
+        rng, n = np.random.default_rng(3), wide.frame.sample_len
+        npz.write_bytes(_npz_bytes(samples=rng.normal(size=n) + 1j * rng.normal(size=n)))
+        out = tmp_path / "out"
+        commands = [
+            # One epoch is already done, so this resume has no step left to run.
+            ["train", "--dataset", str(data), "--epochs", "1", "--resume", str(ckpt), "--out"],
+            ["eval", "--dataset", str(data), "--ckpt", str(ckpt), "--rows-out"],
+            ["baseline", "--dataset", str(data), "--ckpt", str(ckpt), "--ckpt2", str(ckpt),
+             "--theta", "0.5", "--rows-out"],
+            ["assess", "--ckpt", str(ckpt), "--input", str(data), "--out"],
+            ["assess", "--ckpt", str(ckpt), "--input", str(npz), "--config", str(config),
+             "--out"],
+        ]
+        for argv in (command + [str(out)] for command in commands):
+            capsys.readouterr()
+            assert cli_main(argv) == 4, argv
+            err = capsys.readouterr().err
+            assert "(32, 32, 3)" in err and "(16, 16, 3)" in err, argv
+            assert not out.exists(), argv
+
+    def test_failed_build_writes_no_config(self, tmp_path, inputs):
+        dump, out = tmp_path / "dump.json", tmp_path / "new.cpad"
+        argv = ["generate", *inputs["generate"], "--out", str(out), "--dump-config", str(dump)]
+        assert cli_main(argv + ["--count-per-kind", "0"]) == 4
+        assert not dump.exists() and not out.exists()
+        assert cli_main(argv + ["--count-per-kind", "1", "--seed", "9"]) == 0
+        assert load_config(dump) == dataclasses.replace(mini_config(), master_seed=9)

@@ -476,6 +476,14 @@ class TestForward:
         with pytest.raises(ValueError, match="divisible"):
             MultitaskNet(NetworkConfig((10, 10, 3), conv_blocks=((4, 3, 1),) * 2))
 
+    def test_rejects_samples_of_another_shape(self):
+        """Global pooling would run on any size the pools divide; the model refuses."""
+        model = he_init(TINY, np.random.default_rng(46))
+        x, _, _ = make_toy_batch(47, n=2, shape=(16, 16, 3))
+        for run in (model.predict_batched, lambda b: model.forward(b, train=True)):
+            with pytest.raises(ValueError, match=r"\(16, 16, 3\).*\(8, 8, 3\)"):
+                run(x)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):

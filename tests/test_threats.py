@@ -1,11 +1,13 @@
 """Tests for the three threat-signal generators and the labelling policy."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from cpaware.assessment import write_report
 from cpaware.channel import LinkBudget, NoiseConfig, awgn, channel_gain
 from cpaware.ofdm import (
     FrameConfig,
@@ -15,6 +17,7 @@ from cpaware.ofdm import (
     remove_cp,
 )
 from cpaware.threats import (
+    INTENT_NAMES,
     ScenarioSpace,
     ThreatKind,
     ThreatScenario,
@@ -44,17 +47,24 @@ def scenario(kind, *, legit_d=500e3, adv_d=750e3, adv_p=0.5, noise_dbw=-56.0,
 
 
 class TestIntentEncoding:
-    def test_one_hot_orientation(self):
-        np.testing.assert_array_equal(ThreatKind.DECEPTIVE.one_hot, [1, 0, 0])
-        np.testing.assert_array_equal(ThreatKind.DISRUPTIVE.one_hot, [0, 1, 0])
-        np.testing.assert_array_equal(ThreatKind.NON_ADVERSARIAL.one_hot, [0, 0, 1])
+    def test_one_hot_orientation(self, tmp_path):
+        """The report's bits: the intent index, and high/moderate/low capability."""
+        path = tmp_path / "report.csv"
+        kinds = [ThreatKind.DECEPTIVE, ThreatKind.DISRUPTIVE, ThreatKind.NON_ADVERSARIAL]
+        # BER 1e-1, 1e-3 and 1e-1: capability low (inverted), moderate and high.
+        write_report(path, [k.value for k in kinds], [-1.0, -3.0, -1.0])
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["intent"] for r in rows] == list(INTENT_NAMES)
+        assert [r["intent_bits"] for r in rows] == ["100", "010", "001"]
+        assert [r["capability"] for r in rows] == ["low", "moderate", "high"]
+        assert [r["capability_bits"] for r in rows] == ["001", "010", "100"]
 
     def test_generated_intent_matches_kind(self):
         for kind in ThreatKind:
             sample = generate_sample(scenario(kind), seed=3)
             assert sample.kind is kind
-            np.testing.assert_array_equal(sample.intent, kind.one_hot)
-            assert sample.intent.sum() == 1
+            assert sample.metadata["kind"] == INTENT_NAMES[kind.value] == kind.name.lower()
 
 
 class TestLabelLogBer:
