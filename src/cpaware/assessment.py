@@ -23,7 +23,8 @@ intent; ``np.argmax`` over class probabilities resolves a tie to the
 lowest index, the deceptive class (the conservative reading).  The BER is
 Python's scalar ``10.0 ** x`` of each sample, because NumPy's array power
 differs from it by one ULP on about 5% of inputs, which can move a sample
-across a threshold and changes the report's ``ber_pred``.
+across a threshold and changes the report's ``ber_pred``.  Where that
+power overflows (a finite log-BER above about 308) the BER is inf: a high BER.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ THREAT_SCALE.flags.writeable = False
 N_SCALES = 8
 
 
+def _ber(log_ber: float) -> float:
+    """Python's ``10.0 ** log_ber``, or inf where it overflows."""
+    try:
+        return 10.0 ** log_ber
+    except OverflowError:
+        return math.inf
+
+
 def assess(intent_idx, log_ber_pred,
            thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS
            ) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +79,7 @@ def assess(intent_idx, log_ber_pred,
     intent_idx = np.asarray(intent_idx, dtype=np.int64)
     if not np.all(np.isfinite(log_ber_pred)):
         raise ValueError("log_ber_pred must be finite")
-    ber = np.array([10.0 ** float(v) for v in log_ber_pred], dtype=float)
+    ber = np.array([_ber(float(v)) for v in log_ber_pred], dtype=float)
     # 0 high, 1 moderate, 2 low BER: the capability order, inverted for deception.
     category = np.where(ber > thresholds.high_ber, 0, np.where(ber < thresholds.low_ber, 2, 1))
     capability = np.where(intent_idx == ThreatKind.DECEPTIVE.value, 2 - category, category)
@@ -110,4 +119,4 @@ def write_report(path, intent_idx, log_ber_pred,
         writer.writerow(REPORT_FIELDS)
         for i, (k, c, s, r) in enumerate(zip(intent_idx, capability, scale, log_ber_pred)):
             writer.writerow((i, INTENT_NAMES[k], ONE_HOT_BITS[k], CAPABILITY_NAMES[c],
-                             ONE_HOT_BITS[c], int(s), float(r), 10.0 ** float(r)))
+                             ONE_HOT_BITS[c], int(s), float(r), _ber(float(r))))

@@ -57,7 +57,8 @@ class SequentialAssessor:
         the sample non-adversarial).
         """
         _, log_ber_pred = self.regressor.predict_batched(tensors)
-        gated = 10.0 ** log_ber_pred <= self.threshold_ber
+        with np.errstate(over="ignore"):  # an overflow is BER inf: not gated
+            gated = 10.0 ** log_ber_pred <= self.threshold_ber
         self.gated_count += int(gated.sum())
 
         intent_idx = np.full(tensors.shape[0], ThreatKind.NON_ADVERSARIAL.value)

@@ -8,7 +8,12 @@ block of normalized feature tensors, in record order.
 Record metadata carries the intent index, both capability labels
 (raw BER and floored log10 BER), the per-sample generation seed, the
 drawn scenario parameters and the per-channel normalization ranges of
-the stored feature tensor.
+the stored feature tensor.  The reader rejects a record whose
+``intent_index`` is not an intent's int or whose ``log_ber`` lies outside
+``label_log_ber``'s range for the file's frame, [log10(1 / bits), 0].
+
+A build allocates the block before the first sample and writes each
+sample's features straight into its row, so it holds the block once.
 
 Builds are deterministic: sample ``i`` derives its seed from
 (master_seed, i) alone, so the build order (or any parallel schedule)
@@ -18,13 +23,11 @@ seed are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import tensorfile
 from ..features import feature_tensor
-from ..threats import ThreatKind, generate_sample
+from ..threats import ThreatKind, generate_sample, label_log_ber
 from .config import ExperimentConfig
 
 MAGIC = b"CPAD"
@@ -39,46 +42,39 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
-@dataclass
-class Record:
-    meta: dict
-    tensor: np.ndarray  # normalized float32 (frames, bins, 3)
-
-
 def build_records(config: ExperimentConfig, per_kind: int, master_seed: int,
-                  progress=None) -> list[Record]:
-    """Generate per_kind samples for each intent, in intent order."""
+                  progress=None) -> tuple[list[dict], np.ndarray]:
+    """per_kind samples for each intent, in intent order: (metadata, float32 block)."""
     if per_kind <= 0:
         raise ValueError(f"per_kind (samples per intent) must be positive, not {per_kind}")
-    records = []
-    index = 0
-    for kind in ThreatKind:
-        for _ in range(per_kind):
-            seed = derive_seed(master_seed, index)
-            scenario = config.space.draw(
-                kind, config.frame, np.random.default_rng([seed, _SCENARIO_STREAM])
-            )
-            sample = generate_sample(scenario, seed)
-            feats = feature_tensor(sample.received, config.frame, config.feature)
-            meta = {
-                **sample.metadata,
-                "index": index,
-                "intent_index": kind.value,
-                "log_ber": sample.log_ber,
-                "raw_ber": sample.raw_ber,
-                "channel_min": [float(v) for v in feats.channel_min],
-                "channel_max": [float(v) for v in feats.channel_max],
-            }
-            records.append(Record(meta=meta, tensor=feats.data.astype("<f4")))
-            if progress is not None:
-                progress(index)
-            index += 1
-    return records
+    kinds = [kind for kind in ThreatKind for _ in range(per_kind)]
+    frame = config.frame
+    tensors = np.empty((len(kinds), frame.n_symbols, frame.n_subcarriers, 3), dtype="<f4")
+    metas = []
+    for index, kind in enumerate(kinds):
+        seed = derive_seed(master_seed, index)
+        scenario = config.space.draw(
+            kind, frame, np.random.default_rng([seed, _SCENARIO_STREAM])
+        )
+        sample = generate_sample(scenario, seed)
+        feats = feature_tensor(sample.received, frame, config.feature)
+        tensors[index] = feats.data
+        metas.append({
+            **sample.metadata,
+            "index": index,
+            "intent_index": kind.value,
+            "log_ber": sample.log_ber,
+            "raw_ber": sample.raw_ber,
+            "channel_min": [float(v) for v in feats.channel_min],
+            "channel_max": [float(v) for v in feats.channel_max],
+        })
+        if progress is not None:
+            progress(index)
+    return metas, tensors
 
 
-def write_dataset(path, config: ExperimentConfig, records: list[Record]) -> None:
-    meta = {"config": config.to_dict(), "records": [r.meta for r in records]}
-    tensors = np.stack([np.asarray(r.tensor, dtype="<f4") for r in records])
+def write_dataset(path, config: ExperimentConfig, metas: list[dict], tensors) -> None:
+    meta = {"config": config.to_dict(), "records": metas}
     tensorfile.write(path, MAGIC, meta, {"tensors": tensors})
 
 
@@ -87,17 +83,16 @@ def build_dataset(path, config: ExperimentConfig, per_kind: int | None = None,
     """Generate and persist a dataset; returns the record count."""
     per_kind = config.train_per_kind if per_kind is None else per_kind
     master_seed = config.master_seed if master_seed is None else master_seed
-    records = build_records(config, per_kind, master_seed, progress)
-    write_dataset(path, config, records)
-    return len(records)
+    metas, tensors = build_records(config, per_kind, master_seed, progress)
+    write_dataset(path, config, metas, tensors)
+    return len(metas)
 
 
 class Dataset:
-    """Random-access reader over the file; holds the float32 block in memory."""
+    """Reader over the file; parses the config and holds the float32 block."""
 
     def __init__(self, path):
         meta, arrays = tensorfile.read(path, MAGIC, ("config", "records"))
-        self.config_dict = meta["config"]
         self._metas = meta["records"]
         self._tensors = arrays.get("tensors")
         if not (set(arrays) == {"tensors"} and self._tensors.dtype == "<f4"
@@ -105,22 +100,16 @@ class Dataset:
                 and len(self._metas) == len(self._tensors)):
             raise ValueError(f"{path}: a dataset holds one 4-D float32 'tensors' "
                              "array and one metadata record per tensor")
+        self.config = ExperimentConfig.from_dict(meta["config"])
+        floor = label_log_ber(0.0, self.config.frame)
         for i, record in enumerate(self._metas):
             if not (isinstance(record, dict)
-                    and record.get("intent_index") in _INTENT_INDICES
-                    and type(record.get("log_ber")) in (int, float)):
+                    and type(record.get("intent_index")) is int
+                    and record["intent_index"] in _INTENT_INDICES
+                    and type(record.get("log_ber")) in (int, float)
+                    and floor <= record["log_ber"] <= 0):
                 raise ValueError(f"{path}: record {i} needs an intent_index in "
-                                 f"{_INTENT_INDICES} and a numeric log_ber")
-
-    @property
-    def config(self) -> ExperimentConfig:
-        return ExperimentConfig.from_dict(self.config_dict)
-
-    def __len__(self) -> int:
-        return len(self._metas)
-
-    def __getitem__(self, index: int) -> Record:
-        return Record(meta=self._metas[index], tensor=self._tensors[index].copy())
+                                 f"{_INTENT_INDICES} and a log_ber in [{floor:.6g}, 0]")
 
     def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
         """The float32 tensor block (not a copy), intent indices, log-BER labels, metadata."""

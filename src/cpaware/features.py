@@ -26,8 +26,8 @@ border extrema are taken over fewer pixels rather than invented values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,19 +43,6 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.disk_radius < 0:
             raise ValueError("disk_radius must be non-negative")
-
-
-@lru_cache(maxsize=None)
-def disk_offsets(radius: int) -> tuple[tuple[int, int], ...]:
-    """Integer offsets (du, dv) with du^2 + dv^2 <= radius^2."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    return tuple(
-        (du, dv)
-        for du in range(-radius, radius + 1)
-        for dv in range(-radius, radius + 1)
-        if du * du + dv * dv <= radius * radius
-    )
 
 
 def spectrogram(payload: np.ndarray, frame: FrameConfig) -> np.ndarray:
@@ -82,25 +69,29 @@ def local_extrema(matrix: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarr
     half-width.  Clamping an out-of-range disk offset coordinate-wise keeps
     it inside the disk and in range, so replicated edges never introduce
     values outside the clipped neighborhood; since max and min are exact, the
-    result equals the border-clipped scan bit for bit.
+    result equals the border-clipped scan bit for bit.  A radius beyond the
+    matrix's reach (the smallest r with r^2 >= (rows-1)^2 + (cols-1)^2) is
+    clamped to it: either disk covers every pixel from every pixel.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix must be finite")
+    rows, cols = matrix.shape
+    span = (rows - 1) ** 2 + (cols - 1) ** 2
+    radius = min(radius, math.isqrt(span - 1) + 1 if span else 0)  # the reach
     if radius == 0:
         return matrix.copy(), matrix.copy()
-    rows, cols = matrix.shape
     padded = np.pad(matrix, radius, mode="edge")
-    # Offsets run du-major with dv ascending, so the last dv kept per du is
-    # that row's chord half-width.
-    half_width = dict(disk_offsets(radius))
+    chords = [[] for _ in range(radius + 1)]  # row offsets du by half-width
+    for du in range(-radius, radius + 1):
+        chords[math.isqrt(radius * radius - du * du)].append(du)
     run_max = padded[:, radius: radius + cols].copy()
     run_min = run_max.copy()
     sup = np.full_like(matrix, -np.inf)
     inf = np.full_like(matrix, np.inf)
-    for w in range(radius + 1):
+    for w, offsets in enumerate(chords):
         if w:
             left = padded[:, radius - w: radius - w + cols]
             right = padded[:, radius + w: radius + w + cols]
@@ -108,7 +99,7 @@ def local_extrema(matrix: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarr
             np.maximum(run_max, right, out=run_max)
             np.minimum(run_min, left, out=run_min)
             np.minimum(run_min, right, out=run_min)
-        for du in (du for du, hw in half_width.items() if hw == w):
+        for du in offsets:
             np.maximum(sup, run_max[radius + du: radius + du + rows], out=sup)
             np.minimum(inf, run_min[radius + du: radius + du + rows], out=inf)
     return sup, inf

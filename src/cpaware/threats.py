@@ -20,7 +20,8 @@ amplitude).  Deceptive samples instead carry the *adversary's* BER, i.e.
 the receiver equalizes with the spoofer's amplitude and errors are
 counted against the malicious bits; a deceptive signal that decodes
 cleanly is a highly capable threat even though it barely disturbs the
-legitimate metrics.
+legitimate metrics.  ``generate_components`` is the one branch on intent:
+it returns the received sum with the amplitude and bits it is decoded against.
 
 The capability label is ``log10(BER)`` floored at one error per sample
 (``1 / bits_per_sample``) so error-free samples get a finite label.
@@ -132,26 +133,29 @@ def _decode_ber(received, amplitude: float, frame: FrameConfig, ref_bits) -> flo
 
 
 def generate_components(scenario: ThreatScenario, seed: int) -> dict:
-    """All additive terms of one sample, for composition and inspection."""
+    """All additive terms of one sample, their sum ``received``, and the
+    ``label_amp`` and ``label_bits`` that the label is decoded against."""
     frame = scenario.frame
     length = frame.sample_len
 
     legit_bits = random_bits(frame.bits_per_sample, _stream(seed, _STREAM_LEGIT_BITS))
     x = ofdm_modulate(qam_modulate(legit_bits, frame), frame)
     legit_amp = _tx_amplitude(scenario.legit_link)
+    legit_term = legit_amp * x
     noise = awgn(length, scenario.noise, _stream(seed, _STREAM_NOISE))
 
     parts: dict = {
         "legit_bits": legit_bits,
         "legit_series": x,
         "legit_amp": legit_amp,
-        "legit_term": legit_amp * x,
+        "legit_term": legit_term,
         "noise": noise,
+        "label_amp": legit_amp,
+        "label_bits": legit_bits,
     }
 
     if scenario.kind is ThreatKind.DISRUPTIVE:
         adv = scenario.adversary_link
-        jam_gain = channel_gain(adv)
         waveform = awgn(
             length,
             NoiseConfig.from_linear(adv.tx_power_w),
@@ -160,44 +164,39 @@ def generate_components(scenario: ThreatScenario, seed: int) -> dict:
         mask = _stream(seed, _STREAM_OBFUSCATION).binomial(
             1, scenario.obfuscation_prob, size=length
         )
+        jam_term = channel_gain(adv) * mask * waveform
         parts.update(
-            jam_gain=jam_gain,
             obfuscation_mask=mask,
-            jam_term=jam_gain * mask * waveform,
+            jam_term=jam_term,
+            received=legit_term + jam_term + noise,
         )
     elif scenario.kind is ThreatKind.DECEPTIVE:
-        adv = scenario.adversary_link
         malicious_bits = random_bits(
             frame.bits_per_sample, _stream(seed, _STREAM_MALICIOUS_BITS)
         )
         s = ofdm_modulate(qam_modulate(malicious_bits, frame), frame)
-        adv_amp = _tx_amplitude(adv)
+        adv_amp = _tx_amplitude(scenario.adversary_link)
+        spoof_term = adv_amp * s
         estimate = legit_amp * (1.0 - scenario.estimation_error)
         parts.update(
             malicious_bits=malicious_bits,
-            spoof_series=s,
             adv_amp=adv_amp,
-            spoof_term=adv_amp * s,
-            deceptive_term=adv_amp * s - estimate * x,
+            spoof_term=spoof_term,
+            received=legit_term + (spoof_term - estimate * x) + noise,
+            label_amp=adv_amp,
+            label_bits=malicious_bits,
         )
+    else:
+        parts["received"] = legit_term + noise
     return parts
 
 
-def _assemble(scenario: ThreatScenario, seed: int, parts: dict) -> LabeledSample:
+def generate_sample(scenario: ThreatScenario, seed: int) -> LabeledSample:
+    """Generate one labelled sample; deterministic in (scenario, seed)."""
     frame = scenario.frame
     kind = scenario.kind
-
-    if kind is ThreatKind.NON_ADVERSARIAL:
-        received = parts["legit_term"] + parts["noise"]
-    elif kind is ThreatKind.DISRUPTIVE:
-        received = parts["legit_term"] + parts["jam_term"] + parts["noise"]
-    else:
-        received = parts["legit_term"] + parts["deceptive_term"] + parts["noise"]
-
-    if kind is ThreatKind.DECEPTIVE:
-        ber = _decode_ber(received, parts["adv_amp"], frame, parts["malicious_bits"])
-    else:
-        ber = _decode_ber(received, parts["legit_amp"], frame, parts["legit_bits"])
+    parts = generate_components(scenario, seed)
+    ber = _decode_ber(parts["received"], parts["label_amp"], frame, parts["label_bits"])
 
     meta = {
         "kind": INTENT_NAMES[kind.value],
@@ -215,17 +214,12 @@ def _assemble(scenario: ThreatScenario, seed: int, parts: dict) -> LabeledSample
         meta["estimation_error"] = scenario.estimation_error
 
     return LabeledSample(
-        received=received,
+        received=parts["received"],
         kind=kind,
         log_ber=label_log_ber(ber, frame),
         raw_ber=ber,
         metadata=meta,
     )
-
-
-def generate_sample(scenario: ThreatScenario, seed: int) -> LabeledSample:
-    """Generate one labelled sample; deterministic in (scenario, seed)."""
-    return _assemble(scenario, seed, generate_components(scenario, seed))
 
 
 @dataclass(frozen=True)

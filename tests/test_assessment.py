@@ -167,6 +167,19 @@ class TestAssess:
         capability, scale = assess(np.zeros(0, int), np.zeros(0))
         assert capability.shape == scale.shape == (0,)
 
+    @pytest.mark.parametrize("kind", list(ThreatKind), ids=lambda k: k.name.lower())
+    def test_overflowing_ber_grades_high(self, kind, tmp_path):
+        """Past about 308, Python's ``10.0 ** x`` overflows: the BER is inf, a high BER."""
+        expected = grade(kind.value, -1.0)
+        for log_ber in (308.26, 1e300):
+            assert grade(kind.value, log_ber) == expected
+        path = tmp_path / "report.csv"
+        write_report(path, [kind.value], [1e300])
+        with open(path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["ber_pred"] == "inf"
+        assert int(row["scale"]) == expected[1]
+
 
 def report_inputs(thresholds):
     """1,200 seeded log-BERs plus each threshold's log10 and its neighbours, all intents."""

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -92,24 +93,21 @@ class TestDatasetFile:
         count = build_dataset(path, config, per_kind=4)
         assert count == 12
         ds = Dataset(path)
-        assert len(ds) == 12
         tracemalloc.start()
         try:
             tensors, intent_idx, log_ber, metas = ds.load_arrays()
             allocated = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tensors.shape == (12, 16, 16, 3)
-        assert tensors.dtype == np.float32
+        assert tensors.shape == (12, 16, 16, 3) and len(metas) == 12
+        assert tensors.dtype == np.dtype("<f4")
         # The held float32 block is returned as is: no float64 copy of it.
         assert allocated < tensors.size * 8
         for kind in ThreatKind:
             assert int(np.sum(intent_idx == kind.value)) == 4
         assert np.all(log_ber <= 0)
-        record = ds[5]
-        assert record.tensor.dtype == np.dtype("<f4")
-        assert record.meta["index"] == 5
-        assert "channel_min" in record.meta and "channel_max" in record.meta
+        assert metas[5]["index"] == 5
+        assert "channel_min" in metas[5] and "channel_max" in metas[5]
         assert ds.config.frame == config.frame
 
     def test_pinned_arrays_digest(self, tmp_path):
@@ -151,23 +149,55 @@ class TestDatasetFile:
         config = mini_config()
         path = tmp_path / "data.cpad"
         build_dataset(path, config, per_kind=2)
-        ds = Dataset(path)
-        kinds = {r["kind"] for r in (ds[i].meta for i in range(len(ds)))}
+        metas = Dataset(path).load_arrays()[3]
+        kinds = {r["kind"] for r in metas}
         assert kinds == {"deceptive", "disruptive", "non_adversarial"}
-        deceptive_meta = ds[0].meta
+        deceptive_meta = metas[0]
         assert deceptive_meta["kind"] == "deceptive"
         assert "adversary_power_w" in deceptive_meta
         assert "estimation_error" in deceptive_meta
 
-    @pytest.mark.parametrize("label", ["intent_index", "log_ber"])
-    def test_rejects_record_without_label(self, tmp_path, label):
+    @pytest.mark.parametrize("label, value", [
+        pytest.param("intent_index", None, id="intent_index"),
+        pytest.param("log_ber", None, id="log_ber"),
+        pytest.param("intent_index", True, id="intent_index=True"),
+        pytest.param("log_ber", math.nan, id="log_ber=nan"),
+        pytest.param("log_ber", math.inf, id="log_ber=inf"),
+        pytest.param("log_ber", -math.inf, id="log_ber=-inf"),
+        pytest.param("log_ber", 0.5, id="log_ber=0.5"),
+        pytest.param("log_ber", -3.0, id="log_ber=-3.0"),  # below 1/512 bits: -2.709
+        pytest.param("log_ber", -1e200, id="log_ber=-1e200"),
+    ])
+    def test_rejects_record_without_label(self, tmp_path, capsys, label, value):
+        """A missing label, or one outside what a build writes, exits 4 naming the record."""
         config = mini_config()
-        records = build_records(config, per_kind=1, master_seed=1)
-        del records[1].meta[label]
+        metas, tensors = build_records(config, per_kind=1, master_seed=1)
+        if value is None:
+            del metas[1][label]
+        else:
+            metas[1][label] = value
         path = tmp_path / "data.cpad"
-        write_dataset(path, config, records)
+        write_dataset(path, config, metas, tensors)
         with pytest.raises(ValueError, match="record 1"):
             Dataset(path)
+        assert cli_main(["train", "--dataset", str(path),
+                         "--out", str(tmp_path / "m.ckpt")]) == 4
+        assert "record 1" in capsys.readouterr().err
+
+    def test_build_holds_the_block_once(self, tmp_path):
+        """Building and writing a desk-geometry set peaks below 1.5 blocks
+        (a build that stacks per-record copies peaks near 2)."""
+        config = desk_config()
+        build_records(config, per_kind=1, master_seed=1)  # lazy imports are not the build's
+        tracemalloc.start()
+        try:
+            metas, tensors = build_records(config, per_kind=32, master_seed=1)
+            write_dataset(tmp_path / "d.cpad", config, metas, tensors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensors.shape == (96, 64, 64, 3)
+        assert peak < 1.5 * tensors.nbytes
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.cpad"
@@ -605,6 +635,25 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert "(32, 32, 3)" in err and "(16, 16, 3)" in err, argv
             assert not out.exists(), argv
+
+    def test_diverged_checkpoint_grades_overflowing_ber_high(self, tmp_path, capsys, inputs):
+        """A log-BER head biased to 1000 overflows ``10.0 ** x``: the BER is inf (a
+        high BER), and eval, baseline and assess exit 0 with nothing on stderr."""
+        ckpt, report = tmp_path / "m.ckpt", tmp_path / "report.csv"
+        assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
+        model, _, _ = load_model(ckpt)
+        model.head_reg.params["b"][...] = 1000.0
+        save_model(ckpt, model)
+        data = inputs["train"][1]
+        commands = (["eval", "--dataset", data, "--ckpt", str(ckpt)],
+                    ["baseline", "--dataset", data, "--ckpt", str(ckpt), "--ckpt2", str(ckpt)],
+                    ["assess", "--ckpt", str(ckpt), "--input", data, "--out", str(report)])
+        for argv in commands:
+            capsys.readouterr()
+            assert cli_main(argv) == 0, argv
+            assert capsys.readouterr().err == "", argv
+        rows = report.read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(row.endswith(",inf") for row in rows)
 
     def test_failed_build_writes_no_config(self, tmp_path, inputs):
         dump, out = tmp_path / "dump.json", tmp_path / "new.cpad"

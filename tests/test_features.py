@@ -8,12 +8,21 @@ from hypothesis import strategies as st
 from cpaware.channel import NoiseConfig, awgn
 from cpaware.features import (
     FeatureConfig,
-    disk_offsets,
     feature_tensor,
     local_extrema,
     spectrogram,
 )
 from cpaware.ofdm import FrameConfig
+
+
+def disk_offsets(radius: int) -> tuple[tuple[int, int], ...]:
+    """Integer offsets (du, dv) with du^2 + dv^2 <= radius^2."""
+    return tuple(
+        (du, dv)
+        for du in range(-radius, radius + 1)
+        for dv in range(-radius, radius + 1)
+        if du * du + dv * dv <= radius * radius
+    )
 
 
 def brute_force_extrema(matrix: np.ndarray, radius: int):
@@ -24,13 +33,10 @@ def brute_force_extrema(matrix: np.ndarray, radius: int):
     for k in range(rows):
         for m in range(cols):
             values = []
-            for du in range(-radius, radius + 1):
-                for dv in range(-radius, radius + 1):
-                    if du * du + dv * dv > radius * radius:
-                        continue
-                    i, j = k + du, m + dv
-                    if 0 <= i < rows and 0 <= j < cols:
-                        values.append(matrix[i, j])
+            for du, dv in disk_offsets(radius):
+                i, j = k + du, m + dv
+                if 0 <= i < rows and 0 <= j < cols:
+                    values.append(matrix[i, j])
             sup[k, m] = max(values)
             inf[k, m] = min(values)
     return sup, inf
@@ -169,6 +175,25 @@ class TestLocalExtrema:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             local_extrema(np.array([[1.0, np.nan]]), 1)
+
+    @pytest.mark.parametrize("radius", [6, 7, 8, 9, 20])
+    def test_radius_around_the_reach_matches_oracle(self, radius):
+        """A 7x5 matrix has reach 8 (6^2 + 4^2 = 52 <= 64); 7 is the last
+        radius whose disk misses a pixel pair."""
+        matrix = np.random.default_rng(radius).normal(size=(7, 5))
+        matrix[0, 0] = 10.0  # the maximum, seen from the far corner only at r >= 8
+        sup, inf = local_extrema(matrix, radius)
+        sup_ref, inf_ref = brute_force_extrema(matrix, radius)
+        np.testing.assert_array_equal(sup, sup_ref)
+        np.testing.assert_array_equal(inf, inf_ref)
+        assert (sup[-1, -1] == 10.0) == (radius >= 8)
+
+    def test_huge_radius_gives_global_extrema(self):
+        """r = 10^6 is clamped to the reach: no (2r+1)^2 padding, no O(r^2) scan."""
+        matrix = np.random.default_rng(4).normal(size=(7, 5))
+        sup, inf = local_extrema(matrix, 10**6)
+        np.testing.assert_array_equal(sup, np.full((7, 5), matrix.max()))
+        np.testing.assert_array_equal(inf, np.full((7, 5), matrix.min()))
 
 
 class TestFeatureTensor:
