@@ -101,4 +101,8 @@ def awgn(length: int, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarra
     if length <= 0:
         raise ValueError("length must be positive")
     sigma = math.sqrt(noise.linear_variance / 2.0)
-    return sigma * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    out = np.empty(length, dtype=complex)  # filled in place: no complex temporaries
+    out.real = rng.standard_normal(length)
+    out.imag = rng.standard_normal(length)
+    out *= sigma
+    return out

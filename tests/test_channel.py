@@ -117,6 +117,21 @@ class TestAwgn:
         b = awgn(4096, noise, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("variance_dbw", [-56.0, -31.5])
+    def test_bitwise_equal_to_complex_expression(self, variance_dbw):
+        """Same draws, same order and same bytes as the expression
+        ``sigma * (a + 1j * b)``, at the full preset's sample length."""
+        length = (512 + 64) * 600
+        noise = NoiseConfig(variance_dbw)
+        got_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        got = awgn(length, noise, got_rng)
+        sigma = math.sqrt(noise.linear_variance / 2.0)
+        ref = sigma * (ref_rng.standard_normal(length)
+                       + 1j * ref_rng.standard_normal(length))
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert got_rng.standard_normal() == ref_rng.standard_normal()
+
     def test_from_linear_roundtrip(self):
         noise = NoiseConfig.from_linear(2.5e-6)
         assert noise.linear_variance == pytest.approx(2.5e-6, rel=1e-12)

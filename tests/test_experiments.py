@@ -38,7 +38,7 @@ from cpaware.experiments.metrics import (
     write_rows_csv,
 )
 from cpaware.experiments.training import save_result, train
-from cpaware.features import FeatureConfig
+from cpaware.features import EXTREMA_THREAD_PIXELS, FeatureConfig
 from cpaware.net import (
     NetworkConfig,
     focal_loss,
@@ -131,6 +131,26 @@ class TestDatasetFile:
         digest.update(log_ber.astype("<f8").tobytes())
         assert digest.hexdigest() == (
             "c774ff4b367ca3e4564fa7461c4ecf564489af4ab78ff77cd9f377b4f17e93fa")
+
+    def test_pinned_arrays_digest_above_thread_gate(self, tmp_path):
+        """The same pin at 256 symbols by 256 bins, disk radius 6: every
+        feature map has EXTREMA_THREAD_PIXELS pixels, so the disk extrema
+        take the two-thread path.  Recorded from the one-thread code."""
+        config = ExperimentConfig(
+            frame=FrameConfig(256, 16, 256),
+            feature=FeatureConfig(6),
+            net=NetworkConfig((256, 256, 3), conv_blocks=((4, 3, 1),)),
+        )
+        path = tmp_path / "data.cpad"
+        build_dataset(path, config, per_kind=1, master_seed=3)
+        tensors, intents, log_ber, _ = Dataset(path).load_arrays()
+        assert tensors.shape[1] * tensors.shape[2] >= EXTREMA_THREAD_PIXELS
+        digest = hashlib.sha256()
+        digest.update(tensors.astype("<f4").tobytes())
+        digest.update(intents.astype("<i8").tobytes())
+        digest.update(log_ber.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "e80514f08627e34e8a4ea1cb4f2a1957bc56b9acbcd7d538804ca263d0f41448")
 
     def test_pinned_file_digest(self, tmp_path):
         """The whole file of the set above is pinned too: header, config JSON,

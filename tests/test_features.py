@@ -1,18 +1,22 @@
 """Tests for the spectrogram-morphology feature pipeline."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpaware import features
 from cpaware.channel import NoiseConfig, awgn
 from cpaware.features import (
+    EXTREMA_THREAD_PIXELS,
     FeatureConfig,
     feature_tensor,
     local_extrema,
     spectrogram,
 )
-from cpaware.ofdm import FrameConfig
+from cpaware.ofdm import FrameConfig, remove_cp
 
 
 def disk_offsets(radius: int) -> tuple[tuple[int, int], ...]:
@@ -40,6 +44,47 @@ def brute_force_extrema(matrix: np.ndarray, radius: int):
             sup[k, m] = max(values)
             inf[k, m] = min(values)
     return sup, inf
+
+
+def scan_extrema(matrix: np.ndarray, radius: int):
+    """Border-clipped disk scan, vectorized: one shifted max and min per disk
+    offset over a padding of -inf (for the max) and +inf (for the min)."""
+    rows, cols = matrix.shape
+    low = np.pad(matrix, radius, constant_values=-np.inf)
+    high = np.pad(matrix, radius, constant_values=np.inf)
+    sup = np.full(matrix.shape, -np.inf)
+    inf = np.full(matrix.shape, np.inf)
+    for du, dv in disk_offsets(radius):
+        window = (slice(radius + du, radius + du + rows),
+                  slice(radius + dv, radius + dv + cols))
+        np.maximum(sup, low[window], out=sup)
+        np.minimum(inf, high[window], out=inf)
+    return sup, inf
+
+
+def stacked_feature_tensor(received: np.ndarray, frame: FrameConfig, radius: int):
+    """Stack the three maps, then min-max normalize over the last axis
+    (the oracle for feature_tensor's plane-by-plane normalization)."""
+    spec = spectrogram(remove_cp(received, frame), frame)
+    stack = np.stack([spec, *local_extrema(spec, radius)], axis=-1)
+    lo = stack.min(axis=(0, 1))
+    hi = stack.max(axis=(0, 1))
+    span = np.where(hi > lo, hi - lo, 1.0)
+    return (stack - lo) / span, lo, hi
+
+
+@pytest.fixture
+def chain_threads(monkeypatch):
+    """The thread each local_extrema chain ran on, by ufunc name."""
+    threads = {}
+    chain = features._chain
+
+    def spy(padded, chords, fold, run, out):
+        threads[fold.__name__] = threading.get_ident()
+        chain(padded, chords, fold, run, out)
+
+    monkeypatch.setattr(features, "_chain", spy)
+    return threads
 
 
 def naive_spectrogram(series: np.ndarray, n: int) -> np.ndarray:
@@ -188,6 +233,54 @@ class TestLocalExtrema:
         np.testing.assert_array_equal(inf, inf_ref)
         assert (sup[-1, -1] == 10.0) == (radius >= 8)
 
+    @pytest.mark.parametrize("shape, radius", [
+        pytest.param((9, 23), 4, id="9x23-r4"),
+        pytest.param((12, 7), 5, id="12x7-r5"),
+        pytest.param((20, 40), 15, id="20x40-r15"),
+    ])
+    def test_scan_oracle_matches_brute_force(self, shape, radius):
+        matrix = np.random.default_rng(radius).normal(size=shape)
+        for got, ref in zip(scan_extrema(matrix, radius),
+                            brute_force_extrema(matrix, radius)):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape, radius", [
+        pytest.param((256, 260), 1, id="256x260-r1"),
+        pytest.param((256, 260), 5, id="256x260-r5"),
+        pytest.param((256, 260), 15, id="256x260-r15"),
+        pytest.param((131, 509), 9, id="131x509-r9"),
+        pytest.param((256, 256), 3, id="at-the-gate-r3"),
+    ])
+    def test_threaded_matches_scan_oracle(self, shape, radius, chain_threads):
+        """From EXTREMA_THREAD_PIXELS up the erosion runs on a second thread;
+        the result still equals the border-clipped scan bit for bit."""
+        assert shape[0] * shape[1] >= EXTREMA_THREAD_PIXELS
+        matrix = np.random.default_rng(radius).normal(size=shape)
+        sup, inf = local_extrema(matrix, radius)
+        assert chain_threads["maximum"] == threading.get_ident() != chain_threads["minimum"]
+        sup_ref, inf_ref = scan_extrema(matrix, radius)
+        np.testing.assert_array_equal(sup, sup_ref)
+        np.testing.assert_array_equal(inf, inf_ref)
+
+    def test_below_the_gate_stays_on_the_calling_thread(self, chain_threads):
+        matrix = np.random.default_rng(2).normal(size=(255, 257))
+        assert matrix.size < EXTREMA_THREAD_PIXELS
+        local_extrema(matrix, 4)
+        assert chain_threads == {"maximum": threading.get_ident(),
+                                 "minimum": threading.get_ident()}
+
+    def test_worker_failure_is_raised_on_the_calling_thread(self, monkeypatch):
+        chain = features._chain
+
+        def failing(padded, chords, fold, run, out):
+            if fold is np.minimum:
+                raise MemoryError("erosion")
+            chain(padded, chords, fold, run, out)
+
+        monkeypatch.setattr(features, "_chain", failing)
+        with pytest.raises(MemoryError, match="erosion"):
+            local_extrema(np.zeros((256, 256)), 2)
+
     def test_huge_radius_gives_global_extrema(self):
         """r = 10^6 is clamped to the reach: no (2r+1)^2 padding, no O(r^2) scan."""
         matrix = np.random.default_rng(4).normal(size=(7, 5))
@@ -236,3 +329,31 @@ class TestFeatureTensor:
         round_tripped = tensor.denormalize()
         spec = spectrogram(series, frame)
         np.testing.assert_allclose(round_tripped[:, :, 0], spec, atol=1e-9)
+
+    @pytest.mark.parametrize("name, frame, radius", [
+        pytest.param("noise", FrameConfig(16, 4, 12), 2, id="noise"),
+        pytest.param("noise", FrameConfig(256, 16, 256), 6, id="noise-above-gate"),
+        pytest.param("one-constant", FrameConfig(8, 0, 2), 4, id="one-constant"),
+        pytest.param("zeros", FrameConfig(8, 2, 4), 1, id="all-zero"),
+    ])
+    def test_bitwise_equal_to_stacked_normalization(self, name, frame, radius):
+        if name == "noise":
+            rng = np.random.default_rng(frame.n_symbols)
+            series = (rng.normal(size=frame.sample_len)
+                      + 1j * rng.normal(size=frame.sample_len))
+        elif name == "one-constant":
+            # Spectrum magnitudes (1, 2, ..., 7) with a 9 at bin 4: every bin
+            # is within r = 4 of bin 4, so the supremum map is constant, while
+            # bin 7 cannot see the minimum at bin 0.
+            series = np.tile(np.fft.ifft([1.0, 2, 3, 4, 9, 5, 6, 7]), 2)
+        else:
+            series = np.zeros(frame.sample_len, dtype=complex)
+        tensor = feature_tensor(series, frame, FeatureConfig(radius))
+        data, lo, hi = stacked_feature_tensor(series, frame, radius)
+        constant = hi == lo
+        assert list(constant) == {"noise": [False] * 3, "one-constant": [False, True, False],
+                                  "zeros": [True] * 3}[name]
+        assert tensor.data.dtype == data.dtype and tensor.data.shape == data.shape
+        np.testing.assert_array_equal(tensor.data.view(np.uint64), data.view(np.uint64))
+        np.testing.assert_array_equal(tensor.channel_min.view(np.uint64), lo.view(np.uint64))
+        np.testing.assert_array_equal(tensor.channel_max.view(np.uint64), hi.view(np.uint64))

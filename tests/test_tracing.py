@@ -1,0 +1,43 @@
+"""Traced runs of the benchmark survive local_extrema's second thread.
+
+perfbench's Tracer keeps one stack of open spans, so a traced package
+function called from the worker thread would close its span out of order.
+spans.py is imported by path; the benchmark's files are not changed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from cpaware import features
+from cpaware.ofdm import FrameConfig
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_feature_tensor_above_the_gate_traces_in_order():
+    spans = load_spans()
+    frame = FrameConfig(256, 16, 256)
+    assert frame.n_symbols * frame.n_subcarriers >= features.EXTREMA_THREAD_PIXELS
+    rng = np.random.default_rng(0)
+    received = rng.normal(size=frame.sample_len) + 1j * rng.normal(size=frame.sample_len)
+    tracer = spans.Tracer("thread-gate")
+    with spans.Instrumentation(tracer):  # a span closed out of order raises here
+        features.feature_tensor(received, frame, features.FeatureConfig(6))
+    by_id = {span["id"]: span for span in tracer.spans}
+    extrema = [span for span in tracer.spans if span["name"] == "features.local_extrema"]
+    assert len(extrema) == 1
+    assert by_id[extrema[0]["parent"]]["name"] == "features.feature_tensor"
+    # One span per traced call of the calling thread; none from the helper.
+    assert [span["name"] for span in tracer.spans] == [
+        "features.feature_tensor", "ofdm.remove_cp", "features.spectrogram",
+        "features.local_extrema"]
+    assert all(span["end"] is not None for span in tracer.spans)
