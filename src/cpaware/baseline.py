@@ -8,8 +8,10 @@ against the threshold.
 
 This cascade is structurally blind to capable deceptive threats: a
 spoofer whose signal decodes cleanly predicts a low BER, never reaches
-the classifier, and is graded as benign.  Classifier invocations are
-counted so that the gate behavior is observable.
+the classifier, and is graded as benign.  Evaluation scores the
+classifier on every sample and masks its decisions with the gate; the
+counters report what a deployed cascade would do: the samples gated, and
+the classifier invocations on the samples the gate passes.
 """
 
 from __future__ import annotations
@@ -48,9 +50,12 @@ class SequentialAssessor:
         self.classifier_invocations = 0
         self.gated_count = 0
 
-    def assess_batch(self, tensors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run the cascade over a stack of feature tensors.
+    def assess_batch(self, tensors: np.ndarray,
+                     probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the regression gate over a stack of feature tensors.
 
+        ``probs`` are the classifier's intent probabilities for every
+        sample; the cascade takes their argmax only where the gate passes.
         Returns each sample's intent index and predicted log-BER, for the
         caller to grade with ``assessment.assess``, and a boolean gate mask
         (True where the regression gate suppressed the classifier, leaving
@@ -60,10 +65,7 @@ class SequentialAssessor:
         with np.errstate(over="ignore"):  # an overflow is BER inf: not gated
             gated = 10.0 ** log_ber_pred <= self.threshold_ber
         self.gated_count += int(gated.sum())
-
-        intent_idx = np.full(tensors.shape[0], ThreatKind.NON_ADVERSARIAL.value)
-        if np.any(~gated):
-            probs, _ = self.classifier.predict_batched(tensors[~gated])
-            self.classifier_invocations += int((~gated).sum())
-            intent_idx[~gated] = np.argmax(probs, axis=1)
+        self.classifier_invocations += int((~gated).sum())
+        intent_idx = np.where(gated, ThreatKind.NON_ADVERSARIAL.value,
+                              np.argmax(probs, axis=1))
         return intent_idx, log_ber_pred, gated

@@ -14,10 +14,9 @@ zero.  Classes without support likewise carry NaN precision/recall.
 prediction row per sample, grading the predicted intents and log-BERs and
 the labels (the true scale is ``assess(intent, log_ber)[1]``) with one
 ``assess`` call each; their report is ``report_from_rows`` of those
-rows plus the two losses, ``loss_cls`` (focal) and ``loss_reg`` (MSE).
-Every reported number except the cascade's ``loss_cls``, which scores
-the classifier on gated samples too, can therefore be recomputed from
-the dump alone.
+rows plus the two losses, ``loss_cls`` (focal, over the rows' ``p_*``
+columns) and ``loss_reg`` (MSE).  Every reported number can therefore
+be recomputed from the dump alone.
 """
 
 from __future__ import annotations
@@ -103,8 +102,8 @@ def evaluate_multitask(model: MultitaskNet, tensors: np.ndarray,
                        thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS,
                        ) -> tuple[dict, list[dict]]:
     probs, rho_hat = model.predict_batched(tensors)
-    rows = _make_rows(np.argmax(probs, axis=1), rho_hat, intent_idx, log_ber,
-                      thresholds, probs=probs)
+    rows = _make_rows(np.argmax(probs, axis=1), rho_hat, probs,
+                      np.zeros(len(probs), dtype=bool), intent_idx, log_ber, thresholds)
     loss_cls = focal_loss(one_hot_labels(intent_idx), probs, model.config.focal_gamma)
     return _report(rows, loss_cls), rows
 
@@ -114,11 +113,12 @@ def evaluate_sequential(assessor: SequentialAssessor, tensors: np.ndarray,
                         thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS,
                         ) -> tuple[dict, list[dict]]:
     assessor.reset_counters()
-    pred_idx, rho_hat, gated = assessor.assess_batch(tensors)
-    rows = _make_rows(pred_idx, rho_hat, intent_idx, log_ber, thresholds, gated=gated)
-    # The cascade's loss_cls scores the classifier on every sample, gated or not.
-    cls_probs, _ = assessor.classifier.predict_batched(tensors)
-    loss_cls = focal_loss(one_hot_labels(intent_idx), cls_probs,
+    # One classifier pass serves the cascade's decisions and loss_cls, which
+    # scores the classifier on every sample, gated or not.
+    probs, _ = assessor.classifier.predict_batched(tensors)
+    pred_idx, rho_hat, gated = assessor.assess_batch(tensors, probs)
+    rows = _make_rows(pred_idx, rho_hat, probs, gated, intent_idx, log_ber, thresholds)
+    loss_cls = focal_loss(one_hot_labels(intent_idx), probs,
                           assessor.classifier.config.focal_gamma)
     return _report(rows, loss_cls), rows
 
@@ -130,8 +130,8 @@ def _report(rows, loss_cls) -> dict:
     return {**report_from_rows(rows), "loss_cls": loss_cls, "loss_reg": loss_reg}
 
 
-def _make_rows(pred_idx, pred_log_ber, intent_idx, log_ber, thresholds,
-               probs=None, gated=None) -> list[dict]:
+def _make_rows(pred_idx, pred_log_ber, probs, gated, intent_idx, log_ber,
+               thresholds) -> list[dict]:
     _, pred_scales = assess(pred_idx, pred_log_ber, thresholds)
     _, true_scales = assess(intent_idx, log_ber, thresholds)
     return [{
@@ -142,10 +142,10 @@ def _make_rows(pred_idx, pred_log_ber, intent_idx, log_ber, thresholds,
         "pred_log_ber": float(pred_log_ber[i]),
         "true_scale": int(true_scales[i]),
         "pred_scale": int(pred_scales[i]),
-        "p_deceptive": float(probs[i][0]) if probs is not None else "",
-        "p_disruptive": float(probs[i][1]) if probs is not None else "",
-        "p_non_adversarial": float(probs[i][2]) if probs is not None else "",
-        "gated": int(gated[i]) if gated is not None else 0,
+        "p_deceptive": float(probs[i][0]),
+        "p_disruptive": float(probs[i][1]),
+        "p_non_adversarial": float(probs[i][2]),
+        "gated": int(gated[i]),
     } for i in range(len(pred_idx))]
 
 

@@ -68,8 +68,7 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def train_step(model: MultitaskNet, x: np.ndarray, intent_one_hot: np.ndarray,
-               log_ber: np.ndarray, optimizer: Adam, task: str = "multitask",
-               freeze_backbone: bool = False) -> dict:
+               log_ber: np.ndarray, optimizer: Adam, task: str = "multitask") -> dict:
     """One forward/backward/update; returns the step's loss entries."""
     cfg = model.config
     logits, rho_hat = model.forward(x, train=True)
@@ -87,10 +86,6 @@ def train_step(model: MultitaskNet, x: np.ndarray, intent_one_hot: np.ndarray,
     grads = model.named_grads()
     for name in model.kernel_names():
         grads[name] = grads[name] + 2.0 * cfg.l2_coeff * params[name]
-    if freeze_backbone:
-        for name in list(grads):
-            if name.startswith("backbone."):
-                grads[name] = np.zeros_like(grads[name])
     optimizer.step(params, grads)
     return {"loss_cls": loss_cls, "loss_reg": loss_reg, "loss_total": loss}
 
@@ -99,8 +94,7 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
           config: NetworkConfig, task: str = "multitask",
           epochs: int = TrainRegime.epochs, batch_size: int = TrainRegime.batch_size,
           seed: int = TrainRegime.train_seed, resume_from=None,
-          max_steps: int | None = None, freeze_backbone: bool = False,
-          ) -> TrainResult:
+          max_steps: int | None = None) -> TrainResult:
     """Train a model on in-memory arrays; see the module docstring."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
@@ -144,8 +138,7 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
             perm_epoch = epoch
         pos = step % steps_per_epoch
         idx = perm[pos * batch_size: (pos + 1) * batch_size]
-        entry = train_step(model, x[idx], labels[idx], log_ber[idx],
-                           optimizer, task, freeze_backbone)
+        entry = train_step(model, x[idx], labels[idx], log_ber[idx], optimizer, task)
         log.append({"step": step + 1, "epoch": epoch, **entry})
 
     return TrainResult(model=model, optimizer=optimizer, log=log, task=task,

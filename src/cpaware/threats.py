@@ -196,7 +196,9 @@ def generate_sample(scenario: ThreatScenario, seed: int) -> LabeledSample:
     frame = scenario.frame
     kind = scenario.kind
     parts = generate_components(scenario, seed)
-    ber = _decode_ber(parts["received"], parts["label_amp"], frame, parts["label_bits"])
+    received, label_amp, label_bits = parts["received"], parts["label_amp"], parts["label_bits"]
+    del parts  # frees the other full-length terms before decoding allocates its own
+    ber = _decode_ber(received, label_amp, frame, label_bits)
 
     meta = {
         "kind": INTENT_NAMES[kind.value],
@@ -214,7 +216,7 @@ def generate_sample(scenario: ThreatScenario, seed: int) -> LabeledSample:
         meta["estimation_error"] = scenario.estimation_error
 
     return LabeledSample(
-        received=parts["received"],
+        received=received,
         kind=kind,
         log_ber=label_log_ber(ber, frame),
         raw_ber=ber,

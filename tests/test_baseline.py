@@ -33,7 +33,9 @@ class TestGate:
         regressor, classifier = make_models()
         pin_regressor_output(regressor, -5.0)  # predicted BER 1e-5
         cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-2)
-        intent_idx, log_ber_pred, gated = cascade.assess_batch(features())
+        x = features()
+        intent_idx, log_ber_pred, gated = cascade.assess_batch(
+            x, classifier.predict_batched(x)[0])
         assert cascade.classifier_invocations == 0
         assert cascade.gated_count == len(intent_idx)
         assert np.all(gated)
@@ -46,7 +48,7 @@ class TestGate:
         for theta in (1e-2, 1e-3, 1e-4):
             cascade = SequentialAssessor(regressor, classifier, threshold_ber=theta)
             x = features(1)
-            cascade.assess_batch(x)
+            cascade.assess_batch(x, classifier.predict_batched(x)[0])
             assert cascade.classifier_invocations == x.shape[0]
             assert cascade.gated_count == 0
 
@@ -56,7 +58,8 @@ class TestGate:
         _, rho_hat = regressor.predict_batched(x)
         for theta in (1e-2, 1e-3, 1e-4):
             cascade = SequentialAssessor(regressor, classifier, threshold_ber=theta)
-            intent_idx, log_ber_pred, gated = cascade.assess_batch(x)
+            intent_idx, log_ber_pred, gated = cascade.assess_batch(
+                x, classifier.predict_batched(x)[0])
             np.testing.assert_array_equal(log_ber_pred, rho_hat)
             expected_gated = 10.0 ** rho_hat <= theta
             np.testing.assert_array_equal(gated, expected_gated)
@@ -69,7 +72,7 @@ class TestGate:
         counts = []
         for theta in (1e-2, 1e-3, 1e-4):
             cascade = SequentialAssessor(regressor, classifier, threshold_ber=theta)
-            cascade.assess_batch(x)
+            cascade.assess_batch(x, classifier.predict_batched(x)[0])
             counts.append(cascade.classifier_invocations)
         assert counts == sorted(counts)
 
@@ -79,7 +82,7 @@ class TestGate:
         regressor, classifier = make_models(4)
         x = features(4, n=24)
         cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-300)
-        intent_idx, _, gated = cascade.assess_batch(x)
+        intent_idx, _, gated = cascade.assess_batch(x, classifier.predict_batched(x)[0])
         assert not np.any(gated)
         assert cascade.classifier_invocations == x.shape[0]
         probs, _ = classifier.predict_batched(x)
@@ -90,7 +93,8 @@ class TestGate:
         regressor, classifier = make_models(5)
         pin_regressor_output(regressor, -5.0)
         cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-2)
-        intent_idx, log_ber_pred, _ = cascade.assess_batch(features(5, n=1))
+        x = features(5, n=1)
+        intent_idx, log_ber_pred, _ = cascade.assess_batch(x, classifier.predict_batched(x)[0])
         # The true intent (deceptive) never enters the cascade's view.
         assert intent_idx[0] == ThreatKind.NON_ADVERSARIAL.value
         assert assess(intent_idx, log_ber_pred)[1][0] == 0

@@ -40,6 +40,7 @@ from cpaware.experiments.metrics import (
 from cpaware.experiments.training import save_result, train
 from cpaware.features import EXTREMA_THREAD_PIXELS, FeatureConfig
 from cpaware.net import (
+    MultitaskNet,
     NetworkConfig,
     focal_loss,
     he_init,
@@ -360,11 +361,29 @@ def random_eval_set(n=12, seed=20):
             rng.uniform(-6.0, -1.0, size=n))
 
 
+def split_gate_assessor(x):
+    """A cascade whose gate at 1e-3 passes some samples of ``x`` and stops others."""
+    net = mini_config().net
+    regressor = he_init(net, np.random.default_rng(22))
+    classifier = he_init(net, np.random.default_rng(23))
+    # Centre the regressor's predictions on log-BER -3.
+    _, rho_hat = regressor.predict_batched(x)
+    regressor.head_reg.params["b"] = regressor.head_reg.params["b"] - np.median(rho_hat) - 3
+    return SequentialAssessor(regressor, classifier, threshold_ber=1e-3)
+
+
 class TestEvaluation:
-    def test_multitask_report_recomputed_from_dump(self, tmp_path):
-        model = he_init(mini_config().net, np.random.default_rng(21))
+    @pytest.mark.parametrize("mode", ["multitask", "cascade"])
+    def test_report_recomputed_from_dump(self, tmp_path, mode):
         x, intent_idx, log_ber = random_eval_set()
-        report, rows = evaluate_multitask(model, x, intent_idx, log_ber)
+        if mode == "multitask":
+            model = he_init(mini_config().net, np.random.default_rng(21))
+            report, rows = evaluate_multitask(model, x, intent_idx, log_ber)
+        else:
+            assessor = split_gate_assessor(x)
+            model = assessor.classifier
+            report, rows = evaluate_sequential(assessor, x, intent_idx, log_ber)
+            assert 0 < assessor.gated_count < len(rows)
         write_rows_csv(tmp_path / "rows.csv", rows)
         dumped = read_rows_csv(tmp_path / "rows.csv")
 
@@ -381,21 +400,32 @@ class TestEvaluation:
         assert report["loss_reg"] == mse_loss(log_ber, rho_hat)[0]
 
     def test_sequential_gated_count_is_the_gated_column(self):
-        net = mini_config().net
-        regressor = he_init(net, np.random.default_rng(22))
-        classifier = he_init(net, np.random.default_rng(23))
         x, intent_idx, log_ber = random_eval_set(n=30, seed=24)
-        # Centre the regressor's predictions on log-BER -3 so a gate at
-        # 1e-3 passes some samples and stops others.
-        _, rho_hat = regressor.predict_batched(x)
-        regressor.head_reg.params["b"] = regressor.head_reg.params["b"] - np.median(rho_hat) - 3
-        assessor = SequentialAssessor(regressor, classifier, threshold_ber=1e-3)
+        assessor = split_gate_assessor(x)
         report, rows = evaluate_sequential(assessor, x, intent_idx, log_ber)
         gated = sum(r["gated"] for r in rows)
         assert gated == assessor.gated_count
         assert 0 < gated < len(rows)
         assert assessor.classifier_invocations == len(rows) - gated
         assert report["assessment_accuracy"] == report_from_rows(rows)["assessment_accuracy"]
+
+    def test_sequential_runs_each_model_once(self, monkeypatch):
+        """One regressor pass and one classifier pass, even when the gate
+        splits the set: the cascade's decisions are a mask over both."""
+        x, intent_idx, log_ber = random_eval_set(n=30, seed=24)
+        assessor = split_gate_assessor(x)
+        calls = []
+        predict = MultitaskNet.predict_batched
+
+        def counted(model, tensors):
+            calls.append(model)
+            return predict(model, tensors)
+
+        monkeypatch.setattr(MultitaskNet, "predict_batched", counted)
+        _, rows = evaluate_sequential(assessor, x, intent_idx, log_ber)
+        assert 0 < assessor.gated_count < len(rows)
+        assert sorted(map(id, calls)) == sorted(map(id, (assessor.regressor,
+                                                         assessor.classifier)))
 
 
 class TestCli:

@@ -65,32 +65,6 @@ class TestLabelVariance:
 
 
 class TestTaskCoupling:
-    def test_frozen_backbone_heads_train_independently(self):
-        """With the backbone frozen, the classifier head's trajectory is the
-        same whether or not the regression objective is active."""
-        x, idx, rho = toy_set(5)
-        multi = train(x, idx, rho, TOY_NET, task="multitask", epochs=30,
-                      batch_size=32, seed=6, freeze_backbone=True)
-        intent = train(x, idx, rho, TOY_NET, task="intent", epochs=30,
-                       batch_size=32, seed=6, freeze_backbone=True)
-        for key in ("head_cls.w", "head_cls.b"):
-            np.testing.assert_array_equal(multi.model.named_params()[key],
-                                          intent.model.named_params()[key])
-        # The frozen backbone really did stay at its initial values.
-        init = train(x, idx, rho, TOY_NET, epochs=1, batch_size=32, seed=6,
-                     max_steps=0)
-        for name, value in multi.model.named_params().items():
-            if name.startswith("backbone."):
-                np.testing.assert_array_equal(value, init.model.named_params()[name])
-
-    def test_frozen_backbone_both_heads_learn(self):
-        x, idx, rho = toy_set(6)
-        result = train(x, idx, rho, TOY_NET, task="multitask", epochs=200,
-                       batch_size=32, seed=7, freeze_backbone=True)
-        first, last = result.log[0], result.log[-1]
-        assert last["loss_cls"] < first["loss_cls"]
-        assert last["loss_reg"] < first["loss_reg"]
-
     def test_shared_backbone_improves_both_tasks(self):
         x, idx, rho = toy_set(7)
         result = train(x, idx, rho, TOY_NET, task="multitask", epochs=200,
