@@ -25,6 +25,7 @@ Python's scalar ``10.0 ** x`` of each sample, because NumPy's array power
 differs from it by one ULP on about 5% of inputs, which can move a sample
 across a threshold and changes the report's ``ber_pred``.  Where that
 power overflows (a finite log-BER above about 308) the BER is inf: a high BER.
+``ber`` is this rule; the cascade's gate reads it too.
 """
 
 from __future__ import annotations
@@ -64,12 +65,17 @@ THREAT_SCALE.flags.writeable = False
 N_SCALES = 8
 
 
-def _ber(log_ber: float) -> float:
+def _scalar_ber(log_ber: float) -> float:
     """Python's ``10.0 ** log_ber``, or inf where it overflows."""
     try:
         return 10.0 ** log_ber
     except OverflowError:
         return math.inf
+
+
+def ber(log_ber) -> np.ndarray:
+    """Each log-BER's BER by the one rule of the module docstring."""
+    return np.array([_scalar_ber(float(v)) for v in log_ber], dtype=float)
 
 
 def assess(intent_idx, log_ber_pred,
@@ -79,9 +85,10 @@ def assess(intent_idx, log_ber_pred,
     intent_idx = np.asarray(intent_idx, dtype=np.int64)
     if not np.all(np.isfinite(log_ber_pred)):
         raise ValueError("log_ber_pred must be finite")
-    ber = np.array([_ber(float(v)) for v in log_ber_pred], dtype=float)
+    linear = ber(log_ber_pred)
     # 0 high, 1 moderate, 2 low BER: the capability order, inverted for deception.
-    category = np.where(ber > thresholds.high_ber, 0, np.where(ber < thresholds.low_ber, 2, 1))
+    category = np.where(linear > thresholds.high_ber, 0,
+                        np.where(linear < thresholds.low_ber, 2, 1))
     capability = np.where(intent_idx == ThreatKind.DECEPTIVE.value, 2 - category, category)
     return capability, THREAT_SCALE[intent_idx, capability]
 
@@ -117,6 +124,7 @@ def write_report(path, intent_idx, log_ber_pred,
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_FIELDS)
-        for i, (k, c, s, r) in enumerate(zip(intent_idx, capability, scale, log_ber_pred)):
+        rows = zip(intent_idx, capability, scale, log_ber_pred, ber(log_ber_pred))
+        for i, (k, c, s, r, b) in enumerate(rows):
             writer.writerow((i, INTENT_NAMES[k], ONE_HOT_BITS[k], CAPABILITY_NAMES[c],
-                             ONE_HOT_BITS[c], int(s), float(r), _ber(float(r))))
+                             ONE_HOT_BITS[c], int(s), float(r), float(b)))

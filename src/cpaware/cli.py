@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assessment import AssessmentThresholds, unreachable_scales, write_report
-from .baseline import SequentialAssessor
+from .assessment import DEFAULT_THRESHOLDS, AssessmentThresholds, unreachable_scales, write_report
 from .experiments.config import desk_config, full_scale_config, load_config, save_config
 from .experiments.dataset import MAGIC, Dataset, build_dataset
 from .experiments.metrics import (
@@ -44,8 +43,9 @@ from .net.checkpoint import load_model
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="build a labeled dataset file")
-    p.add_argument("--config", help="JSON experiment config (defaults to the desk preset)")
-    p.add_argument("--preset", choices=("desk", "full"), default="desk")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="JSON experiment config (defaults to the desk preset)")
+    source.add_argument("--preset", choices=("desk", "full"))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, help="override the config master seed")
     p.add_argument("--count-per-kind", type=int, help="override samples per threat kind")
@@ -73,19 +73,18 @@ def _eval_args(p):
     p.add_argument("--ckpt2", help="classifier checkpoint (sequential mode)")
     p.add_argument("--theta", type=float, nargs="+", default=[1e-2, 1e-3, 1e-4],
                    help="gate thresholds for the sequential sweep")
-    p.add_argument("--high-ber", type=float, default=1e-2)
-    p.add_argument("--low-ber", type=float, default=1e-4)
+    p.add_argument("--high-ber", type=float, default=DEFAULT_THRESHOLDS.high_ber)
+    p.add_argument("--low-ber", type=float, default=DEFAULT_THRESHOLDS.low_ber)
     p.add_argument("--rows-out", help="write raw prediction rows CSV here")
 
 
 def _add_eval(sub):
+    """``eval`` and its alias ``baseline``, which fixes ``--mode sequential``."""
     p = sub.add_parser("eval", help="evaluate checkpoints on a dataset")
     p.add_argument("--mode", choices=("multitask", "sequential"), default="multitask")
     _eval_args(p)
-
-
-def _add_baseline(sub):
     p = sub.add_parser("baseline", help="sequential-cascade evaluation (eval --mode sequential)")
+    p.set_defaults(mode="sequential")
     _eval_args(p)
 
 
@@ -96,8 +95,8 @@ def _add_assess(sub):
                    help="dataset file, or .npz with a complex 'samples' series")
     p.add_argument("--config", help="experiment config JSON (required for .npz input)")
     p.add_argument("--out", required=True)
-    p.add_argument("--high-ber", type=float, default=1e-2)
-    p.add_argument("--low-ber", type=float, default=1e-4)
+    p.add_argument("--high-ber", type=float, default=DEFAULT_THRESHOLDS.high_ber)
+    p.add_argument("--low-ber", type=float, default=DEFAULT_THRESHOLDS.low_ber)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generate(sub)
     _add_train(sub)
     _add_eval(sub)
-    _add_baseline(sub)
     _add_assess(sub)
     return parser
 
@@ -116,7 +114,7 @@ def cmd_generate(args) -> int:
     if args.config:
         config = load_config(args.config)
     else:
-        config = desk_config() if args.preset == "desk" else full_scale_config()
+        config = full_scale_config() if args.preset == "full" else desk_config()
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     count = build_dataset(args.out, config, per_kind=args.count_per_kind)
@@ -145,8 +143,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _run_eval(args, mode: str) -> int:
-    if mode == "sequential":
+def cmd_eval(args) -> int:
+    if args.mode == "sequential":
         if not args.ckpt2:
             raise ValueError("sequential mode needs --ckpt (regression) and --ckpt2 (classifier)")
         if args.rows_out and len(args.theta) > 1:
@@ -154,19 +152,17 @@ def _run_eval(args, mode: str) -> int:
     ds = Dataset(args.dataset)
     tensors, intent_idx, log_ber, _ = ds.load_arrays()
     thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
-    if mode == "multitask":
+    if args.mode == "multitask":
         model, _, _ = load_model(args.ckpt)
-        report, rows = evaluate_multitask(model, tensors, intent_idx, log_ber,
-                                          thresholds)
-        print("\n".join(summary_lines(report, mode)))
+        report, rows = evaluate_multitask(model, tensors, intent_idx, log_ber, thresholds)
+        print("\n".join(summary_lines(report, args.mode)))
     else:
         regressor, _, _ = load_model(args.ckpt)
         classifier, _, _ = load_model(args.ckpt2)
-        for theta in args.theta:
-            assessor = SequentialAssessor(regressor, classifier, theta)
-            report, rows = evaluate_sequential(assessor, tensors, intent_idx, log_ber,
-                                               thresholds)
-            print("\n".join(summary_lines(report, f"{mode} (theta={theta:g})")))
+        for assessor, report, rows in evaluate_sequential(
+                regressor, classifier, args.theta, tensors, intent_idx, log_ber, thresholds):
+            label = f"{args.mode} (theta={assessor.threshold_ber:g})"
+            print("\n".join(summary_lines(report, label)))
             print(f"  classifier invocations: {assessor.classifier_invocations}"
                   f" / {len(rows)} (gated {assessor.gated_count})")
     unreachable = unreachable_scales(ds.config.frame.bits_per_sample, thresholds)
@@ -176,14 +172,6 @@ def _run_eval(args, mode: str) -> int:
     if args.rows_out:
         write_rows_csv(args.rows_out, rows)
     return 0
-
-
-def cmd_eval(args) -> int:
-    return _run_eval(args, args.mode)
-
-
-def cmd_baseline(args) -> int:
-    return _run_eval(args, "sequential")
 
 
 def cmd_assess(args) -> int:
@@ -211,7 +199,8 @@ def cmd_assess(args) -> int:
         if not np.issubdtype(samples.dtype, np.number):
             raise ValueError(f"{path}: 'samples' must be numeric, not {samples.dtype}")
         feats = feature_tensor(samples, config.frame, config.feature)
-        tensors = feats.data[None, ...]
+        # Rounded to the dataset's float32, so a series grades alike from either input.
+        tensors = feats.data[None, ...].astype("<f4")
     probs, rho_hat = model.predict_batched(tensors)
     write_report(args.out, np.argmax(probs, axis=1), rho_hat, thresholds)
     print(f"assessed {len(rho_hat)} samples; report written to {args.out}")
@@ -222,7 +211,7 @@ _COMMANDS = {
     "generate": cmd_generate,
     "train": cmd_train,
     "eval": cmd_eval,
-    "baseline": cmd_baseline,
+    "baseline": cmd_eval,
     "assess": cmd_assess,
 }
 

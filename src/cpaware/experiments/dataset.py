@@ -42,8 +42,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
-def build_records(config: ExperimentConfig, per_kind: int, master_seed: int,
-                  progress=None) -> tuple[list[dict], np.ndarray]:
+def build_records(config: ExperimentConfig, per_kind: int,
+                  master_seed: int) -> tuple[list[dict], np.ndarray]:
     """per_kind samples for each intent, in intent order: (metadata, float32 block)."""
     if per_kind <= 0:
         raise ValueError(f"per_kind (samples per intent) must be positive, not {per_kind}")
@@ -68,8 +68,6 @@ def build_records(config: ExperimentConfig, per_kind: int, master_seed: int,
             "channel_min": [float(v) for v in feats.channel_min],
             "channel_max": [float(v) for v in feats.channel_max],
         })
-        if progress is not None:
-            progress(index)
     return metas, tensors
 
 
@@ -79,11 +77,11 @@ def write_dataset(path, config: ExperimentConfig, metas: list[dict], tensors) ->
 
 
 def build_dataset(path, config: ExperimentConfig, per_kind: int | None = None,
-                  master_seed: int | None = None, progress=None) -> int:
+                  master_seed: int | None = None) -> int:
     """Generate and persist a dataset; returns the record count."""
     per_kind = config.train_per_kind if per_kind is None else per_kind
     master_seed = config.master_seed if master_seed is None else master_seed
-    metas, tensors = build_records(config, per_kind, master_seed, progress)
+    metas, tensors = build_records(config, per_kind, master_seed)
     write_dataset(path, config, metas, tensors)
     return len(metas)
 

@@ -10,13 +10,15 @@ matrix.  Grading quality is summarized per severity scale (0-7) with
 and scales without support are flagged ``n/a`` rather than reported as
 zero.  Classes without support likewise carry NaN precision/recall.
 
-``evaluate_multitask`` and ``evaluate_sequential`` first build one raw
-prediction row per sample, grading the predicted intents and log-BERs and
-the labels (the true scale is ``assess(intent, log_ber)[1]``) with one
-``assess`` call each; their report is ``report_from_rows`` of those
-rows plus the two losses, ``loss_cls`` (focal, over the rows' ``p_*``
-columns) and ``loss_reg`` (MSE).  Every reported number can therefore
-be recomputed from the dump alone.
+``evaluate_multitask`` and ``evaluate_sequential`` (one classifier pass
+for a sweep of gate thresholds, each with its own report and counters)
+first build one raw prediction row per sample, grading the predicted
+intents and log-BERs and the labels (the true scale is
+``assess(intent, log_ber)[1]``) with one ``assess`` call each; their
+report is ``report_from_rows`` of those rows plus the two losses,
+``loss_cls`` (focal, over the rows' ``p_*`` columns) and ``loss_reg``
+(MSE).  Every reported number can therefore be recomputed from the dump
+alone.
 """
 
 from __future__ import annotations
@@ -108,19 +110,22 @@ def evaluate_multitask(model: MultitaskNet, tensors: np.ndarray,
     return _report(rows, loss_cls), rows
 
 
-def evaluate_sequential(assessor: SequentialAssessor, tensors: np.ndarray,
-                        intent_idx: np.ndarray, log_ber: np.ndarray,
+def evaluate_sequential(regressor: MultitaskNet, classifier: MultitaskNet, thetas,
+                        tensors: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
                         thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS,
-                        ) -> tuple[dict, list[dict]]:
-    assessor.reset_counters()
-    # One classifier pass serves the cascade's decisions and loss_cls, which
-    # scores the classifier on every sample, gated or not.
-    probs, _ = assessor.classifier.predict_batched(tensors)
-    pred_idx, rho_hat, gated = assessor.assess_batch(tensors, probs)
-    rows = _make_rows(pred_idx, rho_hat, probs, gated, intent_idx, log_ber, thresholds)
-    loss_cls = focal_loss(one_hot_labels(intent_idx), probs,
-                          assessor.classifier.config.focal_gamma)
-    return _report(rows, loss_cls), rows
+                        ) -> list[tuple[SequentialAssessor, dict, list[dict]]]:
+    """``(assessor, report, rows)`` of the cascade at each gate threshold; one
+    classifier pass serves them all and loss_cls, which scores it on every
+    sample, gated or not."""
+    probs, _ = classifier.predict_batched(tensors)
+    loss_cls = focal_loss(one_hot_labels(intent_idx), probs, classifier.config.focal_gamma)
+    results = []
+    for theta in thetas:
+        assessor = SequentialAssessor(regressor, classifier, theta)
+        pred_idx, rho_hat, gated = assessor.assess_batch(tensors, probs)
+        rows = _make_rows(pred_idx, rho_hat, probs, gated, intent_idx, log_ber, thresholds)
+        results.append((assessor, _report(rows, loss_cls), rows))
+    return results
 
 
 def _report(rows, loss_cls) -> dict:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpaware.assessment import assess
+from cpaware.assessment import assess, ber
 from cpaware.baseline import SequentialAssessor, check_same_backbone
 from cpaware.net import NetworkConfig, he_init
 from cpaware.threats import ThreatKind
@@ -87,6 +87,23 @@ class TestGate:
         assert cascade.classifier_invocations == x.shape[0]
         probs, _ = classifier.predict_batched(x)
         np.testing.assert_array_equal(intent_idx, np.argmax(probs, axis=1))
+
+    def test_gate_reads_the_ber_the_grade_reads(self):
+        """A prediction at log-BER x0 with theta = 10.0 ** x0 is gated, also
+        where NumPy's array power puts 10 ** x0 one ULP above Python's."""
+        regressor, classifier = make_models(9)
+        x = features(9)
+        # The first grid point where the array power over a batch of this
+        # length exceeds the scalar power (grid[0] if none does here).
+        grid = [float(v) for v in np.linspace(-4.0, -3.0, 1001)]
+        x0 = next((v for v in grid if np.all(10.0 ** np.full(len(x), v) > 10.0 ** v)),
+                  grid[0])
+        pin_regressor_output(regressor, x0)
+        cascade = SequentialAssessor(regressor, classifier, threshold_ber=10.0 ** x0)
+        _, log_ber_pred, gated = cascade.assess_batch(x, classifier.predict_batched(x)[0])
+        assert np.all(gated)
+        assert cascade.gated_count == len(x)
+        np.testing.assert_array_equal(ber(log_ber_pred), 10.0 ** x0)
 
     def test_structural_false_negative_on_capable_spoofer(self):
         """A deceptive sample predicted at BER 1e-5 is graded benign."""

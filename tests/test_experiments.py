@@ -12,7 +12,6 @@ import pytest
 
 from cpaware import tensorfile
 from cpaware.assessment import assess
-from cpaware.baseline import SequentialAssessor
 from cpaware.cli import main as cli_main
 from cpaware.experiments.config import (
     ExperimentConfig,
@@ -38,7 +37,7 @@ from cpaware.experiments.metrics import (
     write_rows_csv,
 )
 from cpaware.experiments.training import save_result, train
-from cpaware.features import EXTREMA_THREAD_PIXELS, FeatureConfig
+from cpaware.features import EXTREMA_THREAD_PIXELS, FeatureConfig, feature_tensor
 from cpaware.net import (
     MultitaskNet,
     NetworkConfig,
@@ -361,15 +360,19 @@ def random_eval_set(n=12, seed=20):
             rng.uniform(-6.0, -1.0, size=n))
 
 
-def split_gate_assessor(x):
-    """A cascade whose gate at 1e-3 passes some samples of ``x`` and stops others."""
+SPLIT_THETA = 1e-3
+
+
+def split_gate_models(x):
+    """A regressor and a classifier whose cascade at SPLIT_THETA passes some
+    samples of ``x`` and stops others."""
     net = mini_config().net
     regressor = he_init(net, np.random.default_rng(22))
     classifier = he_init(net, np.random.default_rng(23))
     # Centre the regressor's predictions on log-BER -3.
     _, rho_hat = regressor.predict_batched(x)
     regressor.head_reg.params["b"] = regressor.head_reg.params["b"] - np.median(rho_hat) - 3
-    return SequentialAssessor(regressor, classifier, threshold_ber=1e-3)
+    return regressor, classifier
 
 
 class TestEvaluation:
@@ -380,9 +383,9 @@ class TestEvaluation:
             model = he_init(mini_config().net, np.random.default_rng(21))
             report, rows = evaluate_multitask(model, x, intent_idx, log_ber)
         else:
-            assessor = split_gate_assessor(x)
-            model = assessor.classifier
-            report, rows = evaluate_sequential(assessor, x, intent_idx, log_ber)
+            regressor, model = split_gate_models(x)
+            [(assessor, report, rows)] = evaluate_sequential(
+                regressor, model, [SPLIT_THETA], x, intent_idx, log_ber)
             assert 0 < assessor.gated_count < len(rows)
         write_rows_csv(tmp_path / "rows.csv", rows)
         dumped = read_rows_csv(tmp_path / "rows.csv")
@@ -400,20 +403,26 @@ class TestEvaluation:
         assert report["loss_reg"] == mse_loss(log_ber, rho_hat)[0]
 
     def test_sequential_gated_count_is_the_gated_column(self):
+        """Each threshold's counters count its own rows, not the sweep's so far."""
         x, intent_idx, log_ber = random_eval_set(n=30, seed=24)
-        assessor = split_gate_assessor(x)
-        report, rows = evaluate_sequential(assessor, x, intent_idx, log_ber)
-        gated = sum(r["gated"] for r in rows)
-        assert gated == assessor.gated_count
-        assert 0 < gated < len(rows)
-        assert assessor.classifier_invocations == len(rows) - gated
-        assert report["assessment_accuracy"] == report_from_rows(rows)["assessment_accuracy"]
+        thetas = [1e-2, SPLIT_THETA, 1e-4]
+        results = evaluate_sequential(*split_gate_models(x), thetas, x, intent_idx, log_ber)
+        assert [assessor.threshold_ber for assessor, _, _ in results] == thetas
+        for assessor, report, rows in results:
+            gated = sum(r["gated"] for r in rows)
+            assert gated == assessor.gated_count
+            assert assessor.classifier_invocations == len(rows) - gated
+            assert report["assessment_accuracy"] == report_from_rows(rows)["assessment_accuracy"]
+        assert 0 < results[1][0].gated_count < len(x)
 
-    def test_sequential_runs_each_model_once(self, monkeypatch):
-        """One regressor pass and one classifier pass, even when the gate
-        splits the set: the cascade's decisions are a mask over both."""
+    @pytest.mark.parametrize("n_theta", [1, 3])
+    def test_sequential_runs_each_model_once(self, monkeypatch, n_theta):
+        """One classifier pass for the whole sweep and one regressor pass per
+        threshold, even when the gate splits the set: the cascade's decisions
+        are a mask over both."""
         x, intent_idx, log_ber = random_eval_set(n=30, seed=24)
-        assessor = split_gate_assessor(x)
+        regressor, classifier = split_gate_models(x)
+        thetas = [SPLIT_THETA, 1e-2, 1e-4][:n_theta]
         calls = []
         predict = MultitaskNet.predict_batched
 
@@ -422,10 +431,10 @@ class TestEvaluation:
             return predict(model, tensors)
 
         monkeypatch.setattr(MultitaskNet, "predict_batched", counted)
-        _, rows = evaluate_sequential(assessor, x, intent_idx, log_ber)
-        assert 0 < assessor.gated_count < len(rows)
-        assert sorted(map(id, calls)) == sorted(map(id, (assessor.regressor,
-                                                         assessor.classifier)))
+        results = evaluate_sequential(regressor, classifier, thetas, x, intent_idx, log_ber)
+        assert len(calls) == 1 + len(thetas)
+        assert sorted(map(id, calls)) == sorted(map(id, [classifier] + [regressor] * len(thetas)))
+        assert 0 < results[0][0].gated_count < len(x)
 
 
 class TestCli:
@@ -489,6 +498,27 @@ class TestCli:
                          "--ckpt2", str(cls_ckpt), "--theta", "1e-2", "1e-3"]) == 0
         out = capsys.readouterr().out
         assert "classifier invocations" in out
+
+    def test_assess_grades_a_series_alike_from_npz_and_dataset(self, tmp_path):
+        """The .npz path rounds its features to the dataset's float32, so one
+        series and one checkpoint give one report, whichever file holds it."""
+        config = mini_config()
+        rng, n = np.random.default_rng(30), config.frame.sample_len
+        series = rng.normal(size=n) + 1j * rng.normal(size=n)
+        feats = feature_tensor(series, config.frame, config.feature)
+        data, npz = tmp_path / "one.cpad", tmp_path / "one.npz"
+        write_dataset(data, config, [{"intent_index": 0, "log_ber": -1.0}],
+                      feats.data[None].astype("<f4"))
+        npz.write_bytes(_npz_bytes(samples=series))
+        config_path, ckpt = tmp_path / "config.json", tmp_path / "m.ckpt"
+        save_config(config_path, config)
+        save_model(ckpt, he_init(config.net, np.random.default_rng(31)))
+        reports = []
+        for extra in (["--input", str(data)], ["--input", str(npz), "--config", str(config_path)]):
+            reports.append(tmp_path / f"report{len(reports)}.csv")
+            assert cli_main(["assess", "--ckpt", str(ckpt), "--out", str(reports[-1]),
+                             *extra]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_rows_out_needs_a_single_theta(self, tmp_path):
         data = tmp_path / "d.cpad"
@@ -609,6 +639,16 @@ class TestCliExitCodes:
             cli_main(argv + ["--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "invalid int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["desk", "full"])
+    def test_config_with_preset_exits_with_usage_code(self, tmp_path, capsys, inputs, preset):
+        """Both flags name the whole config: the pair is refused, not one ignored."""
+        out = tmp_path / "new.cpad"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["generate", *inputs["generate"], "--preset", preset, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bare_resume_must_repeat_the_runs_settings(self, tmp_path, capsys, inputs):
         first, resumed = tmp_path / "first.ckpt", tmp_path / "resumed.ckpt"
