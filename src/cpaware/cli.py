@@ -138,7 +138,7 @@ def cmd_train(args) -> int:
         write_log_csv(args.log, result.log)
     final = result.log[-1]["loss_total"] if result.log else float("nan")
     print(f"trained {args.mode} for {len(result.log)} steps (label variance "
-          f"{result.model.config.reg_label_variance:.6g}, final loss {final:.6g}); "
+          f"{result.label_variance:.6g}, final loss {final:.6g}); "
           f"saved {args.out}")
     return 0
 

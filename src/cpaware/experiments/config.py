@@ -21,7 +21,7 @@ from ..features import FeatureConfig
 from ..net.model import NetworkConfig
 from ..ofdm import FrameConfig
 from ..tensorfile import from_json
-from ..threats import ScenarioSpace, ThreatKind
+from ..threats import ScenarioSpace
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class ExperimentConfig:
                 f"net input_shape {self.net.input_shape} does not match the "
                 f"feature tensor shape {expected}"
             )
-        if self.net.n_classes != len(ThreatKind):
-            raise ValueError(f"net n_classes {self.net.n_classes} does not match "
-                             f"the {len(ThreatKind)} intents")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

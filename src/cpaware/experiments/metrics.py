@@ -12,9 +12,9 @@ zero.  Classes without support likewise carry NaN precision/recall.
 
 ``evaluate_multitask`` and ``evaluate_sequential`` (one classifier pass
 for a sweep of gate thresholds, each with its own report and counters)
-first build one raw prediction row per sample, grading the predicted
-intents and log-BERs and the labels (the true scale is
-``assess(intent, log_ber)[1]``) with one ``assess`` call each; their
+first build one raw prediction row per sample.  They grade the labels
+once per call (the true scale is ``assess(intent, log_ber)[1]``) and each
+set of predicted intents and log-BERs with one ``assess`` call; their
 report is ``report_from_rows`` of those rows plus the two losses,
 ``loss_cls`` (focal, over the rows' ``p_*`` columns) and ``loss_reg``
 (MSE).  Every reported number can therefore be recomputed from the dump
@@ -63,8 +63,8 @@ def _fmt(value) -> str:
 
 
 def confusion_matrix(true_idx: np.ndarray, pred_idx: np.ndarray,
-                     n_classes: int) -> np.ndarray:
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
+                     size: int) -> np.ndarray:
+    matrix = np.zeros((size, size), dtype=np.int64)
     for t, p in zip(true_idx, pred_idx):
         matrix[int(t), int(p)] += 1
     return matrix
@@ -104,8 +104,9 @@ def evaluate_multitask(model: MultitaskNet, tensors: np.ndarray,
                        thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS,
                        ) -> tuple[dict, list[dict]]:
     probs, rho_hat = model.predict_batched(tensors)
-    rows = _make_rows(np.argmax(probs, axis=1), rho_hat, probs,
-                      np.zeros(len(probs), dtype=bool), intent_idx, log_ber, thresholds)
+    _, true_scales = assess(intent_idx, log_ber, thresholds)
+    rows = _make_rows(np.argmax(probs, axis=1), rho_hat, probs, np.zeros(len(probs), dtype=bool),
+                      intent_idx, log_ber, true_scales, thresholds)
     loss_cls = focal_loss(one_hot_labels(intent_idx), probs, model.config.focal_gamma)
     return _report(rows, loss_cls), rows
 
@@ -119,11 +120,13 @@ def evaluate_sequential(regressor: MultitaskNet, classifier: MultitaskNet, theta
     sample, gated or not."""
     probs, _ = classifier.predict_batched(tensors)
     loss_cls = focal_loss(one_hot_labels(intent_idx), probs, classifier.config.focal_gamma)
+    _, true_scales = assess(intent_idx, log_ber, thresholds)
     results = []
     for theta in thetas:
         assessor = SequentialAssessor(regressor, classifier, theta)
         pred_idx, rho_hat, gated = assessor.assess_batch(tensors, probs)
-        rows = _make_rows(pred_idx, rho_hat, probs, gated, intent_idx, log_ber, thresholds)
+        rows = _make_rows(pred_idx, rho_hat, probs, gated, intent_idx, log_ber, true_scales,
+                          thresholds)
         results.append((assessor, _report(rows, loss_cls), rows))
     return results
 
@@ -135,10 +138,9 @@ def _report(rows, loss_cls) -> dict:
     return {**report_from_rows(rows), "loss_cls": loss_cls, "loss_reg": loss_reg}
 
 
-def _make_rows(pred_idx, pred_log_ber, probs, gated, intent_idx, log_ber,
+def _make_rows(pred_idx, pred_log_ber, probs, gated, intent_idx, log_ber, true_scales,
                thresholds) -> list[dict]:
     _, pred_scales = assess(pred_idx, pred_log_ber, thresholds)
-    _, true_scales = assess(intent_idx, log_ber, thresholds)
     return [{
         "sample_id": i,
         "true_intent": int(intent_idx[i]),
@@ -172,7 +174,7 @@ def report_from_rows(rows: list[dict]) -> dict:
     pred_idx = np.array([int(r["pred_intent"]) for r in rows])
     true_scales = np.array([int(r["true_scale"]) for r in rows])
     pred_scales = np.array([int(r["pred_scale"]) for r in rows])
-    conf = confusion_matrix(true_idx, pred_idx, 3)
+    conf = confusion_matrix(true_idx, pred_idx, len(INTENT_NAMES))
     precision, recall = precision_recall(conf)
     return {
         "intent_confusion": conf,

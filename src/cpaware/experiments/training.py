@@ -6,7 +6,7 @@ draws from a stream derived from (seed, 0) and the epoch-e shuffle from
 Resuming from a checkpoint replays the exact remaining schedule, because
 the batch order depends only on the global step counter.  A resume must
 be given the task, seed and batch size its checkpoint records, and takes
-the network config, label variance included, from the checkpoint.
+the network config from the checkpoint.
 
 Tasks:
 
@@ -18,15 +18,18 @@ Single-task runs share the architecture and every hyperparameter with
 the multitask run; only the backpropagated objective differs: each task
 weights the two head losses by 0 or 1 (``TASKS``).
 
-The regression label variance is measured on the training labels of a
-fresh run, frozen into the network config, and recorded in checkpoints.
+The regression label variance is measured on the labels each run is
+given, fresh or resumed, and is not stored in the network config or the
+checkpoint; on the labels a run started with, a resume measures the same
+float.  A task that trains no regression gives it weight 0, so only the
+others refuse labels of zero variance.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from ..net.losses import (
 )
 from ..net.model import MultitaskNet, NetworkConfig, he_init
 from ..net.optim import Adam
+from ..threats import ThreatKind
 from .config import TrainRegime
 
 # Task -> weights of the (classification, regression) head losses.
@@ -57,10 +61,11 @@ class TrainResult:
     task: str
     seed: int
     batch_size: int
+    label_variance: float
 
 
-def one_hot_labels(intent_idx: np.ndarray, n_classes: int = 3) -> np.ndarray:
-    return np.eye(n_classes)[np.asarray(intent_idx, dtype=int)]
+def one_hot_labels(intent_idx: np.ndarray) -> np.ndarray:
+    return np.eye(len(ThreatKind))[np.asarray(intent_idx, dtype=int)]
 
 
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -68,19 +73,25 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def train_step(model: MultitaskNet, x: np.ndarray, intent_one_hot: np.ndarray,
-               log_ber: np.ndarray, optimizer: Adam, task: str = "multitask") -> dict:
-    """One forward/backward/update; returns the step's loss entries."""
+               log_ber: np.ndarray, optimizer: Adam, label_variance: float,
+               task: str = "multitask") -> dict:
+    """One forward/backward/update; returns the step's loss entries.
+
+    ``label_variance`` is that of the run's training labels, which sets the
+    regression weight (see ``losses``).
+    """
     cfg = model.config
     logits, rho_hat = model.forward(x, train=True)
     loss_cls, dlogits = focal_loss_with_logit_grad(
         intent_one_hot, logits, cfg.focal_gamma
     )
     loss_reg, dreg = mse_loss(log_ber, rho_hat)
-    w_reg = regression_weight(cfg.reg_amplification, cfg.reg_label_variance)
     use_cls, use_reg = TASKS[task]
-    model.backward(use_cls * dlogits, use_reg * w_reg * dreg)
-    loss = total_loss(use_cls * loss_cls, use_reg * loss_reg, cfg.reg_amplification,
-                      cfg.reg_label_variance, model.kernel_sq_sum(), cfg.l2_coeff)
+    w_reg = (use_reg * regression_weight(cfg.reg_amplification, label_variance)
+             if use_reg else 0.0)
+    model.backward(use_cls * dlogits, w_reg * dreg)
+    loss = total_loss(use_cls * loss_cls, loss_reg, w_reg, model.kernel_sq_sum(),
+                      cfg.l2_coeff)
 
     params = model.named_params()
     grads = model.named_grads()
@@ -103,6 +114,7 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
     if n == 0:
         raise ValueError("empty training set")
     log_ber = np.asarray(log_ber, dtype=float)
+    label_variance = float(np.var(log_ber))
 
     if resume_from is not None:
         model, optimizer, extras = load_model(resume_from)
@@ -113,16 +125,10 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
                 raise ValueError(f"{resume_from}: the checkpoint's run has {key} "
                                  f"{extras[key]!r}, not {value!r}; resume with its settings")
     else:
-        variance = float(np.var(log_ber))
-        if variance > 0:
-            config = replace(config, reg_label_variance=variance)
-        elif task != "intent":
-            raise ValueError("training labels have zero variance, so the regression "
-                             "loss weight 1/(reg_amplification * variance) is undefined")
         model = he_init(config, np.random.default_rng([seed, 0]))
         optimizer = Adam(model.named_params(), config.learning_rate)
     model.check_input(x)  # also when a resume has no steps left to run
-    labels = one_hot_labels(intent_idx, model.config.n_classes)
+    labels = one_hot_labels(intent_idx)
 
     steps_per_epoch = math.ceil(n / batch_size)
     total_steps = epochs * steps_per_epoch
@@ -138,11 +144,12 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
             perm_epoch = epoch
         pos = step % steps_per_epoch
         idx = perm[pos * batch_size: (pos + 1) * batch_size]
-        entry = train_step(model, x[idx], labels[idx], log_ber[idx], optimizer, task)
+        entry = train_step(model, x[idx], labels[idx], log_ber[idx], optimizer,
+                           label_variance, task)
         log.append({"step": step + 1, "epoch": epoch, **entry})
 
     return TrainResult(model=model, optimizer=optimizer, log=log, task=task,
-                       seed=seed, batch_size=batch_size)
+                       seed=seed, batch_size=batch_size, label_variance=label_variance)
 
 
 def save_result(path, result: TrainResult) -> None:

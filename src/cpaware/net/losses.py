@@ -10,12 +10,14 @@ are clipped to [eps, 1 - eps] before the log, eps = 1e-7.
 The regression loss is the mean squared error between the log-BER label
 and its prediction.  The total training objective is
 
-    L_total = L_cls + (1 / (amplification * label_variance)) * L_reg
-              + l2_coeff * sum ||kernel||^2
+    L_total = L_cls + w_reg * L_reg + l2_coeff * sum ||kernel||^2
 
-where label_variance is the empirical variance of the training labels
-(frozen at training start) and amplification rescales the regression
-term against the logarithmic label range.
+where the regression weight w_reg = 1 / (amplification * label_variance)
+(``regression_weight``), label_variance is the empirical variance of the
+labels a run trains on (measured at the start of every run, fresh or
+resumed) and amplification rescales the regression term against the
+logarithmic label range.  A run that trains no regression passes
+w_reg = 0.
 """
 
 from __future__ import annotations
@@ -75,15 +77,14 @@ def mse_loss(targets: np.ndarray, preds: np.ndarray) -> tuple[float, np.ndarray]
 
 def regression_weight(amplification: float, label_variance: float) -> float:
     product = amplification * label_variance
-    if product <= 0:
-        raise ValueError("amplification * label_variance must be positive")
+    if not product > 0:  # also refuses NaN
+        raise ValueError(f"amplification * label_variance must be positive, not "
+                         f"{amplification!r} * {label_variance!r} (constant labels "
+                         "have variance 0)")
     return 1.0 / product
 
 
-def total_loss(loss_cls: float, loss_reg: float, amplification: float,
-               label_variance: float, kernel_sq_sum: float = 0.0,
-               l2_coeff: float = 0.0) -> float:
+def total_loss(loss_cls: float, loss_reg: float, reg_weight: float,
+               kernel_sq_sum: float = 0.0, l2_coeff: float = 0.0) -> float:
     """Combined objective; see module docstring."""
-    return (loss_cls
-            + regression_weight(amplification, label_variance) * loss_reg
-            + l2_coeff * kernel_sq_sum)
+    return loss_cls + reg_weight * loss_reg + l2_coeff * kernel_sq_sum

@@ -2,7 +2,8 @@
 
 The backbone is a stack of conv blocks (convolution, batch normalization,
 ReLU, average pooling), followed by a global average pool; two dense
-heads read the shared per-channel features.  Both heads backpropagate
+heads read the shared per-channel features, one with a logit per intent
+(``ThreatKind``) and one with the log-BER.  Both heads backpropagate
 into the backbone, which is what couples the tasks during training.
 
 Everything runs in float64; weights follow the He normal scheme
@@ -24,6 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..tensorfile import from_json
+from ..threats import ThreatKind
 from .layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, GlobalAvgPool, ReLU
 from .losses import softmax
 
@@ -42,11 +44,9 @@ class NetworkConfig:
     input_shape: tuple  # (frames, bins, channels)
     conv_blocks: tuple = ((8, 3, 1), (16, 3, 1), (32, 3, 1))  # (filters, kernel, stride)
     pool: int = 2
-    n_classes: int = 3
     l2_coeff: float = 1e-4
     focal_gamma: float = 2.0
     reg_amplification: float = 10.0
-    reg_label_variance: float = 1.0
     learning_rate: float = 1e-3  # Adam default (Kingma & Ba); 1e-4 stalls log-BER
     bn_momentum: float = 0.9
     bn_eps: float = 1e-5
@@ -66,7 +66,7 @@ class NetworkConfig:
         for name in ("l2_coeff",):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("reg_amplification", "reg_label_variance", "learning_rate"):
+        for name in ("reg_amplification", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -102,7 +102,7 @@ class MultitaskNet:
             h, w, c = h // config.pool, w // config.pool, filters
         self.backbone.append(GlobalAvgPool())
         self.feature_size = c
-        self.head_cls = Dense(self.feature_size, config.n_classes)
+        self.head_cls = Dense(self.feature_size, len(ThreatKind))
         self.head_reg = Dense(self.feature_size, 1)
 
     # -- parameter bookkeeping -------------------------------------------
@@ -154,7 +154,7 @@ class MultitaskNet:
                              f"was built for input_shape {expected}")
 
     def forward(self, x: np.ndarray, train: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Logits (batch, n_classes) and log-BER predictions (batch,)."""
+        """Logits (batch, intents) and log-BER predictions (batch,)."""
         self.check_input(x)
         out = np.asarray(x, dtype=float)
         for layer in self.backbone:

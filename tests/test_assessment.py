@@ -15,7 +15,7 @@ from cpaware.assessment import (
     write_report,
 )
 from cpaware.experiments.metrics import evaluate_multitask
-from cpaware.net import NetworkConfig, he_init
+from cpaware.net.model import NetworkConfig, he_init
 from cpaware.ofdm import FrameConfig
 from cpaware.threats import ThreatKind, label_log_ber
 

@@ -5,7 +5,7 @@ import pytest
 
 from cpaware.assessment import assess, ber
 from cpaware.baseline import SequentialAssessor, check_same_backbone
-from cpaware.net import NetworkConfig, he_init
+from cpaware.net.model import NetworkConfig, he_init
 from cpaware.threats import ThreatKind
 
 SHAPE = (16, 16, 3)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ import pytest
 from cpaware import tensorfile
 from cpaware.assessment import assess
 from cpaware.cli import main as cli_main
+from cpaware.experiments import metrics
 from cpaware.experiments.config import (
     ExperimentConfig,
     desk_config,
+    full_scale_config,
     load_config,
     save_config,
 )
@@ -38,19 +41,14 @@ from cpaware.experiments.metrics import (
 )
 from cpaware.experiments.training import save_result, train
 from cpaware.features import EXTREMA_THREAD_PIXELS, FeatureConfig, feature_tensor
-from cpaware.net import (
-    MultitaskNet,
-    NetworkConfig,
-    focal_loss,
-    he_init,
-    load_model,
-    mse_loss,
-    read_checkpoint,
-    save_model,
-    write_checkpoint,
-)
+from cpaware.net.checkpoint import load_model, read_checkpoint, save_model, write_checkpoint
+from cpaware.net.losses import focal_loss, mse_loss
+from cpaware.net.model import MultitaskNet, NetworkConfig, he_init
 from cpaware.ofdm import FrameConfig
 from cpaware.threats import ThreatKind
+
+# The benchmark's golden-set digests, read (never written) by the tests.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def mini_config(**overrides) -> ExperimentConfig:
@@ -152,6 +150,24 @@ class TestDatasetFile:
         assert digest.hexdigest() == (
             "e80514f08627e34e8a4ea1cb4f2a1957bc56b9acbcd7d538804ca263d0f41448")
 
+    @pytest.mark.parametrize("geometry, preset", [("desk", desk_config),
+                                                  ("full", full_scale_config)],
+                             ids=["desk", "full"])
+    def test_golden_reference_digest(self, tmp_path, geometry, preset):
+        """The benchmark's golden sets at the desk and the full geometry (600x512,
+        disk radius 15), hashed as the benchmark hashes them; the reference file
+        is only read."""
+        reference = json.loads(REFERENCE.read_text())
+        path = tmp_path / "golden.cpad"
+        build_dataset(path, preset(), per_kind=reference["per_kind"][geometry],
+                      master_seed=reference["seed"])
+        tensors, intents, log_ber, _ = Dataset(path).load_arrays()
+        digest = hashlib.sha256()
+        digest.update(tensors.astype("<f4").tobytes())
+        digest.update(intents.astype("<i8").tobytes())
+        digest.update(log_ber.astype("<f8").tobytes())
+        assert digest.hexdigest() == reference["sha256"][geometry]
+
     def test_pinned_file_digest(self, tmp_path):
         """The whole file of the set above is pinned too: header, config JSON,
         record metadata and tensors, so a change to any of them shows."""
@@ -163,7 +179,7 @@ class TestDatasetFile:
         path = tmp_path / "data.cpad"
         build_dataset(path, config, per_kind=2, master_seed=3)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "b86a9eeec746327e6780b0f6feee87dfb8a236847fd975c301f8ca66ae072f24")
+            "dc2621aa3fa8c6691f50223114f260ccf78e5567f16dbeb7ccd532f824c1ac72")
 
     def test_adversarial_metadata_recorded(self, tmp_path):
         config = mini_config()
@@ -239,6 +255,11 @@ class TestConfigSerialization:
         (lambda d: d["frame"].pop("qam_order"), "qam_order"),
         (lambda d: d["space"].update(bogus=1), "bogus"),
         (lambda d: d["regime"].pop("epochs"), "epochs"),
+        # The class head is sized by the intents and the regression weight by
+        # the labels, so neither setting is a config key.
+        pytest.param(lambda d: d["net"].update(n_classes=3), "n_classes", id="n_classes"),
+        pytest.param(lambda d: d["net"].update(reg_label_variance=1.0), "reg_label_variance",
+                     id="reg_label_variance"),
     ])
     def test_missing_or_unknown_key_rejected(self, edit, key):
         data = desk_config().to_dict()
@@ -268,7 +289,6 @@ class TestConfigSerialization:
         ("conv_blocks", ((0, 3, 1),), "conv block"),
         ("conv_blocks", ((4.0, 3, 1),), "conv block"),
         ("input_shape", (16.0, 16, 3), "input_shape"),
-        ("n_classes", 2, "n_classes"),
     ])
     def test_bad_net_field_rejected(self, field, value, message):
         net = mini_config().net
@@ -435,6 +455,27 @@ class TestEvaluation:
         assert len(calls) == 1 + len(thetas)
         assert sorted(map(id, calls)) == sorted(map(id, [classifier] + [regressor] * len(thetas)))
         assert 0 < results[0][0].gated_count < len(x)
+
+    @pytest.mark.parametrize("thetas, calls", [(None, 2), ([SPLIT_THETA], 2),
+                                               ([SPLIT_THETA, 1e-2, 1e-4], 4)],
+                             ids=["multitask", "1-theta", "3-theta"])
+    def test_labels_graded_once_per_evaluation(self, monkeypatch, thetas, calls):
+        """The true scales are graded once per call, the predictions once per
+        threshold, so a 3-threshold sweep grades 4 times, not 6."""
+        x, intent_idx, log_ber = random_eval_set(n=30, seed=24)
+        graded = []
+
+        def counted(*args, **kwargs):
+            graded.append(args)
+            return assess(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "assess", counted)
+        if thetas is None:
+            model = he_init(mini_config().net, np.random.default_rng(21))
+            evaluate_multitask(model, x, intent_idx, log_ber)
+        else:
+            evaluate_sequential(*split_gate_models(x), thetas, x, intent_idx, log_ber)
+        assert len(graded) == calls
 
 
 class TestCli:
@@ -725,6 +766,49 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert "(32, 32, 3)" in err and "(16, 16, 3)" in err, argv
             assert not out.exists(), argv
+
+    @pytest.mark.parametrize("extra, classes, named", [
+        ({"n_classes": 2}, 2, "n_classes"),
+        ({"n_classes": 3}, 3, "n_classes"),
+        ({"n_classes": 4}, 4, "n_classes"),
+        ({"reg_label_variance": 1.0}, 3, "reg_label_variance"),
+        ({}, 2, "head_cls.w"),
+    ], ids=["n_classes=2", "n_classes=3", "n_classes=4", "reg_label_variance", "2-column-head"])
+    def test_hostile_class_head_exits_with_data_code(self, tmp_path, capsys, inputs,
+                                                     extra, classes, named):
+        """A checkpoint whose config names a class count or a label variance, or
+        whose class head is not one column per intent, is refused by eval,
+        baseline and assess, which exit 4 naming the key or tensor and write
+        nothing."""
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
+        save_model(ckpt, he_init(mini_config().net, np.random.default_rng(0)))
+        config, tensors, extras = read_checkpoint(ckpt)
+        for name in ("param/head_cls.w", "param/head_cls.b"):
+            tensors[name] = np.repeat(tensors[name][..., :1], classes, axis=-1)
+        write_checkpoint(ckpt, {**config, **extra}, tensors, extras)
+        data = inputs["train"][1]
+        commands = (["eval", "--dataset", data, "--ckpt", str(ckpt), "--rows-out", str(out)],
+                    ["baseline", "--dataset", data, "--ckpt", str(ckpt), "--ckpt2", str(ckpt),
+                     "--theta", "1e-2", "--rows-out", str(out)],
+                    ["assess", "--ckpt", str(ckpt), "--input", data, "--out", str(out)])
+        for argv in commands:
+            capsys.readouterr()
+            assert cli_main(argv) == 4, argv
+            assert named in capsys.readouterr().err, argv
+            assert not out.exists(), argv
+
+    @pytest.mark.parametrize("key, value", [("n_classes", 3), ("reg_label_variance", 1.0)])
+    def test_legacy_dataset_config_exits_with_data_code(self, tmp_path, capsys, key, value):
+        """A set written while the network config still held these keys is refused."""
+        data = tmp_path / "d.cpad"
+        build_dataset(data, mini_config(), per_kind=2)
+        meta, arrays = tensorfile.read(data, b"CPAD", ("config", "records"))
+        meta["config"]["net"][key] = value
+        tensorfile.write(data, b"CPAD", meta, arrays)
+        assert cli_main(["train", "--dataset", str(data),
+                         "--out", str(tmp_path / "x.ckpt")]) == 4
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_diverged_checkpoint_grades_overflowing_ber_high(self, tmp_path, capsys, inputs):
         """A log-BER head biased to 1000 overflows ``10.0 ** x``: the BER is inf (a

@@ -6,22 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cpaware.net import (
-    Adam,
-    MultitaskNet,
-    NetworkConfig,
+from cpaware.net.checkpoint import load_model, read_checkpoint, save_model, write_checkpoint
+from cpaware.net.losses import (
     focal_loss,
     focal_loss_with_logit_grad,
-    he_init,
-    load_model,
     mse_loss,
-    read_checkpoint,
     regression_weight,
-    save_model,
     softmax,
     total_loss,
-    write_checkpoint,
 )
+from cpaware.net.model import MultitaskNet, NetworkConfig, he_init
+from cpaware.net.optim import Adam
 from cpaware.net.layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, ReLU
 
 TINY = NetworkConfig((8, 8, 3), conv_blocks=((4, 3, 1), (6, 3, 1)),
@@ -272,8 +267,8 @@ def composed_loss(model: MultitaskNet, x, labels, rho) -> float:
     logits, rho_hat = model.forward(x, train=True)
     loss_cls = focal_loss(labels, softmax(logits), cfg.focal_gamma)
     loss_reg = mse_loss(rho, rho_hat)[0]
-    return total_loss(loss_cls, loss_reg, cfg.reg_amplification,
-                      cfg.reg_label_variance, model.kernel_sq_sum(), cfg.l2_coeff)
+    return total_loss(loss_cls, loss_reg, regression_weight(cfg.reg_amplification, 1.0),
+                      model.kernel_sq_sum(), cfg.l2_coeff)
 
 
 class TestComposedGradient:
@@ -296,7 +291,7 @@ class TestComposedGradient:
         logits, rho_hat = model.forward(x, train=True)
         loss_cls, dlogits = focal_loss_with_logit_grad(labels, logits, cfg.focal_gamma)
         _, dreg = mse_loss(rho, rho_hat)
-        w_reg = regression_weight(cfg.reg_amplification, cfg.reg_label_variance)
+        w_reg = regression_weight(cfg.reg_amplification, 1.0)
         model.backward(dlogits, w_reg * dreg)
         params = model.named_params()
         grads = model.named_grads()
@@ -390,20 +385,23 @@ class TestLosses:
             mse_loss(np.zeros(3), np.zeros(4))
 
     def test_total_loss_identities(self):
-        assert total_loss(1.5, 0.7, 1.0, 1.0) == pytest.approx(2.2, abs=1e-12)
-        assert total_loss(1.5, 0.0, 10.0, 2.0, kernel_sq_sum=3.0,
+        assert total_loss(1.5, 0.7, 1.0) == pytest.approx(2.2, abs=1e-12)
+        assert total_loss(1.5, 0.0, regression_weight(10.0, 2.0), kernel_sq_sum=3.0,
                           l2_coeff=0.1) == pytest.approx(1.8, abs=1e-12)
+        assert total_loss(1.5, 0.7, 0.0) == 1.5
 
     def test_total_loss_linear_in_amplification(self):
-        base = total_loss(0.0, 1.0, 5.0, 2.0)
-        doubled = total_loss(0.0, 1.0, 10.0, 2.0)
+        base = total_loss(0.0, 1.0, regression_weight(5.0, 2.0))
+        doubled = total_loss(0.0, 1.0, regression_weight(10.0, 2.0))
         assert doubled == base / 2
 
     def test_total_loss_rejects_bad_weighting(self):
         with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, 0.0, 1.0)
+            regression_weight(0.0, 1.0)
         with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, -1.0, 2.0)
+            regression_weight(-1.0, 2.0)
+        with pytest.raises(ValueError, match="variance 0"):
+            regression_weight(10.0, 0.0)
 
     def test_losses_non_negative(self):
         rng = np.random.default_rng(23)
@@ -466,7 +464,7 @@ class TestForward:
         adam = Adam(model.named_params(), lr=1e-4)
         from cpaware.experiments.training import train_step
         for _ in range(3):
-            train_step(model, x, labels, rho, adam)
+            train_step(model, x, labels, rho, adam, float(np.var(rho)))
         alone_probs, alone_rho = model.predict(x[:1])
         together_probs, together_rho = model.predict(x)
         np.testing.assert_allclose(alone_probs[0], together_probs[0], atol=1e-6)
@@ -524,7 +522,7 @@ class TestCheckpoint:
         x, labels, rho = make_toy_batch(51, n=4)
         from cpaware.experiments.training import train_step
         for _ in range(5):
-            train_step(model, x, labels, rho, adam)
+            train_step(model, x, labels, rho, adam, float(np.var(rho)))
         path = tmp_path / "model.ckpt"
         save_model(path, model, adam, extras={"task": "multitask"})
 

@@ -11,7 +11,8 @@ from cpaware import tensorfile
 from cpaware.experiments.config import ExperimentConfig
 from cpaware.experiments.dataset import Dataset, build_dataset
 from cpaware.features import FeatureConfig
-from cpaware.net import NetworkConfig, he_init, load_model, save_model
+from cpaware.net.checkpoint import load_model, save_model
+from cpaware.net.model import NetworkConfig, he_init
 from cpaware.net.optim import Adam
 from cpaware.ofdm import FrameConfig
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cpaware.net import NetworkConfig, load_model, save_model
 from cpaware.experiments.training import save_result, train, write_log_csv
+from cpaware.net.checkpoint import load_model, save_model
+from cpaware.net.model import NetworkConfig
 
 TOY_SHAPE = (16, 16, 3)
 TOY_NET = NetworkConfig(TOY_SHAPE, conv_blocks=((4, 3, 1), (8, 3, 1)))
@@ -55,13 +56,23 @@ class TestLabelVariance:
         result = train(x, idx, rho, TOY_NET, epochs=1, batch_size=32, seed=4)
         mean = sum(rho) / len(rho)
         two_pass = sum((v - mean) ** 2 for v in rho) / len(rho)
-        assert result.model.config.reg_label_variance == pytest.approx(two_pass, abs=1e-9)
+        assert result.label_variance == pytest.approx(two_pass, abs=1e-9)
 
-    def test_zero_variance_rejected(self):
+    @pytest.mark.parametrize("task", ["multitask", "intent", "capability"])
+    def test_zero_variance_rejected(self, task):
+        """Constant labels leave the regression weight undefined; intent-only
+        training weights the regression 0 and trains on them."""
         x, idx, _ = toy_set(4)
-        with pytest.raises(ValueError, match="variance"):
-            train(x, idx, np.full(len(idx), -2.0), TOY_NET, epochs=1,
-                  batch_size=32, seed=5)
+        run = lambda: train(x, idx, np.full(len(idx), -2.0), TOY_NET, task=task,  # noqa: E731
+                            epochs=2, batch_size=16, seed=5)
+        if task != "intent":
+            with pytest.raises(ValueError, match="variance"):
+                run()
+            return
+        result = run()
+        assert result.label_variance == 0.0 and len(result.log) == 4
+        for entry in result.log:
+            assert all(np.isfinite(entry[k]) for k in ("loss_cls", "loss_reg", "loss_total"))
 
 
 class TestTaskCoupling:
@@ -109,6 +120,7 @@ class TestDeterminismAndResume:
                         resume_from=ckpt)
 
         assert resumed.optimizer.step_count == straight.optimizer.step_count
+        assert resumed.label_variance == straight.label_variance
         for name, value in straight.model.named_params().items():
             assert value.tobytes() == resumed.model.named_params()[name].tobytes(), name
         for name, value in straight.model.named_state().items():
