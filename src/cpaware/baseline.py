@@ -30,7 +30,7 @@ from .threats import ThreatKind
 def check_same_backbone(regressor: MultitaskNet, classifier: MultitaskNet) -> None:
     """Both cascade models must share architecture and input shape."""
     a, b = regressor.config, classifier.config
-    if (a.input_shape, a.conv_blocks, a.pool) != (b.input_shape, b.conv_blocks, b.pool):
+    if (a.input_shape, a.conv_filters) != (b.input_shape, b.conv_filters):
         raise ValueError("cascade checkpoints disagree on the backbone architecture")
 
 

@@ -55,9 +55,6 @@ class ExperimentConfig:
                 f"feature tensor shape {expected}"
             )
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         return from_json(
@@ -65,7 +62,7 @@ class ExperimentConfig:
             frame=partial(from_json, FrameConfig),
             feature=partial(from_json, FeatureConfig),
             space=partial(from_json, ScenarioSpace),
-            net=NetworkConfig.from_dict,
+            net=partial(from_json, NetworkConfig),
             regime=partial(from_json, TrainRegime),
         )
 
@@ -91,4 +88,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2))
+    Path(path).write_text(json.dumps(dataclasses.asdict(config), sort_keys=True, indent=2))

@@ -23,6 +23,8 @@ seed are byte-identical.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .. import tensorfile
@@ -72,7 +74,7 @@ def build_records(config: ExperimentConfig, per_kind: int,
 
 
 def write_dataset(path, config: ExperimentConfig, metas: list[dict], tensors) -> None:
-    meta = {"config": config.to_dict(), "records": metas}
+    meta = {"config": asdict(config), "records": metas}
     tensorfile.write(path, MAGIC, meta, {"tensors": tensors})
 
 

@@ -12,6 +12,8 @@ therefore resumes training exactly where it stopped.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .. import tensorfile
@@ -42,7 +44,7 @@ def save_model(path, model: MultitaskNet, optimizer: Adam | None = None,
         tensors.update({f"adam_m/{k}": v for k, v in optimizer.m.items()})
         tensors.update({f"adam_v/{k}": v for k, v in optimizer.v.items()})
         meta["adam_step"] = optimizer.step_count
-    write_checkpoint(path, model.config.to_dict(), tensors, meta)
+    write_checkpoint(path, asdict(model.config), tensors, meta)
 
 
 def load_model(path) -> tuple[MultitaskNet, Adam | None, dict]:
@@ -53,7 +55,7 @@ def load_model(path) -> tuple[MultitaskNet, Adam | None, dict]:
     grafted into it.
     """
     config_dict, tensors, extras = read_checkpoint(path)
-    config = NetworkConfig.from_dict(config_dict)
+    config = tensorfile.from_json(NetworkConfig, config_dict)
     model = MultitaskNet(config)
     groups = {"param": model.named_params(), "state": model.named_state()}
     optimizer = None

@@ -27,12 +27,11 @@ _NO_ARRAYS = MappingProxyType({})
 
 
 class Conv2D:
-    """Stride-s 2-D convolution with zero padding of kernel_size // 2.
+    """Stride-1 2-D convolution with zero padding of kernel_size // 2.
 
-    For odd kernels and stride 1 the spatial size is preserved.  There is
-    no bias: every convolution here feeds a BatchNorm2D, whose mean
-    subtraction cancels a per-channel bias exactly and whose ``beta``
-    does its job.
+    For odd kernels the spatial size is preserved.  There is no bias:
+    every convolution here feeds a BatchNorm2D, whose mean subtraction
+    cancels a per-channel bias exactly and whose ``beta`` does its job.
 
     Kernel row i contributes ``cols_i @ w[i]``, where ``cols_i`` holds
     the k input pixels under that row for every output position,
@@ -41,14 +40,12 @@ class Conv2D:
     which keeps the full im2col matrix out of memory.
     """
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 kernel_size: int = 3, stride: int = 1):
-        if kernel_size <= 0 or stride <= 0:
-            raise ValueError("kernel_size and stride must be positive")
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3):
+        if kernel_size <= 0:
+            raise ValueError("kernel_size must be positive")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.pad = kernel_size // 2
         self.params = {
             "w": np.zeros((kernel_size, kernel_size, in_channels, out_channels)),
@@ -63,14 +60,13 @@ class Conv2D:
         )
 
     def out_shape(self, h: int, w: int) -> tuple[int, int]:
-        k, s, p = self.kernel_size, self.stride, self.pad
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        k, p = self.kernel_size, self.pad
+        return h + 2 * p - k + 1, w + 2 * p - k + 1
 
     def _cols(self, xp: np.ndarray, i: int, ho: int, wo: int) -> np.ndarray:
         """im2col matrix of kernel row i, columns ordered (kernel column, channel)."""
-        k, s = self.kernel_size, self.stride
-        rows = xp[:, i: i + s * (ho - 1) + 1: s]
-        windows = sliding_window_view(rows, k, axis=2)[:, :, : s * (wo - 1) + 1: s]
+        k = self.kernel_size
+        windows = sliding_window_view(xp[:, i: i + ho], k, axis=2)
         return windows.swapaxes(3, 4).reshape(-1, k * self.in_channels)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -89,7 +85,7 @@ class Conv2D:
         """Kernel gradient into ``grads``; the input gradient unless ``input_grad`` is False."""
         xp = self._xp
         _, ho, wo, o = dout.shape
-        k, s, p = self.kernel_size, self.stride, self.pad
+        k, p = self.kernel_size, self.pad
         weight = self.params["w"]
         flat = dout.reshape(-1, o)
         dw = np.empty_like(weight)
@@ -101,7 +97,7 @@ class Conv2D:
         dxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
-                dxp[:, i: i + s * ho: s, j: j + s * wo: s, :] += np.tensordot(
+                dxp[:, i: i + ho, j: j + wo, :] += np.tensordot(
                     dout, weight[i, j], axes=([3], [1])
                 )
         h, w = xp.shape[1] - 2 * p, xp.shape[2] - 2 * p

@@ -1,10 +1,13 @@
 """Shared-backbone multitask network: intent classifier + log-BER regressor.
 
-The backbone is a stack of conv blocks (convolution, batch normalization,
-ReLU, average pooling), followed by a global average pool; two dense
-heads read the shared per-channel features, one with a logit per intent
-(``ThreatKind``) and one with the log-BER.  Both heads backpropagate
-into the backbone, which is what couples the tasks during training.
+The backbone is a stack of conv blocks followed by a global average
+pool.  Every block is the same: a 3x3 stride-1 convolution, batch
+normalization (momentum 0.9, eps 1e-5), ReLU and a 2x2 average pool, so
+each block halves the feature map; only its filter count is configured.
+Two dense heads read the shared per-channel features, one with a logit
+per intent (``ThreatKind``) and one with the log-BER.  Both heads
+backpropagate into the backbone, which is what couples the tasks during
+training.
 
 Everything runs in float64; weights follow the He normal scheme
 (variance 2 / fan_in).  The dense heads start with zero biases; the
@@ -20,17 +23,18 @@ it holds the activations of one layer at a time rather than all of them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensorfile import from_json
 from ..threats import ThreatKind
 from .layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, GlobalAvgPool, ReLU
 from .losses import softmax
 
 # Inference batch budget in input pixels: 16 samples at 64x64, 1 at 600x512.
 PREDICT_PIXELS = 2**16
+POOL = 2  # side of each block's average pool
 
 
 def _positive_ints(values) -> bool:
@@ -39,67 +43,45 @@ def _positive_ints(values) -> bool:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture plus the loss/optimizer hyperparameters it trains with."""
+    """Backbone widths plus the loss/optimizer hyperparameters it trains with."""
 
     input_shape: tuple  # (frames, bins, channels)
-    conv_blocks: tuple = ((8, 3, 1), (16, 3, 1), (32, 3, 1))  # (filters, kernel, stride)
-    pool: int = 2
+    conv_filters: tuple = (8, 16, 32)  # output channels of each conv block
     l2_coeff: float = 1e-4
     focal_gamma: float = 2.0
     reg_amplification: float = 10.0
     learning_rate: float = 1e-3  # Adam default (Kingma & Ba); 1e-4 stalls log-BER
-    bn_momentum: float = 0.9
-    bn_eps: float = 1e-5
 
     def __post_init__(self) -> None:
         if len(self.input_shape) != 3 or not _positive_ints(self.input_shape):
             raise ValueError("input_shape must be (frames, bins, channels), positive integers")
-        if not self.conv_blocks:
-            raise ValueError("at least one conv block is required")
-        if any(len(block) != 3 or not _positive_ints(block) for block in self.conv_blocks):
-            raise ValueError("each conv block must be (filters, kernel, stride), "
-                             "positive integers")
-        if self.focal_gamma < 0:
-            raise ValueError("focal_gamma must be non-negative")
-        if self.pool <= 0:
-            raise ValueError("pool must be positive")
-        for name in ("l2_coeff",):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if not self.conv_filters or not _positive_ints(self.conv_filters):
+            raise ValueError("conv_filters must be one or more positive integers")
+        for name in ("l2_coeff", "focal_gamma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"not {getattr(self, name)!r}")
         for name in ("reg_amplification", "learning_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkConfig":
-        return from_json(cls, data)
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"not {getattr(self, name)!r}")
 
 
 class MultitaskNet:
-    """Configurable conv backbone feeding a softmax head and a scalar head."""
+    """Conv backbone of ``conv_filters`` widths feeding a softmax head and a scalar head."""
 
     def __init__(self, config: NetworkConfig):
         self.config = config
         h, w, c = config.input_shape
         self.backbone: list = []
-        for filters, kernel, stride in config.conv_blocks:
-            conv = Conv2D(c, filters, kernel_size=kernel, stride=stride)
-            h, w = conv.out_shape(h, w)
-            if h % config.pool or w % config.pool:
+        for filters in config.conv_filters:
+            if h % POOL or w % POOL:
                 raise ValueError(
-                    f"feature map {(h, w)} not divisible by pool {config.pool}; "
-                    "adjust input_shape or conv_blocks"
+                    f"feature map {(h, w)} not divisible by pool {POOL}; "
+                    "adjust input_shape or conv_filters"
                 )
-            self.backbone += [
-                conv,
-                BatchNorm2D(filters, momentum=config.bn_momentum, eps=config.bn_eps),
-                ReLU(),
-                AvgPool2D(config.pool),
-            ]
-            h, w, c = h // config.pool, w // config.pool, filters
+            self.backbone += [Conv2D(c, filters), BatchNorm2D(filters), ReLU(), AvgPool2D(POOL)]
+            h, w, c = h // POOL, w // POOL, filters
         self.backbone.append(GlobalAvgPool())
         self.feature_size = c
         self.head_cls = Dense(self.feature_size, len(ThreatKind))

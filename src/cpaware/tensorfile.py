@@ -118,8 +118,9 @@ def from_json(cls, data, **convert):
     fields = dataclasses.fields(cls)
     names = {f.name for f in fields}
     if set(data) != names:
-        raise ValueError(f"{cls.__name__}: missing keys {sorted(names - set(data))}, "
-                         f"unknown keys {sorted(set(data) - names)}")
+        problems = [f"{kind} keys {sorted(keys)}" for kind, keys in
+                    (("missing", names - set(data)), ("unknown", set(data) - names)) if keys]
+        raise ValueError(f"{cls.__name__}: {', '.join(problems)}")
     for f in fields:
         allowed = _SCALARS.get(getattr(f.type, "__name__", f.type))
         value = data[f.name]

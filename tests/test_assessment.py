@@ -146,7 +146,7 @@ class TestAssess:
 
     def test_uniform_probabilities_break_toward_deceptive(self):
         """A classifier head pinned to equal logits predicts the deceptive class."""
-        net = NetworkConfig((8, 8, 3), conv_blocks=((2, 3, 1),))
+        net = NetworkConfig((8, 8, 3), conv_filters=(2,))
         model = he_init(net, np.random.default_rng(0))
         model.head_cls.params["w"] = np.zeros_like(model.head_cls.params["w"])
         model.head_cls.params["b"] = np.zeros_like(model.head_cls.params["b"])

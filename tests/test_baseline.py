@@ -9,7 +9,7 @@ from cpaware.net.model import NetworkConfig, he_init
 from cpaware.threats import ThreatKind
 
 SHAPE = (16, 16, 3)
-NET = NetworkConfig(SHAPE, conv_blocks=((4, 3, 1), (8, 3, 1)))
+NET = NetworkConfig(SHAPE, conv_filters=(4, 8))
 
 
 def make_models(seed=0):
@@ -126,7 +126,7 @@ class TestConfigValidation:
 
     def test_backbone_mismatch_rejected(self):
         regressor = he_init(NET, np.random.default_rng(7))
-        other = NetworkConfig(SHAPE, conv_blocks=((8, 3, 1), (8, 3, 1)))
+        other = NetworkConfig(SHAPE, conv_filters=(8, 8))
         classifier = he_init(other, np.random.default_rng(8))
         with pytest.raises(ValueError, match="backbone"):
             check_same_backbone(regressor, classifier)

@@ -57,7 +57,7 @@ def mini_config(**overrides) -> ExperimentConfig:
         train_per_kind=4,
         frame=FrameConfig(16, 2, 16),
         feature=FeatureConfig(1),
-        net=NetworkConfig((16, 16, 3), conv_blocks=((4, 3, 1), (8, 3, 1))),
+        net=NetworkConfig((16, 16, 3), conv_filters=(4, 8)),
     )
     return dataclasses.replace(base, **overrides)
 
@@ -118,7 +118,7 @@ class TestDatasetFile:
         config = ExperimentConfig(
             frame=FrameConfig(24, 2, 16, qam_order=16),
             feature=FeatureConfig(4),
-            net=NetworkConfig((16, 24, 3), conv_blocks=((4, 3, 1),)),
+            net=NetworkConfig((16, 24, 3), conv_filters=(4,)),
         )
         path = tmp_path / "data.cpad"
         build_dataset(path, config, per_kind=2, master_seed=3)
@@ -137,7 +137,7 @@ class TestDatasetFile:
         config = ExperimentConfig(
             frame=FrameConfig(256, 16, 256),
             feature=FeatureConfig(6),
-            net=NetworkConfig((256, 256, 3), conv_blocks=((4, 3, 1),)),
+            net=NetworkConfig((256, 256, 3), conv_filters=(4,)),
         )
         path = tmp_path / "data.cpad"
         build_dataset(path, config, per_kind=1, master_seed=3)
@@ -174,12 +174,12 @@ class TestDatasetFile:
         config = ExperimentConfig(
             frame=FrameConfig(24, 2, 16, qam_order=16),
             feature=FeatureConfig(4),
-            net=NetworkConfig((16, 24, 3), conv_blocks=((4, 3, 1),)),
+            net=NetworkConfig((16, 24, 3), conv_filters=(4,)),
         )
         path = tmp_path / "data.cpad"
         build_dataset(path, config, per_kind=2, master_seed=3)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "dc2621aa3fa8c6691f50223114f260ccf78e5567f16dbeb7ccd532f824c1ac72")
+            "d90afc0c40a3646e99ab41977b348d8b11780f44160efb49b198782936ef20ef")
 
     def test_adversarial_metadata_recorded(self, tmp_path):
         config = mini_config()
@@ -260,9 +260,17 @@ class TestConfigSerialization:
         pytest.param(lambda d: d["net"].update(n_classes=3), "n_classes", id="n_classes"),
         pytest.param(lambda d: d["net"].update(reg_label_variance=1.0), "reg_label_variance",
                      id="reg_label_variance"),
+        # Every conv block is a 3x3 stride-1 convolution, batch norm with its
+        # defaults and a 2x2 pool, so only the filter counts are config keys.
+        pytest.param(lambda d: d["net"].update(conv_blocks=[[8, 3, 1]]), "conv_blocks",
+                     id="conv_blocks"),
+        pytest.param(lambda d: d["net"].update(pool=2), "pool", id="pool"),
+        pytest.param(lambda d: d["net"].update(bn_momentum=0.9), "bn_momentum",
+                     id="bn_momentum"),
+        pytest.param(lambda d: d["net"].update(bn_eps=1e-5), "bn_eps", id="bn_eps"),
     ])
     def test_missing_or_unknown_key_rejected(self, edit, key):
-        data = desk_config().to_dict()
+        data = dataclasses.asdict(desk_config())
         edit(data)
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(data)
@@ -271,23 +279,23 @@ class TestConfigSerialization:
         (lambda d: d["regime"].update(epochs=2.0), "epochs"),
         (lambda d: d.update(master_seed=True), "master_seed"),
         (lambda d: d["space"].update(jitter_rad="0.002"), "jitter_rad"),
-        (lambda d: d["net"].update(pool=2.0), "pool"),
+        (lambda d: d["net"].update(learning_rate="0.001"), "learning_rate"),
     ])
     def test_wrong_typed_scalar_rejected(self, edit, key):
-        data = desk_config().to_dict()
+        data = dataclasses.asdict(desk_config())
         edit(data)
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(data)
 
     def test_integer_accepted_for_float_field(self):
-        data = desk_config().to_dict()
+        data = dataclasses.asdict(desk_config())
         data["net"]["l2_coeff"] = 0
         assert ExperimentConfig.from_dict(data).net.l2_coeff == 0
 
     @pytest.mark.parametrize("field, value, message", [
-        ("pool", 0, "pool must be positive"),
-        ("conv_blocks", ((0, 3, 1),), "conv block"),
-        ("conv_blocks", ((4.0, 3, 1),), "conv block"),
+        ("conv_filters", (0,), "conv_filters"),
+        ("conv_filters", (4.0,), "conv_filters"),
+        ("conv_filters", (), "conv_filters"),
         ("input_shape", (16.0, 16, 3), "input_shape"),
     ])
     def test_bad_net_field_rejected(self, field, value, message):
@@ -297,7 +305,7 @@ class TestConfigSerialization:
 
     def test_mismatched_net_shape_rejected(self):
         with pytest.raises(ValueError, match="input_shape"):
-            mini_config(net=NetworkConfig((8, 8, 3), conv_blocks=((4, 3, 1),)))
+            mini_config(net=NetworkConfig((8, 8, 3), conv_filters=(4,)))
 
 
 class TestMetricHelpers:
@@ -593,7 +601,7 @@ class TestCli:
     ])
     def test_non_numeric_value_set_exits_with_config_code(self, tmp_path, field, value):
         path = tmp_path / "config.json"
-        data = mini_config().to_dict()
+        data = dataclasses.asdict(mini_config())
         data["space"][field] = [value]
         path.write_text(json.dumps(data))
         out = tmp_path / "d.cpad"
@@ -743,7 +751,7 @@ class TestCliExitCodes:
         ckpt = tmp_path / "m.ckpt"
         assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
         wide = mini_config(frame=FrameConfig(32, 2, 32),
-                           net=NetworkConfig((32, 32, 3), conv_blocks=((4, 3, 1), (8, 3, 1))))
+                           net=NetworkConfig((32, 32, 3), conv_filters=(4, 8)))
         data, config, npz = tmp_path / "wide.cpad", tmp_path / "wide.json", tmp_path / "in.npz"
         build_dataset(data, wide, per_kind=2)
         save_config(config, wide)
@@ -809,6 +817,73 @@ class TestCliExitCodes:
                          "--out", str(tmp_path / "x.ckpt")]) == 4
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+    def test_pre_change_files_exit_with_data_code(self, tmp_path, capsys, inputs):
+        """A config, dataset or checkpoint written while the conv blocks' kernel,
+        stride, pool and batch-norm settings were config keys is refused by every
+        command that reads it, which exits 4 naming the keys and writes nothing."""
+
+        def pre_change(net):
+            net.update(conv_blocks=[[f, 3, 1] for f in net.pop("conv_filters")], pool=2,
+                       bn_momentum=0.9, bn_eps=1e-5)
+
+        ckpt, old_ckpt = tmp_path / "m.ckpt", tmp_path / "old.ckpt"
+        old_data, old_config = tmp_path / "old.cpad", tmp_path / "old.json"
+        out = tmp_path / "out"
+        assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
+        net, tensors, extras = read_checkpoint(ckpt)
+        pre_change(net)
+        write_checkpoint(old_ckpt, net, tensors, extras)
+        data = inputs["train"][1]
+        meta, arrays = tensorfile.read(data, b"CPAD", ("config", "records"))
+        pre_change(meta["config"]["net"])
+        tensorfile.write(old_data, b"CPAD", meta, arrays)
+        old_config.write_text(json.dumps(meta["config"]))
+        commands = [
+            ["generate", "--config", str(old_config), "--out"],
+            ["train", "--dataset", str(old_data), "--out"],
+            ["train", "--dataset", data, "--epochs", "2", "--resume", str(old_ckpt), "--out"],
+            ["eval", "--dataset", str(old_data), "--ckpt", str(ckpt), "--rows-out"],
+            ["eval", "--dataset", data, "--ckpt", str(old_ckpt), "--rows-out"],
+            ["baseline", "--dataset", str(old_data), "--ckpt", str(ckpt), "--ckpt2", str(ckpt),
+             "--theta", "1e-2", "--rows-out"],
+            ["baseline", "--dataset", data, "--ckpt", str(ckpt), "--ckpt2", str(old_ckpt),
+             "--theta", "1e-2", "--rows-out"],
+            ["assess", "--ckpt", str(ckpt), "--input", str(old_data), "--out"],
+            ["assess", "--ckpt", str(old_ckpt), "--input", data, "--out"],
+        ]
+        for argv in (command + [str(out)] for command in commands):
+            capsys.readouterr()
+            assert cli_main(argv) == 4, argv
+            assert ("NetworkConfig: missing keys ['conv_filters'], unknown keys "
+                    "['bn_eps', 'bn_momentum', 'conv_blocks', 'pool']"
+                    in capsys.readouterr().err), argv
+            assert not out.exists(), argv
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["l2_coeff", "focal_gamma", "reg_amplification",
+                                       "learning_rate"])
+    def test_non_finite_hyperparameter_exits_with_config_code(self, tmp_path, capsys, inputs,
+                                                              field, value):
+        """JSON's NaN and Infinity parse as floats; a config or checkpoint holding
+        one is refused, where it used to train to a NaN loss or, for
+        reg_amplification, to weigh the regression task 0."""
+        config, out = tmp_path / "bad.json", tmp_path / "out"
+        data = dataclasses.asdict(mini_config())
+        data["net"][field] = value
+        config.write_text(json.dumps(data))
+        assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 4
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+        ckpt = tmp_path / "m.ckpt"
+        save_model(ckpt, he_init(mini_config().net, np.random.default_rng(0)))
+        net, tensors, extras = read_checkpoint(ckpt)
+        write_checkpoint(ckpt, {**net, field: value}, tensors, extras)
+        assert cli_main(["eval", *inputs["train"], "--ckpt", str(ckpt),
+                         "--rows-out", str(out)]) == 4
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diverged_checkpoint_grades_overflowing_ber_high(self, tmp_path, capsys, inputs):
         """A log-BER head biased to 1000 overflows ``10.0 ** x``: the BER is inf (a

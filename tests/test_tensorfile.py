@@ -1,5 +1,6 @@
 """Tests for the shared container behind dataset and checkpoint files."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -47,11 +48,31 @@ def test_rejects_unlisted_dtype(tmp_path):
         tensorfile.write(tmp_path / "x.bin", b"TEST", {}, {"a": np.zeros(2, dtype=np.int32)})
 
 
+def _pre_change_net(data):
+    """Give a network config dict the keys it had while conv blocks were configurable."""
+    data.update(conv_blocks=[[f, 3, 1] for f in data.pop("conv_filters")], pool=2,
+                bn_momentum=0.9, bn_eps=1e-5)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("l2_coeff"), "NetworkConfig: missing keys ['l2_coeff']"),
+    (lambda d: d.update(pool=2), "NetworkConfig: unknown keys ['pool']"),
+    (_pre_change_net, "NetworkConfig: missing keys ['conv_filters'], "
+                      "unknown keys ['bn_eps', 'bn_momentum', 'conv_blocks', 'pool']"),
+], ids=["missing", "unknown", "both"])
+def test_from_json_names_only_the_wrong_keys(edit, message):
+    data = dataclasses.asdict(NetworkConfig((8, 8, 3), conv_filters=(2,)))
+    edit(data)
+    with pytest.raises(ValueError) as info:
+        tensorfile.from_json(NetworkConfig, data)
+    assert str(info.value) == message
+
+
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
     """A small valid checkpoint and dataset: their directory and bytes."""
     directory = tmp_path_factory.mktemp("valid")
-    net = NetworkConfig((8, 8, 3), conv_blocks=((2, 3, 1),))
+    net = NetworkConfig((8, 8, 3), conv_filters=(2,))
     model = he_init(net, np.random.default_rng(0))
     ckpt = directory / "valid.ckpt"
     save_model(ckpt, model, Adam(model.named_params(), lr=1e-3),
@@ -120,8 +141,8 @@ def splice_sources(valid):
     the other header exactly) and one with different array shapes.
     """
     directory, files = valid
-    net = NetworkConfig((8, 8, 3), conv_blocks=((2, 3, 1),))
-    wider = NetworkConfig((8, 8, 3), conv_blocks=((3, 3, 1),))
+    net = NetworkConfig((8, 8, 3), conv_filters=(2,))
+    wider = NetworkConfig((8, 8, 3), conv_filters=(3,))
     same_ckpt, wider_ckpt = directory / "same.ckpt", directory / "wider.ckpt"
     model = he_init(net, np.random.default_rng(1))
     save_model(same_ckpt, model, Adam(model.named_params(), lr=1e-3),

@@ -8,7 +8,7 @@ from cpaware.net.checkpoint import load_model, save_model
 from cpaware.net.model import NetworkConfig
 
 TOY_SHAPE = (16, 16, 3)
-TOY_NET = NetworkConfig(TOY_SHAPE, conv_blocks=((4, 3, 1), (8, 3, 1)))
+TOY_NET = NetworkConfig(TOY_SHAPE, conv_filters=(4, 8))
 
 
 def toy_set(seed=0, n=32):
