@@ -38,13 +38,13 @@ class LinkBudget:
     def __post_init__(self) -> None:
         for name in ("tx_power_w", "distance_m", "wavelength_m",
                      "tx_aperture_m", "rx_aperture_m", "divergence_rad"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("tx_efficiency", "rx_efficiency"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if self.jitter_rad < 0:
-            raise ValueError("jitter_rad must be non-negative")
+        if not 0 <= self.jitter_rad < math.inf:
+            raise ValueError("jitter_rad must be non-negative and finite")
 
 
 def aperture_gain(aperture_m: float, wavelength_m: float) -> float:

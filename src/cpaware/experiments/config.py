@@ -33,6 +33,8 @@ class TrainRegime:
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
+        if self.train_seed < 0:
+            raise ValueError(f"train_seed must be non-negative, not {self.train_seed}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.train_per_kind <= 0:
             raise ValueError("train_per_kind must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, not {self.master_seed}")
         expected = (self.frame.n_symbols, self.frame.n_subcarriers, 3)
         if tuple(self.net.input_shape) != expected:
             raise ValueError(

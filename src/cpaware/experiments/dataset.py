@@ -100,6 +100,8 @@ class Dataset:
                 and len(self._metas) == len(self._tensors)):
             raise ValueError(f"{path}: a dataset holds one 4-D float32 'tensors' "
                              "array and one metadata record per tensor")
+        if not self._metas:
+            raise ValueError(f"{path}: the dataset holds no records")
         self.config = ExperimentConfig.from_dict(meta["config"])
         floor = label_log_ber(0.0, self.config.frame)
         for i, record in enumerate(self._metas):

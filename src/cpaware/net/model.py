@@ -16,9 +16,11 @@ would cancel it.  The convolutions run as im2col GEMMs (see ``layers``).
 L2 regularization covers every parameter of two or more dimensions,
 which are exactly the convolution and dense weights.
 
-Only ``forward(train=True)`` caches activations for ``backward``;
-``predict`` runs the layers in inference mode, which keeps no cache, so
-it holds the activations of one layer at a time rather than all of them.
+Only ``forward(train=True)`` caches activations for ``backward``.
+Inference (``predict_batched``) keeps no cache and runs one sample per
+forward pass: BLAS rounds a product of 1 row differently from one of 16,
+so a batched pass would make a sample's output depend on its batch.  One
+sample a pass makes it a function of the sample and the weights alone.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from ..threats import ThreatKind
 from .layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, GlobalAvgPool, ReLU
 from .losses import softmax
 
-# Inference batch budget in input pixels: 16 samples at 64x64, 1 at 600x512.
-PREDICT_PIXELS = 2**16
 POOL = 2  # side of each block's average pool
 
 
@@ -158,23 +158,11 @@ class MultitaskNet:
         # Nothing reads the gradient with respect to the network input.
         self.backbone[0].backward(out, input_grad=False)
 
-    def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Inference-mode class probabilities and log-BER predictions."""
-        logits, log_ber = self.forward(x, train=False)
-        return softmax(logits), log_ber
-
     def predict_batched(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``predict`` in batches of at most PREDICT_PIXELS input pixels (one sample at least).
-
-        Inference memory then follows the input size, not the sample count.
-        """
-        batch = max(1, PREDICT_PIXELS // (x.shape[1] * x.shape[2]))
-        probs, log_ber = [], []
-        for start in range(0, x.shape[0], batch):
-            p, r = self.predict(x[start: start + batch])
-            probs.append(p)
-            log_ber.append(r)
-        return np.concatenate(probs), np.concatenate(log_ber)
+        """Inference-mode class probabilities and log-BER predictions, one sample per pass."""
+        outputs = [self.forward(x[i: i + 1], train=False) for i in range(len(x))]
+        return (np.concatenate([softmax(logits) for logits, _ in outputs]),
+                np.concatenate([log_ber for _, log_ber in outputs]))
 
 
 def he_init(config: NetworkConfig, rng: np.random.Generator) -> MultitaskNet:

@@ -258,6 +258,8 @@ class ScenarioSpace:
                         or not math.isfinite(value)):
                     raise ValueError(f"{name} entries must be finite real numbers, "
                                      f"got {value!r}")
+        # The optics are checked by the one link rule every draw goes through.
+        self._link(self.legit_powers_w[0], self.legit_distances_m[0])
 
     def _link(self, power_w: float, distance_m: float) -> LinkBudget:
         return LinkBudget(

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +570,27 @@ class TestCli:
                              *extra]) == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
 
+    def test_assess_grades_a_record_alike_alone_or_in_a_set(self, tmp_path):
+        """A record's report row depends only on the record and the checkpoint:
+        graded among 21 records or alone, it is the same bytes (index aside).
+        A batched forward pass moved some log-BERs in their last digits."""
+        config = mini_config()
+        metas, tensors = build_records(config, per_kind=7, master_seed=3)
+        ckpt = tmp_path / "m.ckpt"
+        save_model(ckpt, he_init(config.net, np.random.default_rng(32)))
+
+        def report_rows(name, records, block):
+            data, report = tmp_path / f"{name}.cpad", tmp_path / f"{name}.csv"
+            write_dataset(data, config, records, block)
+            assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(data),
+                             "--out", str(report)]) == 0
+            return [row.split(",", 1)[1] for row in report.read_text().splitlines()[1:]]
+
+        together = report_rows("all", metas, tensors)
+        assert len(together) == 21
+        for i in range(21):
+            assert report_rows(f"one{i}", metas[i: i + 1], tensors[i: i + 1]) == [together[i]], i
+
     def test_rows_out_needs_a_single_theta(self, tmp_path):
         data = tmp_path / "d.cpad"
         build_dataset(data, mini_config(), per_kind=2)
@@ -667,6 +689,8 @@ class TestCliExitCodes:
         ("train", "--batch-size", "-1", "batch_size"),
         ("generate", "--count-per-kind", "0", "per_kind"),
         ("generate", "--count-per-kind", "-3", "per_kind"),
+        ("generate", "--seed", "-1", "master_seed"),
+        ("train", "--seed", "-1", "train_seed"),
     ])
     def test_non_positive_count_exits_with_config_code(self, tmp_path, capsys, inputs,
                                                         command, flag, value, names):
@@ -883,6 +907,57 @@ class TestCliExitCodes:
         assert cli_main(["eval", *inputs["train"], "--ckpt", str(ckpt),
                          "--rows-out", str(out)]) == 4
         assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_record_dataset_exits_with_data_code(self, tmp_path, capsys):
+        """A dataset of no records is refused when it is opened, naming the file;
+        eval, baseline and assess used to exit with NumPy's concatenate error."""
+        data, ckpt, out = tmp_path / "empty.cpad", tmp_path / "m.ckpt", tmp_path / "out"
+        write_dataset(data, mini_config(), [], np.empty((0, 16, 16, 3), "<f4"))
+        save_model(ckpt, he_init(mini_config().net, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="no records"):
+            Dataset(data)
+        commands = (["train", "--dataset", str(data), "--out", str(out)],
+                    ["eval", "--dataset", str(data), "--ckpt", str(ckpt), "--rows-out", str(out)],
+                    ["baseline", "--dataset", str(data), "--ckpt", str(ckpt), "--ckpt2", str(ckpt),
+                     "--theta", "1e-2", "--rows-out", str(out)],
+                    ["assess", "--ckpt", str(ckpt), "--input", str(data), "--out", str(out)])
+        for argv in commands:
+            capsys.readouterr()
+            assert cli_main(argv) == 4, argv
+            assert f"{data}: the dataset holds no records" in capsys.readouterr().err, argv
+            assert not out.exists(), argv
+
+    @pytest.mark.parametrize("field, value", [
+        ("jitter_rad", math.nan), ("wavelength_m", math.inf), ("tx_aperture_m", math.nan),
+        ("rx_aperture_m", math.inf), ("divergence_rad", math.nan), ("jitter_rad", math.inf),
+    ])
+    def test_non_finite_optics_exit_with_config_code(self, tmp_path, capsys, field, value):
+        """A space whose optics are NaN or inf is refused before any sample is
+        built; the build used to warn from the OFDM code and then fail on a
+        non-finite matrix without naming the field."""
+        config, out = tmp_path / "bad.json", tmp_path / "out"
+        data = dataclasses.asdict(mini_config())
+        data["space"][field] = value
+        config.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 4
+        assert caught == []
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [(None, "master_seed"), ("regime", "train_seed")],
+                             ids=["master_seed", "regime.train_seed"])
+    def test_negative_seed_key_exits_with_config_code(self, tmp_path, capsys, section, key):
+        """A negative seed in a config exits 4 naming its key, not with NumPy's
+        seeding error (the --seed flags are cases of the non-positive test)."""
+        config, out = tmp_path / "bad.json", tmp_path / "out"
+        data = dataclasses.asdict(mini_config())
+        (data[section] if section else data)[key] = -1
+        config.write_text(json.dumps(data))
+        assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 4
+        assert f"{key} must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_diverged_checkpoint_grades_overflowing_ber_high(self, tmp_path, capsys, inputs):

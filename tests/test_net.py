@@ -205,16 +205,17 @@ class TestInferenceMode:
     def test_predict_keeps_no_activation_cache(self):
         """Inference holds one activation at a time, not a cache per layer.
 
-        At 64x64 with batch 8 the largest activation (8 channels) is 2 MiB.
-        Keeping every layer's backward cache through ``predict`` peaked at
-        8.9 MiB and left 5.6 MiB allocated after it returned; without the
-        caches the peak is about 7 MiB and nothing stays behind.
+        At 64x64 a batch of 8 in one pass has a largest activation (8
+        channels) of 2 MiB; keeping every layer's backward cache through
+        it peaked at 8.9 MiB and left 5.6 MiB allocated after it
+        returned.  Inference keeps no cache and passes one sample at a
+        time, so its peak stays far below that and nothing stays behind.
         """
         model = he_init(NetworkConfig((64, 64, 3)), np.random.default_rng(62))
         x = np.random.default_rng(63).normal(size=(8, 64, 64, 3))
         tracemalloc.start()
         try:
-            probs, log_ber = model.predict(x)
+            probs, log_ber = model.predict_batched(x)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -223,7 +224,7 @@ class TestInferenceMode:
         assert retained < 2**16
 
     def test_predict_batched_memory_follows_input_size(self):
-        """At 2**16 input pixels a sample the batch is one sample, so 8 samples peak like one.
+        """Inference passes one sample at a time, so 8 samples peak like one.
 
         With a fixed batch of 64 all 8 samples went through at once and
         the peak grew with the sample count.
@@ -240,11 +241,11 @@ class TestInferenceMode:
             finally:
                 tracemalloc.stop()
 
-        _, single = peak_of(lambda: model.predict(x[:1]))
+        _, single = peak_of(lambda: model.predict_batched(x[:1]))
         (probs, log_ber), batched = peak_of(lambda: model.predict_batched(x))
         assert batched < 2 * single
         for i in range(8):
-            p, r = model.predict(x[i: i + 1])
+            p, r = model.predict_batched(x[i: i + 1])
             np.testing.assert_array_equal(probs[i: i + 1], p)
             np.testing.assert_array_equal(log_ber[i: i + 1], r)
 
@@ -440,7 +441,7 @@ class TestForward:
     def test_softmax_rows_sum_to_one(self):
         model = he_init(TINY, np.random.default_rng(40))
         x, _, _ = make_toy_batch(41, n=5)
-        probs, _ = model.predict(x)
+        probs, _ = model.predict_batched(x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_duplicate_rows_get_identical_outputs(self):
@@ -460,10 +461,30 @@ class TestForward:
         from cpaware.experiments.training import train_step
         for _ in range(3):
             train_step(model, x, labels, rho, adam, float(np.var(rho)))
-        alone_probs, alone_rho = model.predict(x[:1])
-        together_probs, together_rho = model.predict(x)
-        np.testing.assert_allclose(alone_probs[0], together_probs[0], atol=1e-6)
-        np.testing.assert_allclose(alone_rho[0], together_rho[0], atol=1e-6)
+        alone_probs, alone_rho = model.predict_batched(x[:1])
+        together_probs, together_rho = model.predict_batched(x)
+        np.testing.assert_array_equal(alone_probs[0], together_probs[0])
+        np.testing.assert_array_equal(alone_rho[0], together_rho[0])
+
+    @pytest.mark.parametrize("order", ["identity", "shuffled", "truncated"])
+    def test_sample_output_is_bit_exact_alone(self, order):
+        """A sample's output is the same bits whatever else is in the call.
+
+        A batched pass multiplies the dense heads' weights by a matrix of
+        one row per sample, and BLAS rounds a 30-row product differently
+        from a 1-row one: here 15 of 30 log-BERs and 11 of 30 probability
+        rows moved in their last bits.
+        """
+        config = NetworkConfig((16, 16, 3), conv_filters=(4, 8))
+        model = he_init(config, np.random.default_rng(48))
+        x = np.random.default_rng(49).normal(size=(30, 16, 16, 3))
+        x = {"identity": x, "shuffled": x[np.random.default_rng(50).permutation(30)],
+             "truncated": x[:17]}[order]
+        probs, log_ber = model.predict_batched(x)
+        for i in range(len(x)):
+            p, r = model.predict_batched(x[i: i + 1])
+            assert probs[i].tobytes() == p[0].tobytes(), i
+            assert log_ber[i].tobytes() == r[0].tobytes(), i
 
     def test_rejects_indivisible_input(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -531,8 +552,8 @@ class TestCheckpoint:
         for name in adam.m:
             assert loaded_adam.m[name].tobytes() == adam.m[name].tobytes()
             assert loaded_adam.v[name].tobytes() == adam.v[name].tobytes()
-        probs_a, rho_a = model.predict(x)
-        probs_b, rho_b = loaded.predict(x)
+        probs_a, rho_a = model.predict_batched(x)
+        probs_b, rho_b = loaded.predict_batched(x)
         np.testing.assert_array_equal(probs_a, probs_b)
         np.testing.assert_array_equal(rho_a, rho_b)
 
