@@ -36,7 +36,7 @@ from .experiments.metrics import (
     summary_lines,
     write_rows_csv,
 )
-from .experiments.training import save_result, train, write_log_csv
+from .experiments.training import TASKS, save_result, train, write_log_csv
 from .features import feature_tensor
 from .net.checkpoint import load_model
 
@@ -110,14 +110,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_trained(path, reads: str):
+    """The model of checkpoint ``path``, refused if its run left a head task ``reads`` trains."""
+    model, _, extras = load_model(path)
+    task = extras.get("task", reads)  # a checkpoint with no task record passes
+    trained = TASKS.get(str(task), (0.0, 0.0))  # str(): a JSON list or object is no task
+    if any(need and not weight for need, weight in zip(TASKS[reads], trained)):
+        raise ValueError(f"{path}: the checkpoint's run trained task {task!r}, "
+                         f"but this command reads it as a {reads!r} model")
+    return model
+
+
 def cmd_generate(args) -> int:
     if args.config:
         config = load_config(args.config)
     else:
         config = full_scale_config() if args.preset == "full" else desk_config()
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    count = build_dataset(args.out, config, per_kind=args.count_per_kind)
+    flags = {"master_seed": args.seed, "train_per_kind": args.count_per_kind}
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+    count = build_dataset(args.out, config)
     if args.dump_config:
         save_config(args.dump_config, config)
     print(f"wrote {count} samples to {args.out} (seed {config.master_seed})")
@@ -157,8 +168,8 @@ def cmd_eval(args) -> int:
         report, rows = evaluate_multitask(model, tensors, intent_idx, log_ber, thresholds)
         print("\n".join(summary_lines(report, args.mode)))
     else:
-        regressor, _, _ = load_model(args.ckpt)
-        classifier, _, _ = load_model(args.ckpt2)
+        regressor = _load_trained(args.ckpt, "capability")
+        classifier = _load_trained(args.ckpt2, "intent")
         for assessor, report, rows in evaluate_sequential(
                 regressor, classifier, args.theta, tensors, intent_idx, log_ber, thresholds):
             label = f"{args.mode} (theta={assessor.threshold_ber:g})"
@@ -175,7 +186,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_assess(args) -> int:
-    model, _, _ = load_model(args.ckpt)
+    model = _load_trained(args.ckpt, "multitask")
     thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
     path = Path(args.input)
     with open(path, "rb") as fh:

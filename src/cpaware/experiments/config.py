@@ -40,6 +40,7 @@ class TrainRegime:
 @dataclass(frozen=True)
 class ExperimentConfig:
     master_seed: int = 1
+    # Samples per intent of the set built from this config, a train or a test set.
     train_per_kind: int = 200
     frame: FrameConfig = field(default_factory=lambda: FrameConfig(64, 8, 64))
     feature: FeatureConfig = field(default_factory=lambda: FeatureConfig(3))

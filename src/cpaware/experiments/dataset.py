@@ -15,10 +15,10 @@ the stored feature tensor.  The reader rejects a record whose
 A build allocates the block before the first sample and writes each
 sample's features straight into its row, so it holds the block once.
 
-Builds are deterministic: sample ``i`` derives its seed from
-(master_seed, i) alone, so the build order (or any parallel schedule)
-cannot change the file contents, and two builds from the same config and
-seed are byte-identical.
+The stored config is the set's exact recipe: a build takes its count
+and seed from the config alone, and sample ``i`` its seed from
+(master_seed, i) alone, so no build order or schedule can change the
+bytes, and the config a file holds rebuilds that file byte for byte.
 """
 
 from __future__ import annotations
@@ -44,17 +44,14 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
-def build_records(config: ExperimentConfig, per_kind: int,
-                  master_seed: int) -> tuple[list[dict], np.ndarray]:
-    """per_kind samples for each intent, in intent order: (metadata, float32 block)."""
-    if per_kind <= 0:
-        raise ValueError(f"per_kind (samples per intent) must be positive, not {per_kind}")
-    kinds = [kind for kind in ThreatKind for _ in range(per_kind)]
+def build_records(config: ExperimentConfig) -> tuple[list[dict], np.ndarray]:
+    """train_per_kind samples for each intent, in intent order: (metadata, float32 block)."""
+    kinds = [kind for kind in ThreatKind for _ in range(config.train_per_kind)]
     frame = config.frame
     tensors = np.empty((len(kinds), frame.n_symbols, frame.n_subcarriers, 3), dtype="<f4")
     metas = []
     for index, kind in enumerate(kinds):
-        seed = derive_seed(master_seed, index)
+        seed = derive_seed(config.master_seed, index)
         scenario = config.space.draw(
             kind, frame, np.random.default_rng([seed, _SCENARIO_STREAM])
         )
@@ -78,12 +75,9 @@ def write_dataset(path, config: ExperimentConfig, metas: list[dict], tensors) ->
     tensorfile.write(path, MAGIC, meta, {"tensors": tensors})
 
 
-def build_dataset(path, config: ExperimentConfig, per_kind: int | None = None,
-                  master_seed: int | None = None) -> int:
-    """Generate and persist a dataset; returns the record count."""
-    per_kind = config.train_per_kind if per_kind is None else per_kind
-    master_seed = config.master_seed if master_seed is None else master_seed
-    metas, tensors = build_records(config, per_kind, master_seed)
+def build_dataset(path, config: ExperimentConfig) -> int:
+    """Generate and persist the dataset ``config`` describes; returns the record count."""
+    metas, tensors = build_records(config)
     write_dataset(path, config, metas, tensors)
     return len(metas)
 

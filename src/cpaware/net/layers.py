@@ -27,29 +27,26 @@ _NO_ARRAYS = MappingProxyType({})
 
 
 class Conv2D:
-    """Stride-1 2-D convolution with zero padding of kernel_size // 2.
+    """3x3 stride-1 2-D convolution with zero padding 1, so the spatial size is preserved.
 
-    For odd kernels the spatial size is preserved.  There is no bias:
-    every convolution here feeds a BatchNorm2D, whose mean subtraction
-    cancels a per-channel bias exactly and whose ``beta`` does its job.
+    There is no bias: every convolution here feeds a BatchNorm2D, whose
+    mean subtraction cancels a per-channel bias exactly and whose
+    ``beta`` does its job.
 
     Kernel row i contributes ``cols_i @ w[i]``, where ``cols_i`` holds
-    the k input pixels under that row for every output position,
-    shape (batch * Ho * Wo, k * in_channels).  Only the padded input is
+    the 3 input pixels under that row for every output position,
+    shape (batch * H * W, 3 * in_channels).  Only the padded input is
     cached for backward; ``cols_i`` is rebuilt there one row at a time,
     which keeps the full im2col matrix out of memory.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3):
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
+    kernel_size = 3
+
+    def __init__(self, in_channels: int, out_channels: int):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.pad = kernel_size // 2
-        self.params = {
-            "w": np.zeros((kernel_size, kernel_size, in_channels, out_channels)),
-        }
+        k = self.kernel_size
+        self.params = {"w": np.zeros((k, k, in_channels, out_channels))}
         self.grads: dict[str, np.ndarray] = {}
         self._xp = None
 
@@ -59,49 +56,43 @@ class Conv2D:
             0.0, np.sqrt(2.0 / fan_in), size=self.params["w"].shape
         )
 
-    def out_shape(self, h: int, w: int) -> tuple[int, int]:
-        k, p = self.kernel_size, self.pad
-        return h + 2 * p - k + 1, w + 2 * p - k + 1
-
-    def _cols(self, xp: np.ndarray, i: int, ho: int, wo: int) -> np.ndarray:
+    def _cols(self, xp: np.ndarray, i: int, h: int, w: int) -> np.ndarray:
         """im2col matrix of kernel row i, columns ordered (kernel column, channel)."""
         k = self.kernel_size
-        windows = sliding_window_view(xp[:, i: i + ho], k, axis=2)
+        windows = sliding_window_view(xp[:, i: i + h], k, axis=2)
         return windows.swapaxes(3, 4).reshape(-1, k * self.in_channels)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         b, h, w, _ = x.shape
-        ho, wo = self.out_shape(h, w)
-        k, p = self.kernel_size, self.pad
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
+        k = self.kernel_size
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         weight = self.params["w"].reshape(k, k * self.in_channels, self.out_channels)
-        out = self._cols(xp, 0, ho, wo) @ weight[0]
+        out = self._cols(xp, 0, h, w) @ weight[0]
         for i in range(1, k):
-            out += self._cols(xp, i, ho, wo) @ weight[i]
+            out += self._cols(xp, i, h, w) @ weight[i]
         self._xp = xp if train else None
-        return out.reshape(b, ho, wo, self.out_channels)
+        return out.reshape(b, h, w, self.out_channels)
 
     def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Kernel gradient into ``grads``; the input gradient unless ``input_grad`` is False."""
         xp = self._xp
-        _, ho, wo, o = dout.shape
-        k, p = self.kernel_size, self.pad
+        _, h, w, o = dout.shape
+        k = self.kernel_size
         weight = self.params["w"]
         flat = dout.reshape(-1, o)
         dw = np.empty_like(weight)
         for i in range(k):
-            dw[i] = (self._cols(xp, i, ho, wo).T @ flat).reshape(k, self.in_channels, o)
+            dw[i] = (self._cols(xp, i, h, w).T @ flat).reshape(k, self.in_channels, o)
         self.grads = {"w": dw}
         if not input_grad:
             return None
         dxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
-                dxp[:, i: i + ho, j: j + wo, :] += np.tensordot(
+                dxp[:, i: i + h, j: j + w, :] += np.tensordot(
                     dout, weight[i, j], axes=([3], [1])
                 )
-        h, w = xp.shape[1] - 2 * p, xp.shape[2] - 2 * p
-        return dxp[:, p: p + h, p: p + w, :]
+        return dxp[:, 1: 1 + h, 1: 1 + w, :]
 
 
 class BatchNorm2D:
@@ -114,10 +105,10 @@ class BatchNorm2D:
     ``a = gamma / sqrt(running_var + eps)`` and ``b = beta - running_mean * a``.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
+    MOMENTUM, EPS = 0.9, 1e-5
+
+    def __init__(self, channels: int):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.params = {"gamma": np.ones(channels), "beta": np.zeros(channels)}
         self.state = {"running_mean": np.zeros(channels),
                       "running_var": np.ones(channels)}
@@ -129,7 +120,7 @@ class BatchNorm2D:
         gamma, beta = self.params["gamma"], self.params["beta"]
         if not train:
             self._cache = None
-            scale = gamma / np.sqrt(self.state["running_var"] + self.eps)
+            scale = gamma / np.sqrt(self.state["running_var"] + self.EPS)
             out = flat * scale
             out += beta - self.state["running_mean"] * scale
             return out.reshape(x.shape)
@@ -137,10 +128,10 @@ class BatchNorm2D:
         mean = (np.ones(n) @ flat) / n
         xhat = flat - mean
         var = np.einsum("ij,ij->j", xhat, xhat) / n
-        m = self.momentum
+        m = self.MOMENTUM
         self.state["running_mean"] = m * self.state["running_mean"] + (1 - m) * mean
         self.state["running_var"] = m * self.state["running_var"] + (1 - m) * var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat *= inv_std
         self._cache = (xhat, inv_std)
         out = xhat * gamma
@@ -179,36 +170,25 @@ class ReLU:
 
 
 class AvgPool2D:
-    """Non-overlapping average pooling; spatial dims must divide evenly."""
+    """Non-overlapping 2x2 average pooling; the model keeps spatial dims even."""
 
     params = grads = _NO_ARRAYS
 
-    def __init__(self, pool: int = 2):
-        if pool <= 0:
-            raise ValueError("pool must be positive")
-        self.pool = pool
+    def __init__(self):
         self._in_shape = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        h, w = x.shape[1:3]
-        p = self.pool
-        if h % p or w % p:
-            raise ValueError(f"spatial dims {(h, w)} not divisible by pool {p}")
         self._in_shape = x.shape if train else None
-        out = x[:, 0::p, 0::p].copy()
-        for i in range(p):
-            for j in range(p):
-                if i or j:
-                    out += x[:, i::p, j::p]
-        out /= p * p
+        out = x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
+        out += x[:, 1::2, 0::2]
+        out += x[:, 1::2, 1::2]
+        out /= 4
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         b, h, w, c = self._in_shape
-        p = self.pool
-        scaled = dout / (p * p)
         return np.broadcast_to(
-            scaled[:, :, None, :, None, :], (b, h // p, p, w // p, p, c)
+            (dout / 4)[:, :, None, :, None, :], (b, h // 2, 2, w // 2, 2, c)
         ).reshape(b, h, w, c)
 
 

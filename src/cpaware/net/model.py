@@ -1,9 +1,9 @@
 """Shared-backbone multitask network: intent classifier + log-BER regressor.
 
 The backbone is a stack of conv blocks followed by a global average
-pool.  Every block is the same: a 3x3 stride-1 convolution, batch
-normalization (momentum 0.9, eps 1e-5), ReLU and a 2x2 average pool, so
-each block halves the feature map; only its filter count is configured.
+pool.  Every block is the same: a 3x3 stride-1 convolution, batch norm
+(``BatchNorm2D.MOMENTUM``, ``EPS``), ReLU and a 2x2 average pool, so each
+block halves the feature map; only its filter count is configured.
 Two dense heads read the shared per-channel features, one with a logit
 per intent (``ThreatKind``) and one with the log-BER.  Both heads
 backpropagate into the backbone, which is what couples the tasks during
@@ -33,8 +33,6 @@ import numpy as np
 from ..threats import ThreatKind
 from .layers import AvgPool2D, BatchNorm2D, Conv2D, Dense, GlobalAvgPool, ReLU
 from .losses import softmax
-
-POOL = 2  # side of each block's average pool
 
 
 def _positive_ints(values) -> bool:
@@ -75,13 +73,13 @@ class MultitaskNet:
         h, w, c = config.input_shape
         self.backbone: list = []
         for filters in config.conv_filters:
-            if h % POOL or w % POOL:
+            if h % 2 or w % 2:
                 raise ValueError(
-                    f"feature map {(h, w)} not divisible by pool {POOL}; "
+                    f"feature map {(h, w)} not divisible by pool 2; "
                     "adjust input_shape or conv_filters"
                 )
-            self.backbone += [Conv2D(c, filters), BatchNorm2D(filters), ReLU(), AvgPool2D(POOL)]
-            h, w, c = h // POOL, w // POOL, filters
+            self.backbone += [Conv2D(c, filters), BatchNorm2D(filters), ReLU(), AvgPool2D()]
+            h, w, c = h // 2, w // 2, filters
         self.backbone.append(GlobalAvgPool())
         self.feature_size = c
         self.head_cls = Dense(self.feature_size, len(ThreatKind))

@@ -37,7 +37,7 @@ sample at the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from numbers import Real
 from typing import Optional
@@ -96,10 +96,14 @@ class ThreatScenario:
     def __post_init__(self) -> None:
         if self.kind is not ThreatKind.NON_ADVERSARIAL and self.adversary_link is None:
             raise ValueError(f"{self.kind.name} scenario requires an adversary link")
-        if not 0.0 <= self.obfuscation_prob <= 1.0:
-            raise ValueError("obfuscation_prob must lie in [0, 1]")
-        if not 0.0 <= self.estimation_error <= 1.0:
-            raise ValueError("estimation_error must lie in [0, 1]")
+        _check_fractions(self.obfuscation_prob, self.estimation_error)
+
+
+def _check_fractions(obfuscation_prob: float, estimation_error: float) -> None:
+    for name, value in (("obfuscation_prob", obfuscation_prob),
+                        ("estimation_error", estimation_error)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass
@@ -248,18 +252,28 @@ class ScenarioSpace:
     estimation_error: float = 0.3
 
     def __post_init__(self) -> None:
-        for name in ("legit_powers_w", "legit_distances_m", "adversary_powers_w",
-                     "adversary_distances_m", "noise_dbw_levels"):
+        # What a draw would refuse is refused here by the same rules, named by its key;
+        # their messages begin with the field, the key itself for optics and fractions.
+        try:
+            link = self._link(1.0, 1.0)  # the optics, at a power and a distance that pass
+            _check_fractions(self.obfuscation_prob, self.estimation_error)
+        except ValueError as exc:
+            raise ValueError(f"space.{exc}") from None
+        for name, attr in (("legit_powers_w", "tx_power_w"), ("legit_distances_m", "distance_m"),
+                           ("adversary_powers_w", "tx_power_w"),
+                           ("adversary_distances_m", "distance_m"), ("noise_dbw_levels", None)):
             values = getattr(self, name)
             if len(values) == 0:
-                raise ValueError(f"{name} must be non-empty")
+                raise ValueError(f"space.{name} must be non-empty")
             for value in values:
-                if (isinstance(value, bool) or not isinstance(value, Real)
-                        or not math.isfinite(value)):
-                    raise ValueError(f"{name} entries must be finite real numbers, "
-                                     f"got {value!r}")
-        # The optics are checked by the one link rule every draw goes through.
-        self._link(self.legit_powers_w[0], self.legit_distances_m[0])
+                try:
+                    if (isinstance(value, bool) or not isinstance(value, Real)
+                            or not math.isfinite(value)):
+                        raise ValueError("entries must be finite real numbers")
+                    if attr:  # the LinkBudget field the entry becomes
+                        replace(link, **{attr: value})
+                except ValueError as exc:
+                    raise ValueError(f"space.{name} holds {value!r}: {exc}") from None
 
     def _link(self, power_w: float, distance_m: float) -> LinkBudget:
         return LinkBudget(

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from cpaware import tensorfile
-from cpaware.assessment import assess
+from cpaware.assessment import assess, unreachable_scales
 from cpaware.cli import main as cli_main
-from cpaware.experiments import metrics
+from cpaware.experiments import dataset, metrics
 from cpaware.experiments.config import (
     ExperimentConfig,
     desk_config,
@@ -50,6 +50,7 @@ from cpaware.threats import ThreatKind
 
 # The benchmark's golden-set digests, read (never written) by the tests.
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+COVERAGE = Path(__file__).resolve().parents[1] / "configs" / "coverage.json"
 
 
 def mini_config(**overrides) -> ExperimentConfig:
@@ -75,21 +76,20 @@ class TestDatasetFile:
     def test_two_builds_are_byte_identical(self, tmp_path):
         config = mini_config()
         a, b = tmp_path / "a.cpad", tmp_path / "b.cpad"
-        build_dataset(a, config, per_kind=3)
-        build_dataset(b, config, per_kind=3)
+        build_dataset(a, config)
+        build_dataset(b, config)
         assert a.read_bytes() == b.read_bytes()
 
     def test_different_seed_changes_bytes(self, tmp_path):
-        config = mini_config()
         a, b = tmp_path / "a.cpad", tmp_path / "b.cpad"
-        build_dataset(a, config, per_kind=2, master_seed=1)
-        build_dataset(b, config, per_kind=2, master_seed=2)
+        build_dataset(a, mini_config(master_seed=1))
+        build_dataset(b, mini_config(master_seed=2))
         assert a.read_bytes() != b.read_bytes()
 
     def test_roundtrip_and_balance(self, tmp_path):
         config = mini_config()
         path = tmp_path / "data.cpad"
-        count = build_dataset(path, config, per_kind=4)
+        count = build_dataset(path, config)
         assert count == 12
         ds = Dataset(path)
         tracemalloc.start()
@@ -117,12 +117,14 @@ class TestDatasetFile:
         the QAM slicer both feed the digest.
         """
         config = ExperimentConfig(
+            master_seed=3,
+            train_per_kind=2,
             frame=FrameConfig(24, 2, 16, qam_order=16),
             feature=FeatureConfig(4),
             net=NetworkConfig((16, 24, 3), conv_filters=(4,)),
         )
         path = tmp_path / "data.cpad"
-        build_dataset(path, config, per_kind=2, master_seed=3)
+        build_dataset(path, config)
         tensors, intents, log_ber, _ = Dataset(path).load_arrays()
         digest = hashlib.sha256()
         digest.update(tensors.astype("<f4").tobytes())
@@ -136,12 +138,14 @@ class TestDatasetFile:
         feature map has EXTREMA_THREAD_PIXELS pixels, so the disk extrema
         take the two-thread path.  Recorded from the one-thread code."""
         config = ExperimentConfig(
+            master_seed=3,
+            train_per_kind=1,
             frame=FrameConfig(256, 16, 256),
             feature=FeatureConfig(6),
             net=NetworkConfig((256, 256, 3), conv_filters=(4,)),
         )
         path = tmp_path / "data.cpad"
-        build_dataset(path, config, per_kind=1, master_seed=3)
+        build_dataset(path, config)
         tensors, intents, log_ber, _ = Dataset(path).load_arrays()
         assert tensors.shape[1] * tensors.shape[2] >= EXTREMA_THREAD_PIXELS
         digest = hashlib.sha256()
@@ -160,8 +164,8 @@ class TestDatasetFile:
         is only read."""
         reference = json.loads(REFERENCE.read_text())
         path = tmp_path / "golden.cpad"
-        build_dataset(path, preset(), per_kind=reference["per_kind"][geometry],
-                      master_seed=reference["seed"])
+        build_dataset(path, preset(train_per_kind=reference["per_kind"][geometry],
+                                   master_seed=reference["seed"]))
         tensors, intents, log_ber, _ = Dataset(path).load_arrays()
         digest = hashlib.sha256()
         digest.update(tensors.astype("<f4").tobytes())
@@ -171,21 +175,23 @@ class TestDatasetFile:
 
     def test_pinned_file_digest(self, tmp_path):
         """The whole file of the set above is pinned too: header, config JSON,
-        record metadata and tensors, so a change to any of them shows."""
+        record metadata and tensors, so a change to any of them shows.  The
+        stored config is the build's own, seed 3 and 2 per kind."""
         config = ExperimentConfig(
+            master_seed=3,
+            train_per_kind=2,
             frame=FrameConfig(24, 2, 16, qam_order=16),
             feature=FeatureConfig(4),
             net=NetworkConfig((16, 24, 3), conv_filters=(4,)),
         )
         path = tmp_path / "data.cpad"
-        build_dataset(path, config, per_kind=2, master_seed=3)
+        build_dataset(path, config)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "d90afc0c40a3646e99ab41977b348d8b11780f44160efb49b198782936ef20ef")
+            "51139217682b22a5e4fb7787ee0cb278da402b4fbeec177e0c66cfada8d1b09f")
 
     def test_adversarial_metadata_recorded(self, tmp_path):
-        config = mini_config()
         path = tmp_path / "data.cpad"
-        build_dataset(path, config, per_kind=2)
+        build_dataset(path, mini_config(train_per_kind=2))
         metas = Dataset(path).load_arrays()[3]
         kinds = {r["kind"] for r in metas}
         assert kinds == {"deceptive", "disruptive", "non_adversarial"}
@@ -207,8 +213,8 @@ class TestDatasetFile:
     ])
     def test_rejects_record_without_label(self, tmp_path, capsys, label, value):
         """A missing label, or one outside what a build writes, exits 4 naming the record."""
-        config = mini_config()
-        metas, tensors = build_records(config, per_kind=1, master_seed=1)
+        config = mini_config(train_per_kind=1)
+        metas, tensors = build_records(config)
         if value is None:
             del metas[1][label]
         else:
@@ -224,11 +230,11 @@ class TestDatasetFile:
     def test_build_holds_the_block_once(self, tmp_path):
         """Building and writing a desk-geometry set peaks below 1.5 blocks
         (a build that stacks per-record copies peaks near 2)."""
-        config = desk_config()
-        build_records(config, per_kind=1, master_seed=1)  # lazy imports are not the build's
+        build_records(desk_config(train_per_kind=1))  # lazy imports are not the build's
+        config = desk_config(train_per_kind=32)
         tracemalloc.start()
         try:
-            metas, tensors = build_records(config, per_kind=32, master_seed=1)
+            metas, tensors = build_records(config)
             write_dataset(tmp_path / "d.cpad", config, metas, tensors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -307,6 +313,20 @@ class TestConfigSerialization:
     def test_mismatched_net_shape_rejected(self):
         with pytest.raises(ValueError, match="input_shape"):
             mini_config(net=NetworkConfig((8, 8, 3), conv_filters=(4,)))
+
+
+class TestCoverageConfig:
+    def test_every_grade_occurs(self):
+        """The committed coverage config, built as stored (seed 11, 200 per
+        intent, about 1 s), grades its true labels into all 8 scales; the desk
+        set has no support at 0, 2 and 5."""
+        config = load_config(COVERAGE)
+        metas, _ = build_records(config)
+        intents = np.array([m["intent_index"] for m in metas])
+        log_ber = np.array([m["log_ber"] for m in metas])
+        counts = np.bincount(assess(intents, log_ber)[1], minlength=8).tolist()
+        assert counts == [66, 40, 94, 24, 176, 52, 19, 129]
+        assert unreachable_scales(config.frame.bits_per_sample) == []
 
 
 class TestMetricHelpers:
@@ -517,10 +537,24 @@ class TestCli:
                          "--out", str(report)]) == 0
         assert report.read_text().startswith("sample_id,intent")
 
+    def test_dumped_config_rebuilds_the_file(self, tmp_path):
+        """The flags are folded into the config the file stores and the dump
+        holds, so that config alone rebuilds the file byte for byte."""
+        config, dump = tmp_path / "config.json", tmp_path / "dump.json"
+        first, again = tmp_path / "first.cpad", tmp_path / "again.cpad"
+        save_config(config, mini_config())
+        assert cli_main(["generate", "--config", str(config), "--seed", "3",
+                         "--count-per-kind", "2", "--out", str(first),
+                         "--dump-config", str(dump)]) == 0
+        assert Dataset(first).config == load_config(dump)
+        assert len(Dataset(first).load_arrays()[3]) == 6
+        assert cli_main(["generate", "--config", str(dump), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
     def test_eval_flags_unreachable_scales(self, tmp_path, capsys):
         """A 512-bit frame floors labels at BER 1/512, above the default low_ber."""
         data, ckpt = tmp_path / "d.cpad", tmp_path / "m.ckpt"
-        build_dataset(data, mini_config(), per_kind=2)
+        build_dataset(data, mini_config(train_per_kind=2))
         assert cli_main(["train", "--dataset", str(data), "--epochs", "1",
                          "--out", str(ckpt)]) == 0
         line = "  unreachable scales at this frame and thresholds: 0, 5\n"
@@ -535,9 +569,8 @@ class TestCli:
             assert "unreachable" not in capsys.readouterr().out, argv
 
     def test_sequential_eval_and_baseline_alias(self, tmp_path, capsys):
-        config = mini_config()
         data = tmp_path / "train.cpad"
-        build_dataset(data, config, per_kind=3)
+        build_dataset(data, mini_config(train_per_kind=3))
         reg_ckpt = tmp_path / "reg.ckpt"
         cls_ckpt = tmp_path / "cls.ckpt"
         assert cli_main(["train", "--dataset", str(data), "--mode", "capability",
@@ -574,8 +607,8 @@ class TestCli:
         """A record's report row depends only on the record and the checkpoint:
         graded among 21 records or alone, it is the same bytes (index aside).
         A batched forward pass moved some log-BERs in their last digits."""
-        config = mini_config()
-        metas, tensors = build_records(config, per_kind=7, master_seed=3)
+        config = mini_config(train_per_kind=7, master_seed=3)
+        metas, tensors = build_records(config)
         ckpt = tmp_path / "m.ckpt"
         save_model(ckpt, he_init(config.net, np.random.default_rng(32)))
 
@@ -593,7 +626,7 @@ class TestCli:
 
     def test_rows_out_needs_a_single_theta(self, tmp_path):
         data = tmp_path / "d.cpad"
-        build_dataset(data, mini_config(), per_kind=2)
+        build_dataset(data, mini_config(train_per_kind=2))
         x, intent_idx, log_ber, _ = Dataset(data).load_arrays()
         for task in ("capability", "intent"):
             result = train(x, intent_idx, log_ber, mini_config().net, task=task,
@@ -632,7 +665,7 @@ class TestCli:
 
     def test_wrong_typed_dataset_config_exits_with_data_code(self, tmp_path):
         data = tmp_path / "d.cpad"
-        build_dataset(data, mini_config(), per_kind=2)
+        build_dataset(data, mini_config(train_per_kind=2))
         meta, arrays = tensorfile.read(data, b"CPAD", ("config", "records"))
         meta["config"]["regime"]["epochs"] = 2.0
         tensorfile.write(data, b"CPAD", meta, arrays)
@@ -650,9 +683,8 @@ class TestCli:
                          "--out", str(tmp_path / "x.ckpt")]) == 4
 
     def test_sequential_requires_second_checkpoint(self, tmp_path):
-        config = mini_config()
         data = tmp_path / "d.cpad"
-        build_dataset(data, config, per_kind=2)
+        build_dataset(data, mini_config(train_per_kind=2))
         ckpt = tmp_path / "m.ckpt"
         assert cli_main(["train", "--dataset", str(data), "--out", str(ckpt),
                          "--epochs", "1"]) == 0
@@ -678,7 +710,7 @@ class TestCliExitCodes:
     @pytest.fixture
     def inputs(self, tmp_path):
         data, config = tmp_path / "d.cpad", tmp_path / "config.json"
-        build_dataset(data, mini_config(), per_kind=2)
+        build_dataset(data, mini_config(train_per_kind=2))
         save_config(config, mini_config())
         return {"train": ["--dataset", str(data)], "generate": ["--config", str(config)]}
 
@@ -774,10 +806,10 @@ class TestCliExitCodes:
         """A 16x16 checkpoint used on a 32x32 set: each command exits 4, writes nothing."""
         ckpt = tmp_path / "m.ckpt"
         assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
-        wide = mini_config(frame=FrameConfig(32, 2, 32),
+        wide = mini_config(train_per_kind=2, frame=FrameConfig(32, 2, 32),
                            net=NetworkConfig((32, 32, 3), conv_filters=(4, 8)))
         data, config, npz = tmp_path / "wide.cpad", tmp_path / "wide.json", tmp_path / "in.npz"
-        build_dataset(data, wide, per_kind=2)
+        build_dataset(data, wide)
         save_config(config, wide)
         rng, n = np.random.default_rng(3), wide.frame.sample_len
         npz.write_bytes(_npz_bytes(samples=rng.normal(size=n) + 1j * rng.normal(size=n)))
@@ -833,7 +865,7 @@ class TestCliExitCodes:
     def test_legacy_dataset_config_exits_with_data_code(self, tmp_path, capsys, key, value):
         """A set written while the network config still held these keys is refused."""
         data = tmp_path / "d.cpad"
-        build_dataset(data, mini_config(), per_kind=2)
+        build_dataset(data, mini_config(train_per_kind=2))
         meta, arrays = tensorfile.read(data, b"CPAD", ("config", "records"))
         meta["config"]["net"][key] = value
         tensorfile.write(data, b"CPAD", meta, arrays)
@@ -960,6 +992,70 @@ class TestCliExitCodes:
         assert f"{key} must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("adversary_powers_w", [-1.0]), ("adversary_distances_m", [0.0]),
+        ("legit_powers_w", [0.5, -1.0]), ("legit_distances_m", [750e3, 0.0]),
+        ("obfuscation_prob", 2.0), ("obfuscation_prob", math.nan),
+        ("estimation_error", -0.5), ("tx_efficiency", 0.0),
+    ], ids=["adversary_power=-1", "adversary_distance=0", "second_legit_power=-1",
+            "second_legit_distance=0", "obfuscation_prob=2", "obfuscation_prob=nan",
+            "estimation_error=-0.5", "tx_efficiency=0"])
+    def test_bad_space_value_exits_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                    key, value):
+        """Every value a draw would refuse is refused when the config loads, named
+        by its key; no sample is generated.  A bad power or distance used to
+        stop the build part-way with a LinkBudget field's name, a later entry
+        passed the load check, and a bad fraction failed only at the first draw."""
+        config, out = tmp_path / "bad.json", tmp_path / "out"
+        data = dataclasses.asdict(mini_config())
+        data["space"][key] = value
+        config.write_text(json.dumps(data))
+        generated = []
+        monkeypatch.setattr(dataset, "generate_sample", lambda *a: generated.append(a))
+        assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 4
+        assert f"space.{key}" in capsys.readouterr().err
+        assert generated == [] and not out.exists()
+
+    def test_checkpoint_must_have_trained_the_heads_read(self, tmp_path, capsys, inputs):
+        """The cascade's regressor must have trained regression and its classifier
+        classification, and assess needs both; each refusal exits 4 naming the
+        path and the task.  ``eval --mode multitask`` reads any run, and a
+        checkpoint with no task record passes everywhere."""
+        data, out = inputs["train"][1], tmp_path / "out"
+        ckpts = {}
+        for task in ("intent", "capability", "multitask"):
+            ckpts[task] = tmp_path / f"{task}.ckpt"
+            assert cli_main(["train", *inputs["train"], "--mode", task, "--epochs", "1",
+                             "--out", str(ckpts[task])]) == 0
+        ckpts["unrecorded"] = tmp_path / "unrecorded.ckpt"
+        save_model(ckpts["unrecorded"], he_init(mini_config().net, np.random.default_rng(0)))
+
+        def cascade(regressor, classifier):
+            return ["baseline", "--dataset", data, "--ckpt", str(ckpts[regressor]),
+                    "--ckpt2", str(ckpts[classifier]), "--theta", "1e-2", "--rows-out"]
+
+        def assess_with(task):
+            return ["assess", "--ckpt", str(ckpts[task]), "--input", data, "--out"]
+
+        refused = [(cascade("intent", "capability"), "intent"),
+                   (cascade("capability", "capability"), "capability"),
+                   (cascade("intent", "intent"), "intent"),
+                   (assess_with("capability"), "capability"),
+                   (assess_with("intent"), "intent")]
+        for argv, task in refused:
+            capsys.readouterr()
+            assert cli_main(argv + [str(out)]) == 4, argv
+            assert f"{ckpts[task]}: the checkpoint's run trained task '{task}'" in (
+                capsys.readouterr().err), argv
+            assert not out.exists(), argv
+        passed = [cascade("capability", "intent"), cascade("multitask", "multitask"),
+                  cascade("unrecorded", "unrecorded"), assess_with("multitask"),
+                  assess_with("unrecorded"),
+                  ["eval", "--dataset", data, "--ckpt", str(ckpts["intent"]), "--rows-out"]]
+        for argv in passed:
+            assert cli_main(argv + [str(out)]) == 0, argv
+            out.unlink()
+
     def test_diverged_checkpoint_grades_overflowing_ber_high(self, tmp_path, capsys, inputs):
         """A log-BER head biased to 1000 overflows ``10.0 ** x``: the BER is inf (a
         high BER), and eval, baseline and assess exit 0 with nothing on stderr."""
@@ -985,4 +1081,5 @@ class TestCliExitCodes:
         assert cli_main(argv + ["--count-per-kind", "0"]) == 4
         assert not dump.exists() and not out.exists()
         assert cli_main(argv + ["--count-per-kind", "1", "--seed", "9"]) == 0
-        assert load_config(dump) == dataclasses.replace(mini_config(), master_seed=9)
+        assert load_config(dump) == dataclasses.replace(mini_config(), master_seed=9,
+                                                        train_per_kind=1)

@@ -80,7 +80,7 @@ def valid(tmp_path_factory):
     data = directory / "valid.cpad"
     build_dataset(data, ExperimentConfig(
         train_per_kind=1, frame=FrameConfig(8, 2, 8),
-        feature=FeatureConfig(1), net=net), per_kind=1)
+        feature=FeatureConfig(1), net=net))
     return directory, {"checkpoint": ckpt.read_bytes(), "dataset": data.read_bytes()}
 
 
@@ -151,8 +151,8 @@ def splice_sources(valid):
     config = ExperimentConfig(train_per_kind=1, frame=FrameConfig(8, 2, 8),
                               feature=FeatureConfig(1), net=net)
     same_data, larger_data = directory / "same.cpad", directory / "larger.cpad"
-    build_dataset(same_data, config, per_kind=1, master_seed=99)
-    build_dataset(larger_data, config, per_kind=2)
+    build_dataset(same_data, dataclasses.replace(config, master_seed=99))
+    build_dataset(larger_data, dataclasses.replace(config, train_per_kind=2))
     return {
         ("checkpoint", "valid"): files["checkpoint"],
         ("checkpoint", "same"): same_ckpt.read_bytes(),
