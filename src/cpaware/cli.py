@@ -4,7 +4,7 @@ Subcommands:
 
 * ``generate``  build a labeled dataset file from a JSON config,
 * ``train``     train the multitask model or a single-task variant (a
-                resumed run's mode, seed and batch size must match),
+                resume must repeat its checkpoint's run settings),
 * ``eval``      score a checkpoint (multitask) or a cascade (sequential)
                 on a dataset, dumping metrics and raw predictions,
 * ``assess``    grade samples with a multitask checkpoint and write the
@@ -62,7 +62,7 @@ def _add_train(sub):
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--resume", help="checkpoint to continue from; the run's mode, "
-                   "seed and batch size must match the checkpoint's")
+                   "seed, batch size and network config must match the checkpoint's")
     p.add_argument("--log", help="write the per-step loss log CSV here")
 
 
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_trained(path, reads: str):
     """The model of checkpoint ``path``, refused if its run left a head task ``reads`` trains."""
-    model, _, extras = load_model(path)
-    task = extras.get("task", reads)  # a checkpoint with no task record passes
+    model, _, record = load_model(path)
+    task = record["task"]
     trained = TASKS.get(str(task), (0.0, 0.0))  # str(): a JSON list or object is no task
     if any(need and not weight for need, weight in zip(TASKS[reads], trained)):
         raise ValueError(f"{path}: the checkpoint's run trained task {task!r}, "
@@ -141,16 +141,13 @@ def cmd_train(args) -> int:
     flags = {"epochs": args.epochs, "batch_size": args.batch_size, "train_seed": args.seed}
     regime = dataclasses.replace(config.regime, **{k: v for k, v in flags.items() if v is not None})
     tensors, intent_idx, log_ber, _ = ds.load_arrays()
-    result = train(tensors, intent_idx, log_ber, config.net, task=args.mode,
-                   epochs=regime.epochs, batch_size=regime.batch_size,
-                   seed=regime.train_seed, resume_from=args.resume)
+    result = train(tensors, intent_idx, log_ber, config.net, args.mode, regime, args.resume)
     save_result(args.out, result)
     if args.log:
         write_log_csv(args.log, result.log)
-    final = result.log[-1]["loss_total"] if result.log else float("nan")
+    final = f", final loss {result.log[-1]['loss_total']:.6g}" if result.log else ""
     print(f"trained {args.mode} for {len(result.log)} steps (label variance "
-          f"{result.label_variance:.6g}, final loss {final:.6g}); "
-          f"saved {args.out}")
+          f"{result.label_variance:.6g}{final}); saved {args.out}")
     return 0
 
 

@@ -5,8 +5,10 @@ draws from a stream derived from (seed, 0) and the epoch-e shuffle from
 (seed, 1, e), so a run is a pure function of (data, config, task, seed).
 Resuming from a checkpoint replays the exact remaining schedule, because
 the batch order depends only on the global step counter.  A resume must
-be given the task, seed and batch size its checkpoint records, and takes
-the network config from the checkpoint.
+be given the task, seed, batch size and network config its checkpoint
+records, and may not be past its schedule: a checkpoint whose step count
+exceeds epochs x steps per epoch is refused, and one at the end resumes
+to no step.
 
 Tasks:
 
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..net.checkpoint import load_model, save_model
+from ..net.checkpoint import RUN_RECORD, load_model, save_model
 from ..net.losses import (
     focal_loss_with_logit_grad,
     mse_loss,
@@ -49,8 +51,6 @@ from .config import TrainRegime
 TASKS = {"multitask": (1.0, 1.0), "intent": (1.0, 0.0), "capability": (0.0, 1.0)}
 
 LOG_FIELDS = ("step", "epoch", "loss_cls", "loss_reg", "loss_total")
-# Checkpoint extras naming a run's task, seed and batch size; a resume must match them.
-RUN_RECORD = ("task", "train_seed", "batch_size")
 
 
 @dataclass
@@ -59,13 +59,17 @@ class TrainResult:
     optimizer: Adam
     log: list[dict]
     task: str
-    seed: int
-    batch_size: int
+    regime: TrainRegime
     label_variance: float
 
 
 def one_hot_labels(intent_idx: np.ndarray) -> np.ndarray:
     return np.eye(len(ThreatKind))[np.asarray(intent_idx, dtype=int)]
+
+
+def _run_record(task: str, regime: TrainRegime) -> dict:
+    """The ``RUN_RECORD`` of a run, which its checkpoint holds and its resume must match."""
+    return dict(zip(RUN_RECORD, (task, regime.train_seed, regime.batch_size)))
 
 
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -102,14 +106,11 @@ def train_step(model: MultitaskNet, x: np.ndarray, intent_one_hot: np.ndarray,
 
 
 def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
-          config: NetworkConfig, task: str = "multitask",
-          epochs: int = TrainRegime.epochs, batch_size: int = TrainRegime.batch_size,
-          seed: int = TrainRegime.train_seed, resume_from=None,
-          max_steps: int | None = None) -> TrainResult:
+          config: NetworkConfig, task: str, regime: TrainRegime,
+          resume_from=None) -> TrainResult:
     """Train a model on in-memory arrays; see the module docstring."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
-    TrainRegime(epochs, batch_size, seed)  # the regime's own check of the schedule
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty training set")
@@ -117,44 +118,45 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
     label_variance = float(np.var(log_ber))
 
     if resume_from is not None:
-        model, optimizer, extras = load_model(resume_from)
-        if optimizer is None:
-            raise ValueError(f"{resume_from}: checkpoint has no optimizer state")
-        for key, value in zip(RUN_RECORD, (task, seed, batch_size)):
-            if extras.get(key, value) != value:
-                raise ValueError(f"{resume_from}: the checkpoint's run has {key} "
-                                 f"{extras[key]!r}, not {value!r}; resume with its settings")
+        model, optimizer, record = load_model(resume_from)
+        ours = {**_run_record(task, regime), **asdict(config)}
+        theirs = {**record, **asdict(model.config)}
+        changed = [f"{k} {theirs[k]!r}, not {v!r}" for k, v in ours.items() if theirs[k] != v]
+        if changed:
+            raise ValueError(f"{resume_from}: the checkpoint's run has {'; '.join(changed)}; "
+                             f"resume with its settings")
     else:
-        model = he_init(config, np.random.default_rng([seed, 0]))
+        model = he_init(config, np.random.default_rng([regime.train_seed, 0]))
         optimizer = Adam(model.named_params(), config.learning_rate)
     model.check_input(x)  # also when a resume has no steps left to run
     labels = one_hot_labels(intent_idx)
 
-    steps_per_epoch = math.ceil(n / batch_size)
-    total_steps = epochs * steps_per_epoch
-    if max_steps is not None:
-        total_steps = min(total_steps, optimizer.step_count + max_steps)
+    steps_per_epoch = math.ceil(n / regime.batch_size)
+    total_steps = regime.epochs * steps_per_epoch
+    if optimizer.step_count > total_steps:
+        raise ValueError(f"{resume_from}: the checkpoint is at step {optimizer.step_count}, "
+                         f"past this run's last step {total_steps} (epochs {regime.epochs} "
+                         f"x {steps_per_epoch} steps per epoch)")
 
     log: list[dict] = []
     perm_epoch, perm = -1, None
     for step in range(optimizer.step_count, total_steps):
         epoch = step // steps_per_epoch
         if epoch != perm_epoch:
-            perm = _epoch_permutation(seed, epoch, n)
+            perm = _epoch_permutation(regime.train_seed, epoch, n)
             perm_epoch = epoch
         pos = step % steps_per_epoch
-        idx = perm[pos * batch_size: (pos + 1) * batch_size]
+        idx = perm[pos * regime.batch_size: (pos + 1) * regime.batch_size]
         entry = train_step(model, x[idx], labels[idx], log_ber[idx], optimizer,
                            label_variance, task)
         log.append({"step": step + 1, "epoch": epoch, **entry})
 
     return TrainResult(model=model, optimizer=optimizer, log=log, task=task,
-                       seed=seed, batch_size=batch_size, label_variance=label_variance)
+                       regime=regime, label_variance=label_variance)
 
 
 def save_result(path, result: TrainResult) -> None:
-    save_model(path, result.model, result.optimizer,
-               extras=dict(zip(RUN_RECORD, (result.task, result.seed, result.batch_size))))
+    save_model(path, result.model, result.optimizer, _run_record(result.task, result.regime))
 
 
 def write_log_csv(path, log: list[dict]) -> None:

@@ -101,8 +101,6 @@ def local_extrema(matrix: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarr
     rows, cols = matrix.shape
     span = (rows - 1) ** 2 + (cols - 1) ** 2
     radius = min(radius, math.isqrt(span - 1) + 1 if span else 0)  # the reach
-    if radius == 0:
-        return matrix.copy(), matrix.copy()
     padded = np.pad(matrix, radius, mode="edge")
     chords = [[] for _ in range(radius + 1)]  # row offsets du by half-width
     for du in range(-radius, radius + 1):

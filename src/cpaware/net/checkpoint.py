@@ -1,13 +1,13 @@
 """Model checkpoints, bit-exact across save/load.
 
-A checkpoint is a ``tensorfile`` container with magic ``CPA1``.  Its
-metadata is ``{"config": network config, "extras": {...}}`` and its
-arrays are the trainable parameters (``param/``), the optimizer moments
-(``adam_m/``, ``adam_v/``) and the batch-norm running statistics
-(``state/``).  The extras are the run record (training writes ``task``,
-``train_seed`` and ``batch_size``) plus the optimizer step ``adam_step``;
-the optimizer's rate is the config's ``learning_rate``.  Reloading
-therefore resumes training exactly where it stopped.
+A checkpoint is a ``tensorfile`` container with magic ``CPA1`` and one
+layout.  Its metadata is ``{"config": network config, "extras": run
+record}`` and its arrays are the trainable parameters (``param/``), the
+optimizer moments (``adam_m/``, ``adam_v/``) and the batch-norm running
+statistics (``state/``).  The run record is the run's ``RUN_RECORD``
+plus the optimizer step ``adam_step``; the optimizer's rate is the
+config's ``learning_rate``.  Every record key and every tensor must be
+present, so reloading resumes training exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .model import MultitaskNet, NetworkConfig
 from .optim import Adam
 
 MAGIC = b"CPA1"
+# The run's task, seed and batch size, which a resume must repeat.
+RUN_RECORD = ("task", "train_seed", "batch_size")
 
 
 def write_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
@@ -35,42 +37,44 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     return meta["config"], tensors, meta["extras"]
 
 
-def save_model(path, model: MultitaskNet, optimizer: Adam | None = None,
-               extras: dict | None = None) -> None:
-    tensors = {f"param/{k}": v for k, v in model.named_params().items()}
-    tensors.update({f"state/{k}": v for k, v in model.named_state().items()})
-    meta = dict(extras or {})
-    if optimizer is not None:
-        tensors.update({f"adam_m/{k}": v for k, v in optimizer.m.items()})
-        tensors.update({f"adam_v/{k}": v for k, v in optimizer.v.items()})
-        meta["adam_step"] = optimizer.step_count
-    write_checkpoint(path, asdict(model.config), tensors, meta)
+def _tensors(model: MultitaskNet, optimizer: Adam) -> dict[str, np.ndarray]:
+    """The arrays of a checkpoint of ``model`` and ``optimizer``, by name, not copied."""
+    groups = {"param": model.named_params(), "state": model.named_state(),
+              "adam_m": optimizer.m, "adam_v": optimizer.v}
+    return {f"{group}/{key}": value for group, table in groups.items()
+            for key, value in table.items()}
 
 
-def load_model(path) -> tuple[MultitaskNet, Adam | None, dict]:
-    """Rebuild a model (and its optimizer, if saved) from a checkpoint.
+def save_model(path, model: MultitaskNet, optimizer: Adam, record: dict) -> None:
+    """Save ``model``, ``optimizer`` and the ``RUN_RECORD`` keys of ``record``."""
+    extras = {**{key: record[key] for key in RUN_RECORD}, "adam_step": optimizer.step_count}
+    write_checkpoint(path, asdict(model.config), _tensors(model, optimizer), extras)
 
-    A tensor whose name the rebuilt model does not have, or whose shape
-    or dtype differs from the model's, raises ValueError instead of being
-    grafted into it.
+
+def load_model(path) -> tuple[MultitaskNet, Adam, dict]:
+    """Rebuild a model, its optimizer and its run record from a checkpoint.
+
+    A record key or a tensor that is missing, a tensor the rebuilt model
+    or optimizer does not have, or one whose shape or dtype differs from
+    theirs, raises ValueError instead of being grafted into them.
     """
     config_dict, tensors, extras = read_checkpoint(path)
     config = tensorfile.from_json(NetworkConfig, config_dict)
+    missing = [key for key in (*RUN_RECORD, "adam_step") if key not in extras]
+    if missing:
+        raise ValueError(f"{path}: the run record lacks {', '.join(missing)}")
+    step = extras["adam_step"]
+    if not (isinstance(step, int) and step >= 0):
+        raise ValueError(f"{path}: adam_step must be a non-negative integer, not {step!r}")
     model = MultitaskNet(config)
-    groups = {"param": model.named_params(), "state": model.named_state()}
-    optimizer = None
-    if "adam_step" in extras:
-        step = extras["adam_step"]
-        if not (isinstance(step, int) and step >= 0):
-            raise ValueError(f"{path}: adam_step must be a non-negative integer, not {step!r}")
-        optimizer = Adam(model.named_params(), config.learning_rate)
-        optimizer.step_count = step
-        groups.update(adam_m=optimizer.m, adam_v=optimizer.v)
-    known = {f"{group}/{key}": value for group, table in groups.items()
-             for key, value in table.items()}
-    unknown = [name for name in tensors if name not in known]
-    if unknown:
-        raise ValueError(f"{path}: tensors the model does not have: {', '.join(unknown)}")
+    optimizer = Adam(model.named_params(), config.learning_rate)
+    optimizer.step_count = step
+    known = _tensors(model, optimizer)
+    problems = [f"{kind} tensors {', '.join(names)}" for kind, names in
+                (("missing", [name for name in known if name not in tensors]),
+                 ("unknown", [name for name in tensors if name not in known])) if names]
+    if problems:
+        raise ValueError(f"{path}: {'; '.join(problems)}")
     for name, value in tensors.items():
         expected = known[name]
         if value.shape != expected.shape or value.dtype != expected.dtype:

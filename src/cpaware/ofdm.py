@@ -174,14 +174,12 @@ def ofdm_modulate(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
 
 
 def remove_cp(series: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Strip the first cp_len samples of every block."""
+    """Strip the first cp_len samples of every block; with cp_len 0, a view of ``series``."""
     series = np.asarray(series)
     if series.size % cfg.block_len != 0:
         raise ValueError(
             f"series length {series.size} is not a multiple of {cfg.block_len}"
         )
-    if cfg.cp_len == 0:
-        return series.copy()
     blocks = series.reshape(-1, cfg.block_len)
     return blocks[:, cfg.cp_len:].reshape(-1)
 

@@ -18,6 +18,7 @@ from cpaware.cli import main as cli_main
 from cpaware.experiments import dataset, metrics
 from cpaware.experiments.config import (
     ExperimentConfig,
+    TrainRegime,
     desk_config,
     full_scale_config,
     load_config,
@@ -582,7 +583,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "classifier invocations" in out
 
-    def test_assess_grades_a_series_alike_from_npz_and_dataset(self, tmp_path):
+    def test_assess_grades_a_series_alike_from_npz_and_dataset(self, tmp_path, save_untrained):
         """The .npz path rounds its features to the dataset's float32, so one
         series and one checkpoint give one report, whichever file holds it."""
         config = mini_config()
@@ -595,7 +596,7 @@ class TestCli:
         npz.write_bytes(_npz_bytes(samples=series))
         config_path, ckpt = tmp_path / "config.json", tmp_path / "m.ckpt"
         save_config(config_path, config)
-        save_model(ckpt, he_init(config.net, np.random.default_rng(31)))
+        save_untrained(ckpt, config.net, 31)
         reports = []
         for extra in (["--input", str(data)], ["--input", str(npz), "--config", str(config_path)]):
             reports.append(tmp_path / f"report{len(reports)}.csv")
@@ -603,14 +604,14 @@ class TestCli:
                              *extra]) == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
 
-    def test_assess_grades_a_record_alike_alone_or_in_a_set(self, tmp_path):
+    def test_assess_grades_a_record_alike_alone_or_in_a_set(self, tmp_path, save_untrained):
         """A record's report row depends only on the record and the checkpoint:
         graded among 21 records or alone, it is the same bytes (index aside).
         A batched forward pass moved some log-BERs in their last digits."""
         config = mini_config(train_per_kind=7, master_seed=3)
         metas, tensors = build_records(config)
         ckpt = tmp_path / "m.ckpt"
-        save_model(ckpt, he_init(config.net, np.random.default_rng(32)))
+        save_untrained(ckpt, config.net, 32)
 
         def report_rows(name, records, block):
             data, report = tmp_path / f"{name}.cpad", tmp_path / f"{name}.csv"
@@ -629,8 +630,7 @@ class TestCli:
         build_dataset(data, mini_config(train_per_kind=2))
         x, intent_idx, log_ber, _ = Dataset(data).load_arrays()
         for task in ("capability", "intent"):
-            result = train(x, intent_idx, log_ber, mini_config().net, task=task,
-                           epochs=1, batch_size=6, seed=1)
+            result = train(x, intent_idx, log_ber, mini_config().net, task, TrainRegime(1, 6, 1))
             save_result(tmp_path / f"{task}.ckpt", result)
         rows = tmp_path / "rows.csv"
         args = ["baseline", "--dataset", str(data), "--ckpt", str(tmp_path / "capability.ckpt"),
@@ -793,9 +793,9 @@ class TestCliExitCodes:
         _npz_bytes(other=np.ones(288, complex)),              # no 'samples' array
         _npz_bytes(samples=np.array(["a"] * 288)),            # non-numeric samples
     ], ids=["zip-magic", "empty", "truncated", "npy", "no-samples", "strings"])
-    def test_bad_npz_exits_with_data_code(self, tmp_path, inputs, payload):
+    def test_bad_npz_exits_with_data_code(self, tmp_path, inputs, save_untrained, payload):
         ckpt, npz, report = tmp_path / "m.ckpt", tmp_path / "in.npz", tmp_path / "r.csv"
-        save_model(ckpt, he_init(mini_config().net, np.random.default_rng(0)))
+        save_untrained(ckpt, mini_config().net)
         npz.write_bytes(payload)
         assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(npz),
                          "--config", inputs["generate"][1], "--out", str(report)]) == 4
@@ -839,13 +839,13 @@ class TestCliExitCodes:
         ({}, 2, "head_cls.w"),
     ], ids=["n_classes=2", "n_classes=3", "n_classes=4", "reg_label_variance", "2-column-head"])
     def test_hostile_class_head_exits_with_data_code(self, tmp_path, capsys, inputs,
-                                                     extra, classes, named):
+                                                     save_untrained, extra, classes, named):
         """A checkpoint whose config names a class count or a label variance, or
         whose class head is not one column per intent, is refused by eval,
         baseline and assess, which exit 4 naming the key or tensor and write
         nothing."""
         ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
-        save_model(ckpt, he_init(mini_config().net, np.random.default_rng(0)))
+        save_untrained(ckpt, mini_config().net)
         config, tensors, extras = read_checkpoint(ckpt)
         for name in ("param/head_cls.w", "param/head_cls.b"):
             tensors[name] = np.repeat(tensors[name][..., :1], classes, axis=-1)
@@ -920,7 +920,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("field", ["l2_coeff", "focal_gamma", "reg_amplification",
                                        "learning_rate"])
     def test_non_finite_hyperparameter_exits_with_config_code(self, tmp_path, capsys, inputs,
-                                                              field, value):
+                                                              save_untrained, field, value):
         """JSON's NaN and Infinity parse as floats; a config or checkpoint holding
         one is refused, where it used to train to a NaN loss or, for
         reg_amplification, to weigh the regression task 0."""
@@ -933,7 +933,7 @@ class TestCliExitCodes:
         assert not out.exists()
 
         ckpt = tmp_path / "m.ckpt"
-        save_model(ckpt, he_init(mini_config().net, np.random.default_rng(0)))
+        save_untrained(ckpt, mini_config().net)
         net, tensors, extras = read_checkpoint(ckpt)
         write_checkpoint(ckpt, {**net, field: value}, tensors, extras)
         assert cli_main(["eval", *inputs["train"], "--ckpt", str(ckpt),
@@ -941,12 +941,12 @@ class TestCliExitCodes:
         assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_record_dataset_exits_with_data_code(self, tmp_path, capsys):
+    def test_zero_record_dataset_exits_with_data_code(self, tmp_path, capsys, save_untrained):
         """A dataset of no records is refused when it is opened, naming the file;
         eval, baseline and assess used to exit with NumPy's concatenate error."""
         data, ckpt, out = tmp_path / "empty.cpad", tmp_path / "m.ckpt", tmp_path / "out"
         write_dataset(data, mini_config(), [], np.empty((0, 16, 16, 3), "<f4"))
-        save_model(ckpt, he_init(mini_config().net, np.random.default_rng(0)))
+        save_untrained(ckpt, mini_config().net)
         with pytest.raises(ValueError, match="no records"):
             Dataset(data)
         commands = (["train", "--dataset", str(data), "--out", str(out)],
@@ -1020,7 +1020,7 @@ class TestCliExitCodes:
         """The cascade's regressor must have trained regression and its classifier
         classification, and assess needs both; each refusal exits 4 naming the
         path and the task.  ``eval --mode multitask`` reads any run, and a
-        checkpoint with no task record passes everywhere."""
+        checkpoint with no task record is refused everywhere (it used to pass)."""
         data, out = inputs["train"][1], tmp_path / "out"
         ckpts = {}
         for task in ("intent", "capability", "multitask"):
@@ -1028,7 +1028,9 @@ class TestCliExitCodes:
             assert cli_main(["train", *inputs["train"], "--mode", task, "--epochs", "1",
                              "--out", str(ckpts[task])]) == 0
         ckpts["unrecorded"] = tmp_path / "unrecorded.ckpt"
-        save_model(ckpts["unrecorded"], he_init(mini_config().net, np.random.default_rng(0)))
+        config, tensors, record = read_checkpoint(ckpts["multitask"])
+        del record["task"]
+        write_checkpoint(ckpts["unrecorded"], config, tensors, record)
 
         def cascade(regressor, classifier):
             return ["baseline", "--dataset", data, "--ckpt", str(ckpts[regressor]),
@@ -1036,6 +1038,9 @@ class TestCliExitCodes:
 
         def assess_with(task):
             return ["assess", "--ckpt", str(ckpts[task]), "--input", data, "--out"]
+
+        def eval_with(task):
+            return ["eval", "--dataset", data, "--ckpt", str(ckpts[task]), "--rows-out"]
 
         refused = [(cascade("intent", "capability"), "intent"),
                    (cascade("capability", "capability"), "capability"),
@@ -1048,22 +1053,101 @@ class TestCliExitCodes:
             assert f"{ckpts[task]}: the checkpoint's run trained task '{task}'" in (
                 capsys.readouterr().err), argv
             assert not out.exists(), argv
+        for argv in (cascade("unrecorded", "unrecorded"), assess_with("unrecorded"),
+                     eval_with("unrecorded")):
+            capsys.readouterr()
+            assert cli_main(argv + [str(out)]) == 4, argv
+            assert f"{ckpts['unrecorded']}: the run record lacks task" in (
+                capsys.readouterr().err), argv
+            assert not out.exists(), argv
         passed = [cascade("capability", "intent"), cascade("multitask", "multitask"),
-                  cascade("unrecorded", "unrecorded"), assess_with("multitask"),
-                  assess_with("unrecorded"),
-                  ["eval", "--dataset", data, "--ckpt", str(ckpts["intent"]), "--rows-out"]]
+                  assess_with("multitask"), eval_with("intent")]
         for argv in passed:
             assert cli_main(argv + [str(out)]) == 0, argv
             out.unlink()
+
+    @pytest.mark.parametrize("prefix", ["param/head_reg.w", "adam_m/"])
+    def test_checkpoint_missing_a_tensor_exits_with_data_code(self, tmp_path, capsys, inputs,
+                                                              prefix):
+        """A checkpoint without one of its model's or optimizer's tensors is
+        refused, naming what is missing; it used to load with the tensor left
+        at zero, and assess graded every sample from the head's bias alone."""
+        ckpt, report = tmp_path / "m.ckpt", tmp_path / "report.csv"
+        assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
+        config, tensors, record = read_checkpoint(ckpt)
+        write_checkpoint(ckpt, config, {name: value for name, value in tensors.items()
+                                        if not name.startswith(prefix)}, record)
+        with pytest.raises(ValueError, match=f"missing tensors {prefix}"):
+            load_model(ckpt)
+        capsys.readouterr()
+        assert cli_main(["assess", "--ckpt", str(ckpt), "--input", inputs["train"][1],
+                         "--out", str(report)]) == 4
+        assert f"missing tensors {prefix}" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("key", ["task", "train_seed", "batch_size", "adam_step"])
+    def test_checkpoint_without_run_record_exits_with_data_code(self, tmp_path, capsys, inputs,
+                                                                key):
+        """Every command that reads a checkpoint refuses one whose run record
+        lacks a key, naming it, and writes nothing."""
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
+        train_args = ["train", *inputs["train"], "--seed", "5", "--batch-size", "8"]
+        assert cli_main(train_args + ["--epochs", "1", "--out", str(ckpt)]) == 0
+        config, tensors, record = read_checkpoint(ckpt)
+        del record[key]
+        write_checkpoint(ckpt, config, tensors, record)
+        data = inputs["train"][1]
+        commands = [train_args + ["--epochs", "2", "--resume", str(ckpt), "--out"],
+                    ["eval", "--dataset", data, "--ckpt", str(ckpt), "--rows-out"],
+                    ["baseline", "--dataset", data, "--ckpt", str(ckpt), "--ckpt2", str(ckpt),
+                     "--theta", "1e-2", "--rows-out"],
+                    ["assess", "--ckpt", str(ckpt), "--input", data, "--out"]]
+        for argv in (command + [str(out)] for command in commands):
+            capsys.readouterr()
+            assert cli_main(argv) == 4, argv
+            assert f"{ckpt}: the run record lacks {key}" in capsys.readouterr().err, argv
+            assert not out.exists(), argv
+
+    def test_resume_with_another_network_config_exits_with_data_code(self, tmp_path, capsys,
+                                                                     inputs):
+        """A resume on a set whose network config differs from the checkpoint's
+        exits 4 naming each field with both values; it used to train on with
+        the checkpoint's config, unlike an uninterrupted run on that set."""
+        ckpt, other, out = tmp_path / "m.ckpt", tmp_path / "b.cpad", tmp_path / "out"
+        assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
+        net = dataclasses.replace(mini_config().net, learning_rate=0.5, focal_gamma=0.0)
+        build_dataset(other, mini_config(train_per_kind=2, net=net))
+        capsys.readouterr()
+        assert cli_main(["train", "--dataset", str(other), "--epochs", "2",
+                         "--resume", str(ckpt), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "learning_rate 0.001, not 0.5" in err and "focal_gamma 2.0, not 0.0" in err
+        assert not out.exists()
+
+    def test_resume_past_the_schedule_exits_with_data_code(self, tmp_path, capsys, inputs):
+        """A checkpoint past the run's last step is refused, naming both steps;
+        one at the last step resumes to no step, reports no loss and saves the
+        same bytes."""
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "out.ckpt"
+        train_args = ["train", *inputs["train"], "--resume", str(ckpt), "--out", str(out)]
+        assert cli_main(["train", *inputs["train"], "--epochs", "2", "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert cli_main(train_args + ["--epochs", "1"]) == 4
+        assert "at step 2, past this run's last step 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli_main(train_args + ["--epochs", "2"]) == 0
+        printed = capsys.readouterr().out
+        assert "for 0 steps" in printed and "loss" not in printed
+        assert out.read_bytes() == ckpt.read_bytes()
 
     def test_diverged_checkpoint_grades_overflowing_ber_high(self, tmp_path, capsys, inputs):
         """A log-BER head biased to 1000 overflows ``10.0 ** x``: the BER is inf (a
         high BER), and eval, baseline and assess exit 0 with nothing on stderr."""
         ckpt, report = tmp_path / "m.ckpt", tmp_path / "report.csv"
         assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
-        model, _, _ = load_model(ckpt)
+        model, optimizer, record = load_model(ckpt)
         model.head_reg.params["b"][...] = 1000.0
-        save_model(ckpt, model)
+        save_model(ckpt, model, optimizer, record)
         data = inputs["train"][1]
         commands = (["eval", "--dataset", data, "--ckpt", str(ckpt)],
                     ["baseline", "--dataset", data, "--ckpt", str(ckpt), "--ckpt2", str(ckpt)],

@@ -1,6 +1,5 @@
 """Tests for the from-scratch network: layers, losses, gradients, optimizer."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -535,10 +534,11 @@ class TestCheckpoint:
         for _ in range(5):
             train_step(model, x, labels, rho, adam, float(np.var(rho)))
         path = tmp_path / "model.ckpt"
-        save_model(path, model, adam, extras={"task": "multitask"})
+        save_model(path, model, adam, {"task": "multitask", "train_seed": 50, "batch_size": 4})
 
-        loaded, loaded_adam, extras = load_model(path)
-        assert extras["task"] == "multitask"
+        loaded, loaded_adam, record = load_model(path)
+        assert record == {"task": "multitask", "train_seed": 50, "batch_size": 4,
+                          "adam_step": 5}
         assert loaded_adam.step_count == adam.step_count
         for name, value in model.named_params().items():
             assert loaded.named_params()[name].tobytes() == value.tobytes(), name
@@ -552,30 +552,30 @@ class TestCheckpoint:
         np.testing.assert_array_equal(probs_a, probs_b)
         np.testing.assert_array_equal(rho_a, rho_b)
 
-    def test_rejects_float_conv_block(self, tmp_path):
+    def test_rejects_float_conv_block(self, tmp_path, save_untrained):
         path = tmp_path / "model.ckpt"
-        save_model(path, he_init(TINY, np.random.default_rng(53)))
+        save_untrained(path, TINY, 53)
         config, tensors, extras = read_checkpoint(path)
         config["conv_filters"][0] = 4.0
         write_checkpoint(path, config, tensors, extras)
         with pytest.raises(ValueError, match="conv_filters"):
             load_model(path)
 
-    def test_rejects_unknown_tensor(self, tmp_path):
-        model = he_init(TINY, np.random.default_rng(52))
-        tensors = {f"param/{k}": v for k, v in model.named_params().items()}
-        tensors["param/backbone.0.b"] = np.zeros(4)
+    def test_rejects_unknown_tensor(self, tmp_path, save_untrained):
         path = tmp_path / "extra.ckpt"
-        write_checkpoint(path, dataclasses.asdict(TINY), tensors, {})
+        save_untrained(path, TINY, 52)
+        config, tensors, record = read_checkpoint(path)
+        tensors["param/backbone.0.b"] = np.zeros(4)
+        write_checkpoint(path, config, tensors, record)
         with pytest.raises(ValueError, match="backbone.0.b"):
             load_model(path)
 
-    def test_rejects_wrong_shape(self, tmp_path):
-        model = he_init(TINY, np.random.default_rng(53))
-        tensors = {f"param/{k}": v for k, v in model.named_params().items()}
-        tensors["param/head_cls.w"] = np.zeros((2, 2))
+    def test_rejects_wrong_shape(self, tmp_path, save_untrained):
         path = tmp_path / "shape.ckpt"
-        write_checkpoint(path, dataclasses.asdict(TINY), tensors, {})
+        save_untrained(path, TINY, 53)
+        config, tensors, record = read_checkpoint(path)
+        tensors["param/head_cls.w"] = np.zeros((2, 2))
+        write_checkpoint(path, config, tensors, record)
         with pytest.raises(ValueError, match=r"head_cls\.w.*\(2, 2\).*\(6, 3\)"):
             load_model(path)
 

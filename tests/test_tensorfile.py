@@ -12,9 +12,8 @@ from cpaware import tensorfile
 from cpaware.experiments.config import ExperimentConfig
 from cpaware.experiments.dataset import Dataset, build_dataset
 from cpaware.features import FeatureConfig
-from cpaware.net.checkpoint import load_model, save_model
-from cpaware.net.model import NetworkConfig, he_init
-from cpaware.net.optim import Adam
+from cpaware.net.checkpoint import load_model
+from cpaware.net.model import NetworkConfig
 from cpaware.ofdm import FrameConfig
 
 
@@ -69,14 +68,12 @@ def test_from_json_names_only_the_wrong_keys(edit, message):
 
 
 @pytest.fixture(scope="module")
-def valid(tmp_path_factory):
+def valid(tmp_path_factory, save_untrained):
     """A small valid checkpoint and dataset: their directory and bytes."""
     directory = tmp_path_factory.mktemp("valid")
     net = NetworkConfig((8, 8, 3), conv_filters=(2,))
-    model = he_init(net, np.random.default_rng(0))
     ckpt = directory / "valid.ckpt"
-    save_model(ckpt, model, Adam(model.named_params(), lr=1e-3),
-               extras={"task": "multitask"})
+    save_untrained(ckpt, net, 0)
     data = directory / "valid.cpad"
     build_dataset(data, ExperimentConfig(
         train_per_kind=1, frame=FrameConfig(8, 2, 8),
@@ -134,7 +131,7 @@ def test_any_byte_flip_loads_or_raises_value_error(valid, kind, data):
 
 
 @pytest.fixture(scope="module")
-def splice_sources(valid):
+def splice_sources(valid, save_untrained):
     """Valid files whose headers and data are spliced together, by name.
 
     Each kind has one file laid out like the ``valid`` one (its data fits
@@ -144,10 +141,8 @@ def splice_sources(valid):
     net = NetworkConfig((8, 8, 3), conv_filters=(2,))
     wider = NetworkConfig((8, 8, 3), conv_filters=(3,))
     same_ckpt, wider_ckpt = directory / "same.ckpt", directory / "wider.ckpt"
-    model = he_init(net, np.random.default_rng(1))
-    save_model(same_ckpt, model, Adam(model.named_params(), lr=1e-3),
-               extras={"task": "multitask"})
-    save_model(wider_ckpt, he_init(wider, np.random.default_rng(2)))
+    save_untrained(same_ckpt, net, 1)
+    save_untrained(wider_ckpt, wider, 2)
     config = ExperimentConfig(train_per_kind=1, frame=FrameConfig(8, 2, 8),
                               feature=FeatureConfig(1), net=net)
     same_data, larger_data = directory / "same.cpad", directory / "larger.cpad"

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from cpaware.experiments.config import TrainRegime
 from cpaware.experiments.training import save_result, train, write_log_csv
-from cpaware.net.checkpoint import load_model, save_model
+from cpaware.net.checkpoint import read_checkpoint, write_checkpoint
 from cpaware.net.model import NetworkConfig
 
 TOY_SHAPE = (16, 16, 3)
@@ -25,8 +26,7 @@ class TestOverfitSanity:
     def test_multitask_toy_overfit(self):
         """Smoothed total loss falls below 10% of its start within 500 steps."""
         x, idx, rho = toy_set()
-        result = train(x, idx, rho, TOY_NET, task="multitask", epochs=500,
-                       batch_size=32, seed=1)
+        result = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(500, 32, 1))
         losses = np.array([e["loss_total"] for e in result.log])
         assert np.all(np.isfinite(losses))
         smoothed = np.convolve(losses, np.ones(10) / 10, mode="valid")
@@ -36,16 +36,14 @@ class TestOverfitSanity:
 
     def test_intent_only_toy_overfit(self):
         x, idx, rho = toy_set(1)
-        result = train(x, idx, rho, TOY_NET, task="intent", epochs=1000,
-                       batch_size=32, seed=2)
+        result = train(x, idx, rho, TOY_NET, "intent", TrainRegime(1000, 32, 2))
         probs, _ = result.model.predict_batched(x)
         accuracy = np.mean(np.argmax(probs, axis=1) == idx)
         assert accuracy >= 0.95
 
     def test_capability_only_toy_overfit(self):
         x, idx, rho = toy_set(2)
-        result = train(x, idx, rho, TOY_NET, task="capability", epochs=1000,
-                       batch_size=32, seed=3)
+        result = train(x, idx, rho, TOY_NET, "capability", TrainRegime(1000, 32, 3))
         _, rho_hat = result.model.predict_batched(x)
         assert np.mean((rho_hat - rho) ** 2) < 0.05
 
@@ -53,7 +51,7 @@ class TestOverfitSanity:
 class TestLabelVariance:
     def test_matches_two_pass_oracle(self):
         x, idx, rho = toy_set(3)
-        result = train(x, idx, rho, TOY_NET, epochs=1, batch_size=32, seed=4)
+        result = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(1, 32, 4))
         mean = sum(rho) / len(rho)
         two_pass = sum((v - mean) ** 2 for v in rho) / len(rho)
         assert result.label_variance == pytest.approx(two_pass, abs=1e-9)
@@ -63,8 +61,8 @@ class TestLabelVariance:
         """Constant labels leave the regression weight undefined; intent-only
         training weights the regression 0 and trains on them."""
         x, idx, _ = toy_set(4)
-        run = lambda: train(x, idx, np.full(len(idx), -2.0), TOY_NET, task=task,  # noqa: E731
-                            epochs=2, batch_size=16, seed=5)
+        run = lambda: train(x, idx, np.full(len(idx), -2.0), TOY_NET, task,  # noqa: E731
+                            TrainRegime(2, 16, 5))
         if task != "intent":
             with pytest.raises(ValueError, match="variance"):
                 run()
@@ -78,8 +76,7 @@ class TestLabelVariance:
 class TestTaskCoupling:
     def test_shared_backbone_improves_both_tasks(self):
         x, idx, rho = toy_set(7)
-        result = train(x, idx, rho, TOY_NET, task="multitask", epochs=200,
-                       batch_size=32, seed=8)
+        result = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(200, 32, 8))
         first, last = result.log[0], result.log[-1]
         assert last["loss_cls"] < first["loss_cls"]
         assert last["loss_reg"] < first["loss_reg"]
@@ -92,8 +89,7 @@ class TestTaskWeights:
         """The head a task does not train gets zero gradients, and biases
         carry no L2 term, so its bias never leaves its initial zero."""
         x, idx, rho = toy_set(13)
-        params = train(x, idx, rho, TOY_NET, task=task, epochs=5, batch_size=8,
-                       seed=14).model.named_params()
+        params = train(x, idx, rho, TOY_NET, task, TrainRegime(5, 8, 14)).model.named_params()
         np.testing.assert_array_equal(params[idle], 0.0)
         assert np.all(params[used] != 0.0)
 
@@ -101,22 +97,21 @@ class TestTaskWeights:
 class TestDeterminismAndResume:
     def test_identical_runs_identical_checkpoints(self, tmp_path):
         x, idx, rho = toy_set(8)
-        a = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=9)
-        b = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=9)
+        a = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(5, 8, 9))
+        b = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(5, 8, 9))
         save_result(tmp_path / "a.ckpt", a)
         save_result(tmp_path / "b.ckpt", b)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_resume_matches_uninterrupted(self, tmp_path):
-        """10 further steps after a reload equal the uninterrupted run."""
+        """Stopped after 2 of 5 epochs and resumed, a run equals the uninterrupted one."""
         x, idx, rho = toy_set(9)
-        straight = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=10)
+        straight = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(5, 8, 10))
 
-        half = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=10,
-                     max_steps=10)
+        half = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(2, 8, 10))
         ckpt = tmp_path / "half.ckpt"
         save_result(ckpt, half)
-        resumed = train(x, idx, rho, TOY_NET, epochs=5, batch_size=8, seed=10,
+        resumed = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(5, 8, 10),
                         resume_from=ckpt)
 
         assert resumed.optimizer.step_count == straight.optimizer.step_count
@@ -128,39 +123,40 @@ class TestDeterminismAndResume:
 
     def test_task_mismatch_on_resume_rejected(self, tmp_path):
         x, idx, rho = toy_set(10)
-        result = train(x, idx, rho, TOY_NET, task="intent", epochs=1,
-                       batch_size=8, seed=11)
+        result = train(x, idx, rho, TOY_NET, "intent", TrainRegime(1, 8, 11))
         ckpt = tmp_path / "intent.ckpt"
         save_result(ckpt, result)
         with pytest.raises(ValueError, match="task"):
-            train(x, idx, rho, TOY_NET, task="capability", epochs=1,
-                  batch_size=8, seed=11, resume_from=ckpt)
+            train(x, idx, rho, TOY_NET, "capability", TrainRegime(1, 8, 11), resume_from=ckpt)
 
     @pytest.mark.parametrize("key, change", [("task", {"task": "intent"}),
-                                             ("train_seed", {"seed": 12}),
+                                             ("train_seed", {"train_seed": 12}),
                                              ("batch_size", {"batch_size": 4})])
     def test_run_record_mismatch_on_resume_rejected(self, tmp_path, key, change):
         x, idx, rho = toy_set(10)
-        run = {"task": "multitask", "seed": 11, "batch_size": 8}
         ckpt = tmp_path / "run.ckpt"
-        save_result(ckpt, train(x, idx, rho, TOY_NET, epochs=1, **run))
+        save_result(ckpt, train(x, idx, rho, TOY_NET, "multitask", TrainRegime(1, 8, 11)))
+        settings = {"task": "multitask", "train_seed": 11, "batch_size": 8, **change}
+        task = settings.pop("task")
         with pytest.raises(ValueError, match=key):
-            train(x, idx, rho, TOY_NET, epochs=2, resume_from=ckpt, **{**run, **change})
+            train(x, idx, rho, TOY_NET, task, TrainRegime(2, **settings), resume_from=ckpt)
 
-    def test_checkpoint_without_run_record_resumes(self, tmp_path):
+    def test_checkpoint_without_run_record_is_refused(self, tmp_path):
+        """A checkpoint that holds only its optimizer step cannot be resumed,
+        not even by the run that wrote it; it used to resume any run."""
         x, idx, rho = toy_set(10)
-        result = train(x, idx, rho, TOY_NET, epochs=1, batch_size=8, seed=11)
         ckpt = tmp_path / "bare.ckpt"
-        save_model(ckpt, result.model, result.optimizer)
-        resumed = train(x, idx, rho, TOY_NET, task="intent", epochs=2, batch_size=8,
-                        seed=3, resume_from=ckpt)
-        assert resumed.optimizer.step_count == 8
+        save_result(ckpt, train(x, idx, rho, TOY_NET, "multitask", TrainRegime(1, 8, 11)))
+        config, tensors, record = read_checkpoint(ckpt)
+        write_checkpoint(ckpt, config, tensors, {"adam_step": record["adam_step"]})
+        with pytest.raises(ValueError, match="the run record lacks task, train_seed, batch_size"):
+            train(x, idx, rho, TOY_NET, "multitask", TrainRegime(2, 8, 11), resume_from=ckpt)
 
 
 class TestLog:
     def test_log_entries_complete_and_finite(self, tmp_path):
         x, idx, rho = toy_set(11)
-        result = train(x, idx, rho, TOY_NET, epochs=3, batch_size=8, seed=12)
+        result = train(x, idx, rho, TOY_NET, "multitask", TrainRegime(3, 8, 12))
         assert len(result.log) == 3 * 4
         for entry in result.log:
             assert np.isfinite(entry["loss_cls"])
@@ -175,10 +171,12 @@ class TestLog:
     def test_unknown_task_rejected(self):
         x, idx, rho = toy_set(12)
         with pytest.raises(ValueError, match="task"):
-            train(x, idx, rho, TOY_NET, task="both", epochs=1, batch_size=8)
+            train(x, idx, rho, TOY_NET, "both", TrainRegime(1, 8))
 
     @pytest.mark.parametrize("setting", [{"epochs": 0}, {"epochs": -1}, {"batch_size": 0}])
     def test_non_positive_schedule_rejected(self, setting):
+        """A schedule ``train`` cannot run is refused by the regime it comes in."""
         x, idx, rho = toy_set(12)
         with pytest.raises(ValueError, match="must be positive"):
-            train(x, idx, rho, TOY_NET, **{"epochs": 1, "batch_size": 8, **setting})
+            train(x, idx, rho, TOY_NET, "multitask",
+                  TrainRegime(**{"epochs": 1, "batch_size": 8, **setting}))
