@@ -36,10 +36,10 @@ def check_same_backbone(regressor: MultitaskNet, classifier: MultitaskNet) -> No
 
 @dataclass
 class SequentialAssessor:
-    """Runtime cascade with an instrumented classifier-invocation counter."""
+    """Runtime cascade gate over the regressor, with an instrumented
+    classifier-invocation counter; the classifier's probabilities are given."""
 
     regressor: MultitaskNet
-    classifier: MultitaskNet
     threshold_ber: float
     classifier_invocations: int = field(default=0, init=False)
     gated_count: int = field(default=0, init=False)
@@ -47,7 +47,6 @@ class SequentialAssessor:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold_ber < 1.0:
             raise ValueError("threshold_ber must lie in (0, 1)")
-        check_same_backbone(self.regressor, self.classifier)
 
     def assess_batch(self, tensors: np.ndarray,
                      probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``generate``  build a labeled dataset file from a JSON config,
 * ``train``     train the multitask model or a single-task variant (a
-                resume must repeat its checkpoint's run settings),
+                resume must repeat its checkpoint's run settings and labels),
 * ``eval``      score a checkpoint (multitask) or a cascade (sequential)
                 on a dataset, dumping metrics and raw predictions,
 * ``assess``    grade samples with a multitask checkpoint and write the
@@ -62,7 +62,7 @@ def _add_train(sub):
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--resume", help="checkpoint to continue from; the run's mode, "
-                   "seed, batch size and network config must match the checkpoint's")
+                   "seed, batch size, labels and network config must match the checkpoint's")
     p.add_argument("--log", help="write the per-step loss log CSV here")
 
 

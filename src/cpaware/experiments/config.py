@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from ..features import FeatureConfig
@@ -60,17 +59,6 @@ class ExperimentConfig:
                 f"feature tensor shape {expected}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return from_json(
-            cls, data,
-            frame=partial(from_json, FrameConfig),
-            feature=partial(from_json, FeatureConfig),
-            space=partial(from_json, ScenarioSpace),
-            net=partial(from_json, NetworkConfig),
-            regime=partial(from_json, TrainRegime),
-        )
-
 
 def desk_config(**overrides) -> ExperimentConfig:
     """Laptop-scale defaults: 64x64 frames, 200 training samples per kind."""
@@ -89,7 +77,7 @@ def full_scale_config(**overrides) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+    return from_json(ExperimentConfig, json.loads(Path(path).read_text()))
 
 
 def save_config(path, config: ExperimentConfig) -> None:

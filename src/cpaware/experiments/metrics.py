@@ -28,7 +28,7 @@ import csv
 import numpy as np
 
 from ..assessment import AssessmentThresholds, DEFAULT_THRESHOLDS, N_SCALES, assess
-from ..baseline import SequentialAssessor
+from ..baseline import SequentialAssessor, check_same_backbone
 from ..net.losses import focal_loss, mse_loss
 from ..net.model import MultitaskNet
 from ..threats import INTENT_NAMES
@@ -118,12 +118,13 @@ def evaluate_sequential(regressor: MultitaskNet, classifier: MultitaskNet, theta
     """``(assessor, report, rows)`` of the cascade at each gate threshold; one
     classifier pass serves them all and loss_cls, which scores it on every
     sample, gated or not."""
+    check_same_backbone(regressor, classifier)
     probs, _ = classifier.predict_batched(tensors)
     loss_cls = focal_loss(one_hot_labels(intent_idx), probs, classifier.config.focal_gamma)
     _, true_scales = assess(intent_idx, log_ber, thresholds)
     results = []
     for theta in thetas:
-        assessor = SequentialAssessor(regressor, classifier, theta)
+        assessor = SequentialAssessor(regressor, theta)
         pred_idx, rho_hat, gated = assessor.assess_batch(tensors, probs)
         rows = _make_rows(pred_idx, rho_hat, probs, gated, intent_idx, log_ber, true_scales,
                           thresholds)

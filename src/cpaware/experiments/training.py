@@ -5,10 +5,11 @@ draws from a stream derived from (seed, 0) and the epoch-e shuffle from
 (seed, 1, e), so a run is a pure function of (data, config, task, seed).
 Resuming from a checkpoint replays the exact remaining schedule, because
 the batch order depends only on the global step counter.  A resume must
-be given the task, seed, batch size and network config its checkpoint
-records, and may not be past its schedule: a checkpoint whose step count
-exceeds epochs x steps per epoch is refused, and one at the end resumes
-to no step.
+be given the task, seed, batch size, labels and network config its
+checkpoint records (the labels by the sha256 of the intent indices as
+``<i8`` and the log-BER labels as ``<f8``), and may not be past its
+schedule: a checkpoint whose step count exceeds epochs x steps per epoch
+is refused, and one at the end resumes to no step.
 
 Tasks:
 
@@ -30,6 +31,7 @@ others refuse labels of zero variance.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from dataclasses import asdict, dataclass
 
@@ -58,8 +60,7 @@ class TrainResult:
     model: MultitaskNet
     optimizer: Adam
     log: list[dict]
-    task: str
-    regime: TrainRegime
+    record: dict  # the run's RUN_RECORD
     label_variance: float
 
 
@@ -67,9 +68,13 @@ def one_hot_labels(intent_idx: np.ndarray) -> np.ndarray:
     return np.eye(len(ThreatKind))[np.asarray(intent_idx, dtype=int)]
 
 
-def _run_record(task: str, regime: TrainRegime) -> dict:
+def _run_record(task: str, regime: TrainRegime, intent_idx: np.ndarray,
+                log_ber: np.ndarray) -> dict:
     """The ``RUN_RECORD`` of a run, which its checkpoint holds and its resume must match."""
-    return dict(zip(RUN_RECORD, (task, regime.train_seed, regime.batch_size)))
+    labels = hashlib.sha256(np.asarray(intent_idx, dtype="<i8").tobytes())
+    labels.update(np.asarray(log_ber, dtype="<f8").tobytes())
+    return dict(zip(RUN_RECORD, (task, regime.train_seed, regime.batch_size,
+                                 labels.hexdigest())))
 
 
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -116,15 +121,16 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
         raise ValueError("empty training set")
     log_ber = np.asarray(log_ber, dtype=float)
     label_variance = float(np.var(log_ber))
+    run_record = _run_record(task, regime, intent_idx, log_ber)
 
     if resume_from is not None:
         model, optimizer, record = load_model(resume_from)
-        ours = {**_run_record(task, regime), **asdict(config)}
+        ours = {**run_record, **asdict(config)}
         theirs = {**record, **asdict(model.config)}
         changed = [f"{k} {theirs[k]!r}, not {v!r}" for k, v in ours.items() if theirs[k] != v]
         if changed:
             raise ValueError(f"{resume_from}: the checkpoint's run has {'; '.join(changed)}; "
-                             f"resume with its settings")
+                             f"resume with its settings and labels")
     else:
         model = he_init(config, np.random.default_rng([regime.train_seed, 0]))
         optimizer = Adam(model.named_params(), config.learning_rate)
@@ -151,12 +157,12 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
                            label_variance, task)
         log.append({"step": step + 1, "epoch": epoch, **entry})
 
-    return TrainResult(model=model, optimizer=optimizer, log=log, task=task,
-                       regime=regime, label_variance=label_variance)
+    return TrainResult(model=model, optimizer=optimizer, log=log, record=run_record,
+                       label_variance=label_variance)
 
 
 def save_result(path, result: TrainResult) -> None:
-    save_model(path, result.model, result.optimizer, _run_record(result.task, result.regime))
+    save_model(path, result.model, result.optimizer, result.record)
 
 
 def write_log_csv(path, log: list[dict]) -> None:

@@ -5,8 +5,9 @@ layout.  Its metadata is ``{"config": network config, "extras": run
 record}`` and its arrays are the trainable parameters (``param/``), the
 optimizer moments (``adam_m/``, ``adam_v/``) and the batch-norm running
 statistics (``state/``).  The run record is the run's ``RUN_RECORD``
-plus the optimizer step ``adam_step``; the optimizer's rate is the
-config's ``learning_rate``.  Every record key and every tensor must be
+(its task, seed, batch size and the sha256 of its labels) plus the
+optimizer step ``adam_step``; the optimizer's rate is the config's
+``learning_rate``.  Every record key and every tensor must be
 present, so reloading resumes training exactly where it stopped.
 """
 
@@ -21,8 +22,8 @@ from .model import MultitaskNet, NetworkConfig
 from .optim import Adam
 
 MAGIC = b"CPA1"
-# The run's task, seed and batch size, which a resume must repeat.
-RUN_RECORD = ("task", "train_seed", "batch_size")
+# What a resume must repeat (see training._run_record).
+RUN_RECORD = ("task", "train_seed", "batch_size", "labels_sha256")
 
 
 def write_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import struct
+import typing
 
 import numpy as np
 
@@ -32,7 +33,7 @@ VERSION = 2
 DTYPES = ("<f4", "<f8", "<i8")
 
 _PREFIX = struct.Struct("<4sBI")
-_SCALARS = {"int": (int,), "float": (int, float)}  # annotation -> accepted JSON types
+_SCALARS = {int: (int,), float: (int, float)}  # annotation -> accepted JSON types
 
 
 def write(path, magic: bytes, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -103,15 +104,14 @@ def _checked_listing(path, header, meta_keys: set) -> list:
     return header["arrays"]
 
 
-def from_json(cls, data, **convert):
+def from_json(cls, data):
     """Build the dataclass ``cls`` from the JSON object ``data``.
 
-    ``data`` must hold every field of ``cls`` and no other key.  JSON
-    arrays become tuples; ``convert`` maps a field name to a function
-    that builds its value instead, such as a nested dataclass.  A field
-    annotated ``int`` takes an integer (not a boolean), and one annotated
-    ``float`` an integer or a float.  A missing or unknown key, or a
-    value of the wrong type, raises ValueError.
+    ``data`` must hold every field of ``cls`` and no other key.  A field
+    typed as a dataclass is built by the same rule, and JSON arrays become
+    tuples.  A field annotated ``int`` takes an integer (not a boolean), and
+    one annotated ``float`` an integer or a float.  A missing or unknown
+    key, or a value of the wrong type, raises ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {type(data).__name__}")
@@ -121,14 +121,17 @@ def from_json(cls, data, **convert):
         problems = [f"{kind} keys {sorted(keys)}" for kind, keys in
                     (("missing", names - set(data)), ("unknown", set(data) - names)) if keys]
         raise ValueError(f"{cls.__name__}: {', '.join(problems)}")
+    types = typing.get_type_hints(cls)
     for f in fields:
-        allowed = _SCALARS.get(getattr(f.type, "__name__", f.type))
+        allowed = _SCALARS.get(types[f.name])
         value = data[f.name]
         if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
             raise ValueError(f"{cls.__name__}.{f.name}: expected {allowed[-1].__name__}, "
                              f"got {value!r}")
     try:
-        return cls(**{k: convert[k](v) if k in convert else _tuples(v) for k, v in data.items()})
+        return cls(**{name: from_json(types[name], value)
+                      if dataclasses.is_dataclass(types[name]) else _tuples(value)
+                      for name, value in data.items()})
     except (TypeError, RecursionError) as exc:
         raise ValueError(f"{cls.__name__}: {exc}") from None
 

@@ -24,7 +24,10 @@ legitimate metrics.  ``generate_components`` is the one branch on intent:
 it returns the received sum with the amplitude and bits it is decoded against.
 
 The capability label is ``log10(BER)`` floored at one error per sample
-(``1 / bits_per_sample``) so error-free samples get a finite label.
+(``1 / bits_per_sample``) so error-free samples get a finite label.  A
+``LabeledSample`` holds the received series, its intent and both labels
+and nothing else: the scenario it was drawn from is its caller's, and a
+dataset records what of it a record needs (``experiments.dataset``).
 
 Generators are pure functions of (scenario, seed).  Each randomness
 consumer (legitimate bits, receiver noise, jammer waveform, obfuscation
@@ -37,7 +40,7 @@ sample at the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from numbers import Real
 from typing import Optional
@@ -114,7 +117,6 @@ class LabeledSample:
     kind: ThreatKind
     log_ber: float
     raw_ber: float
-    metadata: dict = field(default_factory=dict)
 
 
 def label_log_ber(ber: float, frame: FrameConfig) -> float:
@@ -198,34 +200,12 @@ def generate_components(scenario: ThreatScenario, seed: int) -> dict:
 def generate_sample(scenario: ThreatScenario, seed: int) -> LabeledSample:
     """Generate one labelled sample; deterministic in (scenario, seed)."""
     frame = scenario.frame
-    kind = scenario.kind
     parts = generate_components(scenario, seed)
     received, label_amp, label_bits = parts["received"], parts["label_amp"], parts["label_bits"]
     del parts  # frees the other full-length terms before decoding allocates its own
     ber = _decode_ber(received, label_amp, frame, label_bits)
-
-    meta = {
-        "kind": INTENT_NAMES[kind.value],
-        "seed": int(seed),
-        "legit_power_w": scenario.legit_link.tx_power_w,
-        "legit_distance_m": scenario.legit_link.distance_m,
-        "noise_dbw": scenario.noise.variance_dbw,
-    }
-    if scenario.adversary_link is not None:
-        meta["adversary_power_w"] = scenario.adversary_link.tx_power_w
-        meta["adversary_distance_m"] = scenario.adversary_link.distance_m
-    if kind is ThreatKind.DISRUPTIVE:
-        meta["obfuscation_prob"] = scenario.obfuscation_prob
-    if kind is ThreatKind.DECEPTIVE:
-        meta["estimation_error"] = scenario.estimation_error
-
-    return LabeledSample(
-        received=received,
-        kind=kind,
-        log_ber=label_log_ber(ber, frame),
-        raw_ber=ber,
-        metadata=meta,
-    )
+    return LabeledSample(received=received, kind=scenario.kind,
+                         log_ber=label_log_ber(ber, frame), raw_ber=ber)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from cpaware.net.optim import Adam
 def _save_untrained(path, net, seed=0, task="multitask"):
     model = he_init(net, np.random.default_rng(seed))
     save_model(path, model, Adam(model.named_params(), net.learning_rate),
-               {"task": task, "train_seed": seed, "batch_size": 16})
+               {"task": task, "train_seed": seed, "batch_size": 16,
+                "labels_sha256": hashlib.sha256().hexdigest()})
     return model
 
 
@@ -19,5 +22,5 @@ def _save_untrained(path, net, seed=0, task="multitask"):
 def save_untrained():
     """``save_untrained(path, net, seed=0, task="multitask")`` writes a complete
     checkpoint of an He-initialized model of ``net``: a fresh optimizer and a
-    run record of ``task``.  It returns the model."""
+    run record of ``task`` on no labels.  It returns the model."""
     return _save_untrained

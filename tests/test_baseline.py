@@ -5,6 +5,7 @@ import pytest
 
 from cpaware.assessment import assess, ber
 from cpaware.baseline import SequentialAssessor, check_same_backbone
+from cpaware.experiments.metrics import evaluate_sequential
 from cpaware.net.model import NetworkConfig, he_init
 from cpaware.threats import ThreatKind
 
@@ -32,7 +33,7 @@ class TestGate:
     def test_below_gate_skips_classifier_entirely(self):
         regressor, classifier = make_models()
         pin_regressor_output(regressor, -5.0)  # predicted BER 1e-5
-        cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-2)
+        cascade = SequentialAssessor(regressor, threshold_ber=1e-2)
         x = features()
         intent_idx, log_ber_pred, gated = cascade.assess_batch(
             x, classifier.predict_batched(x)[0])
@@ -46,7 +47,7 @@ class TestGate:
         regressor, classifier = make_models(1)
         pin_regressor_output(regressor, np.log10(0.5))
         for theta in (1e-2, 1e-3, 1e-4):
-            cascade = SequentialAssessor(regressor, classifier, threshold_ber=theta)
+            cascade = SequentialAssessor(regressor, threshold_ber=theta)
             x = features(1)
             cascade.assess_batch(x, classifier.predict_batched(x)[0])
             assert cascade.classifier_invocations == x.shape[0]
@@ -57,7 +58,7 @@ class TestGate:
         x = features(2, n=40)
         _, rho_hat = regressor.predict_batched(x)
         for theta in (1e-2, 1e-3, 1e-4):
-            cascade = SequentialAssessor(regressor, classifier, threshold_ber=theta)
+            cascade = SequentialAssessor(regressor, threshold_ber=theta)
             intent_idx, log_ber_pred, gated = cascade.assess_batch(
                 x, classifier.predict_batched(x)[0])
             np.testing.assert_array_equal(log_ber_pred, rho_hat)
@@ -71,7 +72,7 @@ class TestGate:
         x = features(3, n=60)
         counts = []
         for theta in (1e-2, 1e-3, 1e-4):
-            cascade = SequentialAssessor(regressor, classifier, threshold_ber=theta)
+            cascade = SequentialAssessor(regressor, threshold_ber=theta)
             cascade.assess_batch(x, classifier.predict_batched(x)[0])
             counts.append(cascade.classifier_invocations)
         assert counts == sorted(counts)
@@ -81,7 +82,7 @@ class TestGate:
         intent decisions equal the standalone classifier's decisions."""
         regressor, classifier = make_models(4)
         x = features(4, n=24)
-        cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-300)
+        cascade = SequentialAssessor(regressor, threshold_ber=1e-300)
         intent_idx, _, gated = cascade.assess_batch(x, classifier.predict_batched(x)[0])
         assert not np.any(gated)
         assert cascade.classifier_invocations == x.shape[0]
@@ -99,7 +100,7 @@ class TestGate:
         x0 = next((v for v in grid if np.all(10.0 ** np.full(len(x), v) > 10.0 ** v)),
                   grid[0])
         pin_regressor_output(regressor, x0)
-        cascade = SequentialAssessor(regressor, classifier, threshold_ber=10.0 ** x0)
+        cascade = SequentialAssessor(regressor, threshold_ber=10.0 ** x0)
         _, log_ber_pred, gated = cascade.assess_batch(x, classifier.predict_batched(x)[0])
         assert np.all(gated)
         assert cascade.gated_count == len(x)
@@ -109,7 +110,7 @@ class TestGate:
         """A deceptive sample predicted at BER 1e-5 is graded benign."""
         regressor, classifier = make_models(5)
         pin_regressor_output(regressor, -5.0)
-        cascade = SequentialAssessor(regressor, classifier, threshold_ber=1e-2)
+        cascade = SequentialAssessor(regressor, threshold_ber=1e-2)
         x = features(5, n=1)
         intent_idx, log_ber_pred, _ = cascade.assess_batch(x, classifier.predict_batched(x)[0])
         # The true intent (deceptive) never enters the cascade's view.
@@ -119,10 +120,10 @@ class TestGate:
 
 class TestConfigValidation:
     def test_threshold_domain(self):
-        regressor, classifier = make_models(6)
+        regressor, _ = make_models(6)
         for theta in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                SequentialAssessor(regressor, classifier, threshold_ber=theta)
+                SequentialAssessor(regressor, threshold_ber=theta)
 
     def test_backbone_mismatch_rejected(self):
         regressor = he_init(NET, np.random.default_rng(7))
@@ -130,3 +131,13 @@ class TestConfigValidation:
         classifier = he_init(other, np.random.default_rng(8))
         with pytest.raises(ValueError, match="backbone"):
             check_same_backbone(regressor, classifier)
+
+    def test_sweep_checks_the_backbones_before_the_classifier_pass(self):
+        """``evaluate_sequential`` refuses mismatched cascade models once, before
+        it runs either of them."""
+        regressor = he_init(NET, np.random.default_rng(7))
+        classifier = he_init(NetworkConfig(SHAPE, conv_filters=(8, 8)), np.random.default_rng(8))
+        regressor.predict_batched = classifier.predict_batched = None  # never reached
+        with pytest.raises(ValueError, match="backbone"):
+            evaluate_sequential(regressor, classifier, [1e-2, 1e-3], features(),
+                                np.zeros(12, dtype=int), np.full(12, -1.0))

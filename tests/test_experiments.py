@@ -29,6 +29,7 @@ from cpaware.experiments.dataset import (
     build_dataset,
     build_records,
     derive_seed,
+    record_labels,
     write_dataset,
 )
 from cpaware.experiments.metrics import (
@@ -47,7 +48,7 @@ from cpaware.net.checkpoint import load_model, read_checkpoint, save_model, writ
 from cpaware.net.losses import focal_loss, mse_loss
 from cpaware.net.model import MultitaskNet, NetworkConfig, he_init
 from cpaware.ofdm import FrameConfig
-from cpaware.threats import ThreatKind
+from cpaware.threats import ThreatKind, label_log_ber
 
 # The benchmark's golden-set digests, read (never written) by the tests.
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -103,10 +104,9 @@ class TestDatasetFile:
         assert tensors.dtype == np.dtype("<f4")
         # The held float32 block is returned as is: no float64 copy of it.
         assert allocated < tensors.size * 8
-        for kind in ThreatKind:
-            assert int(np.sum(intent_idx == kind.value)) == 4
+        # Balanced and positional: 4 records of each intent, in intent order.
+        assert intent_idx.tolist() == [kind.value for kind in ThreatKind for _ in range(4)]
         assert np.all(log_ber <= 0)
-        assert metas[5]["index"] == 5
         assert "channel_min" in metas[5] and "channel_max" in metas[5]
         assert ds.config.frame == config.frame
 
@@ -188,38 +188,61 @@ class TestDatasetFile:
         path = tmp_path / "data.cpad"
         build_dataset(path, config)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "51139217682b22a5e4fb7787ee0cb278da402b4fbeec177e0c66cfada8d1b09f")
+            "e48cf7fcc1e77c1d3b4f02ed594ab331404960e947ba8eb4f8b09bf079f9a532")
 
     def test_adversarial_metadata_recorded(self, tmp_path):
         path = tmp_path / "data.cpad"
         build_dataset(path, mini_config(train_per_kind=2))
         metas = Dataset(path).load_arrays()[3]
-        kinds = {r["kind"] for r in metas}
-        assert kinds == {"deceptive", "disruptive", "non_adversarial"}
         deceptive_meta = metas[0]
-        assert deceptive_meta["kind"] == "deceptive"
         assert "adversary_power_w" in deceptive_meta
-        assert "estimation_error" in deceptive_meta
+        assert "adversary_distance_m" not in metas[-1]  # a non-adversarial record
 
-    @pytest.mark.parametrize("label, value", [
-        pytest.param("intent_index", None, id="intent_index"),
-        pytest.param("log_ber", None, id="log_ber"),
-        pytest.param("intent_index", True, id="intent_index=True"),
-        pytest.param("log_ber", math.nan, id="log_ber=nan"),
-        pytest.param("log_ber", math.inf, id="log_ber=inf"),
-        pytest.param("log_ber", -math.inf, id="log_ber=-inf"),
-        pytest.param("log_ber", 0.5, id="log_ber=0.5"),
-        pytest.param("log_ber", -3.0, id="log_ber=-3.0"),  # below 1/512 bits: -2.709
-        pytest.param("log_ber", -1e200, id="log_ber=-1e200"),
+    def test_record_with_the_keys_it_used_to_hold_loads_alike(self, tmp_path):
+        """A record that still carries what its position and the config give,
+        as those of files built before the record lost them do (index, kind,
+        intent_index, seed, the space's obfuscation_prob or estimation_error,
+        and log_ber), loads to the same arrays: the reader reads raw_ber alone."""
+        config = mini_config(train_per_kind=2)
+        metas, tensors = build_records(config)
+        plain, old = tmp_path / "plain.cpad", tmp_path / "old.cpad"
+        write_dataset(plain, config, metas, tensors)
+        kinds = [kind for kind in ThreatKind for _ in range(2)]
+        for i, (record, kind) in enumerate(zip(metas, kinds)):
+            record.update(index=i, kind=kind.name.lower(), intent_index=kind.value,
+                          seed=derive_seed(config.master_seed, i),
+                          log_ber=label_log_ber(record["raw_ber"], config.frame))
+            if kind is ThreatKind.DISRUPTIVE:
+                record["obfuscation_prob"] = config.space.obfuscation_prob
+            if kind is ThreatKind.DECEPTIVE:
+                record["estimation_error"] = config.space.estimation_error
+        write_dataset(old, config, metas, tensors)
+        arrays = Dataset(old).load_arrays()
+        for a, b in zip(Dataset(plain).load_arrays()[:3], arrays[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert arrays[1].tolist() == [m["intent_index"] for m in metas]
+        assert arrays[2].tolist() == [m["log_ber"] for m in metas]
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(KeyError, id="raw_ber"),
+        pytest.param(None, id="raw_ber=None"),
+        pytest.param(True, id="raw_ber=True"),
+        pytest.param(math.nan, id="raw_ber=nan"),
+        pytest.param(math.inf, id="raw_ber=inf"),
+        pytest.param(-math.inf, id="raw_ber=-inf"),
+        pytest.param(-0.5, id="raw_ber=-0.5"),
+        pytest.param(1.5, id="raw_ber=1.5"),
+        pytest.param(-1e200, id="raw_ber=-1e200"),
     ])
-    def test_rejects_record_without_label(self, tmp_path, capsys, label, value):
-        """A missing label, or one outside what a build writes, exits 4 naming the record."""
+    def test_rejects_record_without_label(self, tmp_path, capsys, value):
+        """A record whose raw_ber is missing, not a number or outside [0, 1]
+        has no label, and exits 4 naming the record."""
         config = mini_config(train_per_kind=1)
         metas, tensors = build_records(config)
-        if value is None:
-            del metas[1][label]
+        if value is KeyError:
+            del metas[1]["raw_ber"]
         else:
-            metas[1][label] = value
+            metas[1]["raw_ber"] = value
         path = tmp_path / "data.cpad"
         write_dataset(path, config, metas, tensors)
         with pytest.raises(ValueError, match="record 1"):
@@ -281,7 +304,7 @@ class TestConfigSerialization:
         data = dataclasses.asdict(desk_config())
         edit(data)
         with pytest.raises(ValueError, match=key):
-            ExperimentConfig.from_dict(data)
+            tensorfile.from_json(ExperimentConfig, data)
 
     @pytest.mark.parametrize("edit, key", [
         (lambda d: d["regime"].update(epochs=2.0), "epochs"),
@@ -293,12 +316,12 @@ class TestConfigSerialization:
         data = dataclasses.asdict(desk_config())
         edit(data)
         with pytest.raises(ValueError, match=key):
-            ExperimentConfig.from_dict(data)
+            tensorfile.from_json(ExperimentConfig, data)
 
     def test_integer_accepted_for_float_field(self):
         data = dataclasses.asdict(desk_config())
         data["net"]["l2_coeff"] = 0
-        assert ExperimentConfig.from_dict(data).net.l2_coeff == 0
+        assert tensorfile.from_json(ExperimentConfig, data).net.l2_coeff == 0
 
     @pytest.mark.parametrize("field, value, message", [
         ("conv_filters", (0,), "conv_filters"),
@@ -322,9 +345,7 @@ class TestCoverageConfig:
         intent, about 1 s), grades its true labels into all 8 scales; the desk
         set has no support at 0, 2 and 5."""
         config = load_config(COVERAGE)
-        metas, _ = build_records(config)
-        intents = np.array([m["intent_index"] for m in metas])
-        log_ber = np.array([m["log_ber"] for m in metas])
+        intents, log_ber = record_labels(config, build_records(config)[0])
         counts = np.bincount(assess(intents, log_ber)[1], minlength=8).tolist()
         assert counts == [66, 40, 94, 24, 176, 52, 19, 129]
         assert unreachable_scales(config.frame.bits_per_sample) == []
@@ -585,15 +606,15 @@ class TestCli:
 
     def test_assess_grades_a_series_alike_from_npz_and_dataset(self, tmp_path, save_untrained):
         """The .npz path rounds its features to the dataset's float32, so one
-        series and one checkpoint give one report, whichever file holds it."""
-        config = mini_config()
+        series and one checkpoint give one report row, whichever file holds it
+        (the dataset holds it first of three records, one per intent)."""
+        config = mini_config(train_per_kind=1)
         rng, n = np.random.default_rng(30), config.frame.sample_len
-        series = rng.normal(size=n) + 1j * rng.normal(size=n)
-        feats = feature_tensor(series, config.frame, config.feature)
-        data, npz = tmp_path / "one.cpad", tmp_path / "one.npz"
-        write_dataset(data, config, [{"intent_index": 0, "log_ber": -1.0}],
-                      feats.data[None].astype("<f4"))
-        npz.write_bytes(_npz_bytes(samples=series))
+        series = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+        block = np.stack([feature_tensor(s, config.frame, config.feature).data for s in series])
+        data, npz = tmp_path / "three.cpad", tmp_path / "one.npz"
+        write_dataset(data, config, [{"raw_ber": 0.1}] * 3, block.astype("<f4"))
+        npz.write_bytes(_npz_bytes(samples=series[0]))
         config_path, ckpt = tmp_path / "config.json", tmp_path / "m.ckpt"
         save_config(config_path, config)
         save_untrained(ckpt, config.net, 31)
@@ -602,28 +623,34 @@ class TestCli:
             reports.append(tmp_path / f"report{len(reports)}.csv")
             assert cli_main(["assess", "--ckpt", str(ckpt), "--out", str(reports[-1]),
                              *extra]) == 0
-        assert reports[0].read_bytes() == reports[1].read_bytes()
+        rows = [report.read_text().splitlines() for report in reports]
+        assert len(rows[0]) == 4 and len(rows[1]) == 2
+        assert rows[0][:2] == rows[1]
 
     def test_assess_grades_a_record_alike_alone_or_in_a_set(self, tmp_path, save_untrained):
         """A record's report row depends only on the record and the checkpoint:
-        graded among 21 records or alone, it is the same bytes (index aside).
-        A batched forward pass moved some log-BERs in their last digits."""
+        graded among 21 records or next to two others, at any position, it is
+        the same bytes (index aside).  A batched forward pass moved some
+        log-BERs in their last digits."""
         config = mini_config(train_per_kind=7, master_seed=3)
         metas, tensors = build_records(config)
         ckpt = tmp_path / "m.ckpt"
         save_untrained(ckpt, config.net, 32)
 
-        def report_rows(name, records, block):
+        def report_rows(name, per_kind, picks):
             data, report = tmp_path / f"{name}.cpad", tmp_path / f"{name}.csv"
-            write_dataset(data, config, records, block)
+            write_dataset(data, dataclasses.replace(config, train_per_kind=per_kind),
+                          [metas[i] for i in picks], tensors[picks])
             assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(data),
                              "--out", str(report)]) == 0
             return [row.split(",", 1)[1] for row in report.read_text().splitlines()[1:]]
 
-        together = report_rows("all", metas, tensors)
+        together = report_rows("all", 7, list(range(21)))
         assert len(together) == 21
         for i in range(21):
-            assert report_rows(f"one{i}", metas[i: i + 1], tensors[i: i + 1]) == [together[i]], i
+            others = [(i + 7) % 21, (i + 14) % 21]
+            picks = others[:i % 3] + [i] + others[i % 3:]
+            assert report_rows(f"three{i}", 1, picks)[i % 3] == together[i], i
 
     def test_rows_out_needs_a_single_theta(self, tmp_path):
         data = tmp_path / "d.cpad"
@@ -702,6 +729,20 @@ def _npy_bytes(array) -> bytes:
     buffer = io.BytesIO()
     np.save(buffer, array)
     return buffer.getvalue()
+
+
+def _every_dataset_reader_refuses(capsys, data, ckpt, out, message):
+    """train, eval, baseline and assess of ``data`` exit 4 with ``message`` and write nothing."""
+    commands = (["train", "--dataset", str(data), "--out", str(out)],
+                ["eval", "--dataset", str(data), "--ckpt", str(ckpt), "--rows-out", str(out)],
+                ["baseline", "--dataset", str(data), "--ckpt", str(ckpt), "--ckpt2", str(ckpt),
+                 "--theta", "1e-2", "--rows-out", str(out)],
+                ["assess", "--ckpt", str(ckpt), "--input", str(data), "--out", str(out)])
+    for argv in commands:
+        capsys.readouterr()
+        assert cli_main(argv) == 4, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 class TestCliExitCodes:
@@ -942,23 +983,30 @@ class TestCliExitCodes:
         assert not out.exists()
 
     def test_zero_record_dataset_exits_with_data_code(self, tmp_path, capsys, save_untrained):
-        """A dataset of no records is refused when it is opened, naming the file;
-        eval, baseline and assess used to exit with NumPy's concatenate error."""
+        """A dataset of no records is refused when it is opened, naming the file
+        and both counts; eval, baseline and assess used to exit with NumPy's
+        concatenate error."""
         data, ckpt, out = tmp_path / "empty.cpad", tmp_path / "m.ckpt", tmp_path / "out"
         write_dataset(data, mini_config(), [], np.empty((0, 16, 16, 3), "<f4"))
         save_untrained(ckpt, mini_config().net)
-        with pytest.raises(ValueError, match="no records"):
+        message = f"{data}: the dataset holds 0 records, its config makes 12"
+        with pytest.raises(ValueError, match="holds 0 records, its config makes 12"):
             Dataset(data)
-        commands = (["train", "--dataset", str(data), "--out", str(out)],
-                    ["eval", "--dataset", str(data), "--ckpt", str(ckpt), "--rows-out", str(out)],
-                    ["baseline", "--dataset", str(data), "--ckpt", str(ckpt), "--ckpt2", str(ckpt),
-                     "--theta", "1e-2", "--rows-out", str(out)],
-                    ["assess", "--ckpt", str(ckpt), "--input", str(data), "--out", str(out)])
-        for argv in commands:
-            capsys.readouterr()
-            assert cli_main(argv) == 4, argv
-            assert f"{data}: the dataset holds no records" in capsys.readouterr().err, argv
-            assert not out.exists(), argv
+        _every_dataset_reader_refuses(capsys, data, ckpt, out, message)
+
+    def test_record_count_other_than_the_recipe_exits_with_data_code(self, tmp_path, capsys,
+                                                                    save_untrained):
+        """A header whose train_per_kind misstates its record count, as one of
+        4 per intent over the 6 records of 2 per intent, is refused by every
+        command that reads a dataset, naming the file and both counts; it used
+        to load, and train took the 6 records for the 12 its config made."""
+        data, ckpt, out = tmp_path / "six.cpad", tmp_path / "m.ckpt", tmp_path / "out"
+        metas, tensors = build_records(mini_config(train_per_kind=2))
+        write_dataset(data, mini_config(), metas, tensors)
+        save_untrained(ckpt, mini_config().net)
+        message = (f"{data}: the dataset holds 6 records, its config makes 12 "
+                   "(3 intents x train_per_kind 4)")
+        _every_dataset_reader_refuses(capsys, data, ckpt, out, message)
 
     @pytest.mark.parametrize("field, value", [
         ("jitter_rad", math.nan), ("wavelength_m", math.inf), ("tx_aperture_m", math.nan),
@@ -1085,7 +1133,8 @@ class TestCliExitCodes:
         assert f"missing tensors {prefix}" in capsys.readouterr().err
         assert not report.exists()
 
-    @pytest.mark.parametrize("key", ["task", "train_seed", "batch_size", "adam_step"])
+    @pytest.mark.parametrize("key", ["task", "train_seed", "batch_size", "labels_sha256",
+                                     "adam_step"])
     def test_checkpoint_without_run_record_exits_with_data_code(self, tmp_path, capsys, inputs,
                                                                 key):
         """Every command that reads a checkpoint refuses one whose run record
@@ -1123,6 +1172,20 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "learning_rate 0.001, not 0.5" in err and "focal_gamma 2.0, not 0.0" in err
         assert not out.exists()
+
+    def test_resume_on_other_labels_exits_with_data_code(self, tmp_path, capsys, inputs):
+        """A resume on a set of other labels, even one of the same size and
+        network config, exits 4 naming the labels' digest; it used to train on
+        the new labels with the checkpoint's weights and step count."""
+        ckpt, other, out = tmp_path / "m.ckpt", tmp_path / "b.cpad", tmp_path / "out"
+        assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
+        build_dataset(other, mini_config(train_per_kind=2, master_seed=2))
+        resume = ["--epochs", "2", "--resume", str(ckpt), "--out", str(out)]
+        capsys.readouterr()
+        assert cli_main(["train", "--dataset", str(other), *resume]) == 4
+        assert f"{ckpt}: the checkpoint's run has labels_sha256 '" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli_main(["train", *inputs["train"], *resume]) == 0
 
     def test_resume_past_the_schedule_exits_with_data_code(self, tmp_path, capsys, inputs):
         """A checkpoint past the run's last step is refused, naming both steps;

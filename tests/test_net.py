@@ -534,11 +534,11 @@ class TestCheckpoint:
         for _ in range(5):
             train_step(model, x, labels, rho, adam, float(np.var(rho)))
         path = tmp_path / "model.ckpt"
-        save_model(path, model, adam, {"task": "multitask", "train_seed": 50, "batch_size": 4})
+        run = {"task": "multitask", "train_seed": 50, "batch_size": 4, "labels_sha256": "ab"}
+        save_model(path, model, adam, run)
 
         loaded, loaded_adam, record = load_model(path)
-        assert record == {"task": "multitask", "train_seed": 50, "batch_size": 4,
-                          "adam_step": 5}
+        assert record == {**run, "adam_step": 5}
         assert loaded_adam.step_count == adam.step_count
         for name, value in model.named_params().items():
             assert loaded.named_params()[name].tobytes() == value.tobytes(), name

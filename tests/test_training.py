@@ -141,6 +141,30 @@ class TestDeterminismAndResume:
         with pytest.raises(ValueError, match=key):
             train(x, idx, rho, TOY_NET, task, TrainRegime(2, **settings), resume_from=ckpt)
 
+    @pytest.mark.parametrize("changed", ["intents", "log_ber"])
+    def test_resume_on_other_labels_rejected(self, tmp_path, changed):
+        """The run record holds the sha256 of the labels, so a resume on other
+        intents or log-BERs is refused, naming it."""
+        x, idx, rho = toy_set(10)
+        ckpt = tmp_path / "run.ckpt"
+        save_result(ckpt, train(x, idx, rho, TOY_NET, "multitask", TrainRegime(1, 8, 11)))
+        if changed == "intents":
+            idx = np.roll(idx, 1)
+        else:
+            rho = rho + 0.5  # the same variance
+        with pytest.raises(ValueError, match="labels_sha256"):
+            train(x, idx, rho, TOY_NET, "multitask", TrainRegime(2, 8, 11), resume_from=ckpt)
+
+    def test_resume_hashes_the_labels_by_value(self, tmp_path):
+        """The labels are hashed as <i8 intents and <f8 log-BERs, so the same
+        labels in another dtype or container resume."""
+        x, idx, rho = toy_set(10)
+        ckpt = tmp_path / "run.ckpt"
+        save_result(ckpt, train(x, idx, rho, TOY_NET, "multitask", TrainRegime(1, 8, 11)))
+        resumed = train(x, idx.astype(np.int32), list(rho), TOY_NET, "multitask",
+                        TrainRegime(2, 8, 11), resume_from=ckpt)
+        assert resumed.optimizer.step_count == 8
+
     def test_checkpoint_without_run_record_is_refused(self, tmp_path):
         """A checkpoint that holds only its optimizer step cannot be resumed,
         not even by the run that wrote it; it used to resume any run."""
