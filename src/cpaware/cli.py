@@ -4,7 +4,7 @@ Subcommands:
 
 * ``generate``  build a labeled dataset file from a JSON config,
 * ``train``     train the multitask model or a single-task variant (a
-                resume must repeat its checkpoint's run settings and labels),
+                resume must repeat its checkpoint's run settings and data),
 * ``eval``      score a checkpoint (multitask) or a cascade (sequential)
                 on a dataset, dumping metrics and raw predictions,
 * ``assess``    grade samples with a multitask checkpoint and write the
@@ -62,7 +62,7 @@ def _add_train(sub):
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--resume", help="checkpoint to continue from; the run's mode, "
-                   "seed, batch size, labels and network config must match the checkpoint's")
+                   "seed, batch size, data and network config must match the checkpoint's")
     p.add_argument("--log", help="write the per-step loss log CSV here")
 
 
@@ -71,8 +71,8 @@ def _eval_args(p):
     p.add_argument("--ckpt", required=True,
                    help="multitask checkpoint, or the regression model in sequential mode")
     p.add_argument("--ckpt2", help="classifier checkpoint (sequential mode)")
-    p.add_argument("--theta", type=float, nargs="+", default=[1e-2, 1e-3, 1e-4],
-                   help="gate thresholds for the sequential sweep")
+    p.add_argument("--theta", type=float, nargs="+",
+                   help="gate thresholds for the sequential sweep (default 1e-2 1e-3 1e-4)")
     p.add_argument("--high-ber", type=float, default=DEFAULT_THRESHOLDS.high_ber)
     p.add_argument("--low-ber", type=float, default=DEFAULT_THRESHOLDS.low_ber)
     p.add_argument("--rows-out", help="write raw prediction rows CSV here")
@@ -152,10 +152,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.mode == "sequential":
+    if args.mode == "multitask":
+        for flag in ("ckpt2", "theta"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} is for sequential mode; multitask mode reads "
+                                 "one checkpoint and no gate")
+    else:
+        thetas = args.theta or [1e-2, 1e-3, 1e-4]
         if not args.ckpt2:
             raise ValueError("sequential mode needs --ckpt (regression) and --ckpt2 (classifier)")
-        if args.rows_out and len(args.theta) > 1:
+        if args.rows_out and len(thetas) > 1:
             raise ValueError("--rows-out holds the rows of one --theta; give a single value")
     ds = Dataset(args.dataset)
     tensors, intent_idx, log_ber, _ = ds.load_arrays()
@@ -168,7 +174,7 @@ def cmd_eval(args) -> int:
         regressor = _load_trained(args.ckpt, "capability")
         classifier = _load_trained(args.ckpt2, "intent")
         for assessor, report, rows in evaluate_sequential(
-                regressor, classifier, args.theta, tensors, intent_idx, log_ber, thresholds):
+                regressor, classifier, thetas, tensors, intent_idx, log_ber, thresholds):
             label = f"{args.mode} (theta={assessor.threshold_ber:g})"
             print("\n".join(summary_lines(report, label)))
             print(f"  classifier invocations: {assessor.classifier_invocations}"

@@ -1,23 +1,23 @@
 """Labeled dataset construction and its file.
 
 A dataset is a ``tensorfile`` container with magic ``CPAD``.  Its
-metadata is ``{"config": experiment config, "records": [record, ...]}``
-and its one array, ``tensors``, is the ``(n, frames, bins, 3)`` float32
-block of normalized feature tensors, in record order.
+metadata is ``{"config": experiment config}`` and it holds two arrays:
+``tensors``, the ``(n, frames, bins, 3)`` float32 block of normalized
+feature tensors, and ``records``, the ``(n, 7)`` float64 array of what
+generation measured of each record, one row per tensor with the columns
+``RECORD_COLUMNS``: ``raw_ber``, then the per-channel ranges
+``channel_min`` and ``channel_max`` of the stored tensor, in the feature
+channel order (spectrogram, supremum, infimum).
 
 The stored config is the set's exact recipe: ``train_per_kind`` samples
 of each intent in ``ThreatKind`` order, sample ``i`` seeded by
 ``derive_seed(master_seed, i)`` alone, so the config a file holds
-rebuilds it byte for byte and gives record ``i`` its intent, the one at
-position ``i // train_per_kind``.  A record holds the rest: the drawn
-``legit_power_w``, ``legit_distance_m`` and ``noise_dbw`` (with an
-adversary also ``adversary_power_w`` and ``adversary_distance_m``),
-``raw_ber``, and the per-channel ranges ``channel_min`` and
-``channel_max`` of the stored tensor.  The reader refuses a file whose
-record count is not the recipe's, naming both.  Of a record it reads
-``raw_ber`` alone: the label is ``label_log_ber(raw_ber)``, so a
-``raw_ber`` that is missing, not an int or a float, or outside [0, 1]
-is refused, naming the record.
+rebuilds it byte for byte, gives record ``i`` its intent, the one at
+position ``i // train_per_kind``, and redraws its scenario.  The reader
+refuses a file whose arrays are not of those dtypes and shapes, or whose
+record count is not the recipe's, naming both counts.  Of a record it
+reads ``raw_ber`` alone: the label is ``label_log_ber(raw_ber)``, so a
+``raw_ber`` outside [0, 1], NaN included, is refused, naming the record.
 
 A build allocates the block before the first sample and writes each
 sample's features straight into its row, so it holds the block once.
@@ -35,6 +35,9 @@ from ..threats import ThreatKind, generate_sample, label_log_ber
 from .config import ExperimentConfig
 
 MAGIC = b"CPAD"
+RECORD_COLUMNS = ("raw_ber", "channel_min.spectrogram", "channel_min.supremum",
+                  "channel_min.infimum", "channel_max.spectrogram", "channel_max.supremum",
+                  "channel_max.infimum")
 
 _SCENARIO_STREAM = 5  # disjoint from the generator streams in threats
 
@@ -50,34 +53,25 @@ def _kinds(config: ExperimentConfig) -> list[ThreatKind]:
     return [kind for kind in ThreatKind for _ in range(config.train_per_kind)]
 
 
-def build_records(config: ExperimentConfig) -> tuple[list[dict], np.ndarray]:
+def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """The records and the float32 block of the set ``config`` describes."""
     kinds = _kinds(config)
     frame = config.frame
     tensors = np.empty((len(kinds), frame.n_symbols, frame.n_subcarriers, 3), dtype="<f4")
-    records = []
+    records = np.empty((len(kinds), len(RECORD_COLUMNS)), dtype="<f8")
     for index, kind in enumerate(kinds):
         seed = derive_seed(config.master_seed, index)
         rng = np.random.default_rng([seed, _SCENARIO_STREAM])
-        scenario = config.space.draw(kind, frame, rng)
-        sample = generate_sample(scenario, seed)
+        sample = generate_sample(config.space.draw(kind, frame, rng), seed)
         feats = feature_tensor(sample.received, frame, config.feature)
         tensors[index] = feats.data
-        link, adversary = scenario.legit_link, scenario.adversary_link
-        record = {"legit_power_w": link.tx_power_w, "legit_distance_m": link.distance_m,
-                  "noise_dbw": scenario.noise.variance_dbw}
-        if adversary is not None:
-            record.update(adversary_power_w=adversary.tx_power_w,
-                          adversary_distance_m=adversary.distance_m)
-        records.append({**record, "raw_ber": sample.raw_ber,
-                        "channel_min": [float(v) for v in feats.channel_min],
-                        "channel_max": [float(v) for v in feats.channel_max]})
+        records[index] = (sample.raw_ber, *feats.channel_min, *feats.channel_max)
     return records, tensors
 
 
-def write_dataset(path, config: ExperimentConfig, records: list[dict], tensors) -> None:
-    meta = {"config": asdict(config), "records": records}
-    tensorfile.write(path, MAGIC, meta, {"tensors": tensors})
+def write_dataset(path, config: ExperimentConfig, records: np.ndarray, tensors) -> None:
+    tensorfile.write(path, MAGIC, {"config": asdict(config)},
+                     {"records": records, "tensors": tensors})
 
 
 def build_dataset(path, config: ExperimentConfig) -> int:
@@ -87,7 +81,7 @@ def build_dataset(path, config: ExperimentConfig) -> int:
     return len(records)
 
 
-def record_labels(config: ExperimentConfig, records: list) -> tuple[np.ndarray, np.ndarray]:
+def record_labels(config: ExperimentConfig, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The intent indices and log-BER labels of ``records`` by the recipe ``config``;
     a count or a ``raw_ber`` that the module docstring refuses raises ValueError."""
     kinds = _kinds(config)
@@ -95,38 +89,35 @@ def record_labels(config: ExperimentConfig, records: list) -> tuple[np.ndarray, 
         raise ValueError(f"the dataset holds {len(records)} records, its config makes "
                          f"{len(kinds)} ({len(ThreatKind)} intents x train_per_kind "
                          f"{config.train_per_kind})")
-    log_ber = []
-    for i, record in enumerate(records):
-        raw = record.get("raw_ber") if isinstance(record, dict) else None
-        if type(raw) not in (int, float):
-            raise ValueError(f"record {i}: raw_ber must be an int or a float, not {raw!r}")
-        try:
-            log_ber.append(label_log_ber(raw, config.frame))
-        except ValueError as exc:
-            raise ValueError(f"record {i}: raw_ber {raw!r}: {exc}") from None
+    raw_ber = records[:, 0]
+    outside = np.flatnonzero(~((raw_ber >= 0.0) & (raw_ber <= 1.0)))  # NaN too
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"record {i}: raw_ber {float(raw_ber[i])!r} lies outside [0, 1]")
     return (np.array([kind.value for kind in kinds], dtype=np.int64),
-            np.array(log_ber, dtype=np.float64))
+            np.array([label_log_ber(ber, config.frame) for ber in raw_ber.tolist()],
+                     dtype=np.float64))
 
 
 class Dataset:
-    """Reader over the file; parses the config, derives the labels, holds the float32 block."""
+    """Reader over the file; parses the config, derives the labels, holds the arrays."""
 
     def __init__(self, path):
-        meta, arrays = tensorfile.read(path, MAGIC, ("config", "records"))
-        self._records = meta["records"]
-        self._tensors = arrays.get("tensors")
-        if not (set(arrays) == {"tensors"} and self._tensors.dtype == "<f4"
-                and self._tensors.ndim == 4 and isinstance(self._records, list)
-                and len(self._records) == len(self._tensors)):
-            raise ValueError(f"{path}: a dataset holds one 4-D float32 'tensors' "
-                             "array and one metadata record per tensor")
+        meta, arrays = tensorfile.read(path, MAGIC, ("config",))
+        self._tensors, self._records = arrays.get("tensors"), arrays.get("records")
+        if not (set(arrays) == {"records", "tensors"} and self._tensors.dtype == "<f4"
+                and self._tensors.ndim == 4 and self._records.dtype == "<f8"
+                and self._records.shape == (len(self._tensors), len(RECORD_COLUMNS))):
+            raise ValueError(f"{path}: a dataset holds one 4-D float32 'tensors' array and "
+                             f"one float64 'records' array of {len(RECORD_COLUMNS)} "
+                             "columns and one row per tensor")
         self.config = tensorfile.from_json(ExperimentConfig, meta["config"])
         try:
             self._intents, self._log_ber = record_labels(self.config, self._records)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
-        """The float32 tensor block, intent indices and log-BER labels (held, not
-        copies) and the records."""
+    def load_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The float32 tensor block, intent indices, log-BER labels and records
+        array (held, not copies)."""
         return self._tensors, self._intents, self._log_ber, self._records

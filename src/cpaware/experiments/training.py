@@ -5,11 +5,12 @@ draws from a stream derived from (seed, 0) and the epoch-e shuffle from
 (seed, 1, e), so a run is a pure function of (data, config, task, seed).
 Resuming from a checkpoint replays the exact remaining schedule, because
 the batch order depends only on the global step counter.  A resume must
-be given the task, seed, batch size, labels and network config its
-checkpoint records (the labels by the sha256 of the intent indices as
-``<i8`` and the log-BER labels as ``<f8``), and may not be past its
-schedule: a checkpoint whose step count exceeds epochs x steps per epoch
-is refused, and one at the end resumes to no step.
+be given the task, seed, batch size, training data and network config
+its checkpoint records (the data by one sha256 over the tensors' bytes
+as given, fed one row at a time so the block is never copied, then the
+intent indices as ``<i8`` and the log-BER labels as ``<f8``), and may
+not be past its schedule: a checkpoint whose step count exceeds epochs x
+steps per epoch is refused, and one at the end resumes to no step.
 
 Tasks:
 
@@ -68,13 +69,16 @@ def one_hot_labels(intent_idx: np.ndarray) -> np.ndarray:
     return np.eye(len(ThreatKind))[np.asarray(intent_idx, dtype=int)]
 
 
-def _run_record(task: str, regime: TrainRegime, intent_idx: np.ndarray,
+def _run_record(task: str, regime: TrainRegime, x: np.ndarray, intent_idx: np.ndarray,
                 log_ber: np.ndarray) -> dict:
     """The ``RUN_RECORD`` of a run, which its checkpoint holds and its resume must match."""
-    labels = hashlib.sha256(np.asarray(intent_idx, dtype="<i8").tobytes())
-    labels.update(np.asarray(log_ber, dtype="<f8").tobytes())
+    data = hashlib.sha256()
+    for row in x:
+        data.update(np.ascontiguousarray(row))  # a view of a C-ordered block: no copy
+    data.update(np.asarray(intent_idx, dtype="<i8").tobytes())
+    data.update(np.asarray(log_ber, dtype="<f8").tobytes())
     return dict(zip(RUN_RECORD, (task, regime.train_seed, regime.batch_size,
-                                 labels.hexdigest())))
+                                 data.hexdigest())))
 
 
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -121,7 +125,7 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
         raise ValueError("empty training set")
     log_ber = np.asarray(log_ber, dtype=float)
     label_variance = float(np.var(log_ber))
-    run_record = _run_record(task, regime, intent_idx, log_ber)
+    run_record = _run_record(task, regime, x, intent_idx, log_ber)
 
     if resume_from is not None:
         model, optimizer, record = load_model(resume_from)
@@ -130,7 +134,7 @@ def train(x: np.ndarray, intent_idx: np.ndarray, log_ber: np.ndarray,
         changed = [f"{k} {theirs[k]!r}, not {v!r}" for k, v in ours.items() if theirs[k] != v]
         if changed:
             raise ValueError(f"{resume_from}: the checkpoint's run has {'; '.join(changed)}; "
-                             f"resume with its settings and labels")
+                             f"resume with its settings and data")
     else:
         model = he_init(config, np.random.default_rng([regime.train_seed, 0]))
         optimizer = Adam(model.named_params(), config.learning_rate)

@@ -5,10 +5,11 @@ layout.  Its metadata is ``{"config": network config, "extras": run
 record}`` and its arrays are the trainable parameters (``param/``), the
 optimizer moments (``adam_m/``, ``adam_v/``) and the batch-norm running
 statistics (``state/``).  The run record is the run's ``RUN_RECORD``
-(its task, seed, batch size and the sha256 of its labels) plus the
-optimizer step ``adam_step``; the optimizer's rate is the config's
+(its task, seed, batch size and the sha256 of its training data) plus
+the optimizer step ``adam_step``; the optimizer's rate is the config's
 ``learning_rate``.  Every record key and every tensor must be
-present, so reloading resumes training exactly where it stopped.
+present, and the seed, batch size and step must be integers, so
+reloading resumes training exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .optim import Adam
 
 MAGIC = b"CPA1"
 # What a resume must repeat (see training._run_record).
-RUN_RECORD = ("task", "train_seed", "batch_size", "labels_sha256")
+RUN_RECORD = ("task", "train_seed", "batch_size", "data_sha256")
 
 
 def write_checkpoint(path, config: dict, tensors: dict[str, np.ndarray],
@@ -55,8 +56,9 @@ def save_model(path, model: MultitaskNet, optimizer: Adam, record: dict) -> None
 def load_model(path) -> tuple[MultitaskNet, Adam, dict]:
     """Rebuild a model, its optimizer and its run record from a checkpoint.
 
-    A record key or a tensor that is missing, a tensor the rebuilt model
-    or optimizer does not have, or one whose shape or dtype differs from
+    A record key or a tensor that is missing, a seed, batch size or step
+    that is not a non-negative integer, a tensor the rebuilt model or
+    optimizer does not have, or one whose shape or dtype differs from
     theirs, raises ValueError instead of being grafted into them.
     """
     config_dict, tensors, extras = read_checkpoint(path)
@@ -64,12 +66,13 @@ def load_model(path) -> tuple[MultitaskNet, Adam, dict]:
     missing = [key for key in (*RUN_RECORD, "adam_step") if key not in extras]
     if missing:
         raise ValueError(f"{path}: the run record lacks {', '.join(missing)}")
-    step = extras["adam_step"]
-    if not (isinstance(step, int) and step >= 0):
-        raise ValueError(f"{path}: adam_step must be a non-negative integer, not {step!r}")
+    for key in ("train_seed", "batch_size", "adam_step"):
+        if type(extras[key]) is not int or extras[key] < 0:
+            raise ValueError(f"{path}: {key} must be a non-negative integer, "
+                             f"not {extras[key]!r}")
     model = MultitaskNet(config)
     optimizer = Adam(model.named_params(), config.learning_rate)
-    optimizer.step_count = step
+    optimizer.step_count = extras["adam_step"]
     known = _tensors(model, optimizer)
     problems = [f"{kind} tensors {', '.join(names)}" for kind, names in
                 (("missing", [name for name in known if name not in tensors]),

@@ -4,8 +4,8 @@ The layer protocol: every layer keeps its learnable arrays in ``params``
 and, after a backward call, the matching cotangents in ``grads`` (same
 keys, same shapes); layers with nothing to learn share one empty,
 read-only mapping for both.  A layer with non-trainable arrays keeps
-them in ``state``, and a layer whose initial weights are random draws
-them in ``init_params(rng)``; both are optional.  ``forward(train=True)``
+them in ``state``, which is optional.  Kernels start at zero; the model's
+``he_init`` draws them.  ``forward(train=True)``
 caches whatever backward needs, so layers are not reentrant: one
 in-flight training batch at a time.  ``forward(train=False)`` keeps no
 cache, so inference holds only the activation it is passing on.
@@ -49,12 +49,6 @@ class Conv2D:
         self.params = {"w": np.zeros((k, k, in_channels, out_channels))}
         self.grads: dict[str, np.ndarray] = {}
         self._xp = None
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        fan_in = self.kernel_size**2 * self.in_channels
-        self.params["w"] = rng.normal(
-            0.0, np.sqrt(2.0 / fan_in), size=self.params["w"].shape
-        )
 
     def _cols(self, xp: np.ndarray, i: int, h: int, w: int) -> np.ndarray:
         """im2col matrix of kernel row i, columns ordered (kernel column, channel)."""
@@ -211,20 +205,12 @@ class GlobalAvgPool:
 
 class Dense:
     def __init__(self, in_features: int, out_features: int):
-        self.in_features = in_features
-        self.out_features = out_features
         self.params = {
             "w": np.zeros((in_features, out_features)),
             "b": np.zeros(out_features),
         }
         self.grads: dict[str, np.ndarray] = {}
         self._x = None
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        self.params["w"] = rng.normal(
-            0.0, np.sqrt(2.0 / self.in_features), size=self.params["w"].shape
-        )
-        self.params["b"] = np.zeros(self.out_features)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         self._x = x if train else None

@@ -93,11 +93,6 @@ class MultitaskNet:
         yield "head_cls", self.head_cls
         yield "head_reg", self.head_reg
 
-    def init_params(self, rng: np.random.Generator) -> None:
-        for _, layer in self._named_layers():
-            if hasattr(layer, "init_params"):
-                layer.init_params(rng)
-
     def _named(self, table: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.{key}": value for prefix, layer in self._named_layers()
                 for key, value in getattr(layer, table, {}).items()}
@@ -164,7 +159,12 @@ class MultitaskNet:
 
 
 def he_init(config: NetworkConfig, rng: np.random.Generator) -> MultitaskNet:
-    """Build a network and initialize it (He normal kernels, zero dense-head biases)."""
+    """Build a network and draw each kernel, in ``named_params`` order, from
+    N(0, 2 / fan_in), fan_in being the product of all but its output axis;
+    the other parameters keep their construction values."""
     net = MultitaskNet(config)
-    net.init_params(rng)
+    params = net.named_params()
+    for name in net.kernel_names():
+        w = params[name]
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / math.prod(w.shape[:-1])), size=w.shape)
     return net

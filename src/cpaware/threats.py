@@ -25,9 +25,10 @@ it returns the received sum with the amplitude and bits it is decoded against.
 
 The capability label is ``log10(BER)`` floored at one error per sample
 (``1 / bits_per_sample``) so error-free samples get a finite label.  A
-``LabeledSample`` holds the received series, its intent and both labels
-and nothing else: the scenario it was drawn from is its caller's, and a
-dataset records what of it a record needs (``experiments.dataset``).
+``LabeledSample`` holds the received series and its raw BER and nothing
+else: the scenario, and so the intent, is its caller's, and the label is
+``label_log_ber`` of the raw BER (``experiments.dataset`` derives it when
+it opens a file).
 
 Generators are pure functions of (scenario, seed).  Each randomness
 consumer (legitimate bits, receiver noise, jammer waveform, obfuscation
@@ -111,11 +112,9 @@ def _check_fractions(obfuscation_prob: float, estimation_error: float) -> None:
 
 @dataclass
 class LabeledSample:
-    """Received series (prefix intact) plus intent and capability labels."""
+    """Received series (prefix intact) plus its raw BER, which the label is taken from."""
 
     received: np.ndarray
-    kind: ThreatKind
-    log_ber: float
     raw_ber: float
 
 
@@ -204,8 +203,7 @@ def generate_sample(scenario: ThreatScenario, seed: int) -> LabeledSample:
     received, label_amp, label_bits = parts["received"], parts["label_amp"], parts["label_bits"]
     del parts  # frees the other full-length terms before decoding allocates its own
     ber = _decode_ber(received, label_amp, frame, label_bits)
-    return LabeledSample(received=received, kind=scenario.kind,
-                         log_ber=label_log_ber(ber, frame), raw_ber=ber)
+    return LabeledSample(received=received, raw_ber=ber)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ def _save_untrained(path, net, seed=0, task="multitask"):
     model = he_init(net, np.random.default_rng(seed))
     save_model(path, model, Adam(model.named_params(), net.learning_rate),
                {"task": task, "train_seed": seed, "batch_size": 16,
-                "labels_sha256": hashlib.sha256().hexdigest()})
+                "data_sha256": hashlib.sha256().hexdigest()})
     return model
 
 

@@ -96,18 +96,19 @@ class TestDatasetFile:
         ds = Dataset(path)
         tracemalloc.start()
         try:
-            tensors, intent_idx, log_ber, metas = ds.load_arrays()
+            tensors, intent_idx, log_ber, records = ds.load_arrays()
             allocated = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tensors.shape == (12, 16, 16, 3) and len(metas) == 12
-        assert tensors.dtype == np.dtype("<f4")
+        assert tensors.shape == (12, 16, 16, 3) and records.shape == (12, 7)
+        assert tensors.dtype == np.dtype("<f4") and records.dtype == np.dtype("<f8")
         # The held float32 block is returned as is: no float64 copy of it.
         assert allocated < tensors.size * 8
         # Balanced and positional: 4 records of each intent, in intent order.
         assert intent_idx.tolist() == [kind.value for kind in ThreatKind for _ in range(4)]
         assert np.all(log_ber <= 0)
-        assert "channel_min" in metas[5] and "channel_max" in metas[5]
+        assert log_ber.tolist() == [label_log_ber(ber, config.frame) for ber in records[:, 0]]
+        assert np.all(records[:, 1:4] <= records[:, 4:7])  # channel_min, then channel_max
         assert ds.config.frame == config.frame
 
     def test_pinned_arrays_digest(self, tmp_path):
@@ -176,7 +177,7 @@ class TestDatasetFile:
 
     def test_pinned_file_digest(self, tmp_path):
         """The whole file of the set above is pinned too: header, config JSON,
-        record metadata and tensors, so a change to any of them shows.  The
+        records array and tensors, so a change to any of them shows.  The
         stored config is the build's own, seed 3 and 2 per kind."""
         config = ExperimentConfig(
             master_seed=3,
@@ -188,45 +189,27 @@ class TestDatasetFile:
         path = tmp_path / "data.cpad"
         build_dataset(path, config)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "e48cf7fcc1e77c1d3b4f02ed594ab331404960e947ba8eb4f8b09bf079f9a532")
+            "22b305c7c81bff6817555757206c1e8395520447ea4ef2fb055a0b7ad605dd82")
 
-    def test_adversarial_metadata_recorded(self, tmp_path):
-        path = tmp_path / "data.cpad"
-        build_dataset(path, mini_config(train_per_kind=2))
-        metas = Dataset(path).load_arrays()[3]
-        deceptive_meta = metas[0]
-        assert "adversary_power_w" in deceptive_meta
-        assert "adversary_distance_m" not in metas[-1]  # a non-adversarial record
-
-    def test_record_with_the_keys_it_used_to_hold_loads_alike(self, tmp_path):
-        """A record that still carries what its position and the config give,
-        as those of files built before the record lost them do (index, kind,
-        intent_index, seed, the space's obfuscation_prob or estimation_error,
-        and log_ber), loads to the same arrays: the reader reads raw_ber alone."""
-        config = mini_config(train_per_kind=2)
-        metas, tensors = build_records(config)
-        plain, old = tmp_path / "plain.cpad", tmp_path / "old.cpad"
-        write_dataset(plain, config, metas, tensors)
-        kinds = [kind for kind in ThreatKind for _ in range(2)]
-        for i, (record, kind) in enumerate(zip(metas, kinds)):
-            record.update(index=i, kind=kind.name.lower(), intent_index=kind.value,
-                          seed=derive_seed(config.master_seed, i),
-                          log_ber=label_log_ber(record["raw_ber"], config.frame))
-            if kind is ThreatKind.DISRUPTIVE:
-                record["obfuscation_prob"] = config.space.obfuscation_prob
-            if kind is ThreatKind.DECEPTIVE:
-                record["estimation_error"] = config.space.estimation_error
-        write_dataset(old, config, metas, tensors)
-        arrays = Dataset(old).load_arrays()
-        for a, b in zip(Dataset(plain).load_arrays()[:3], arrays[:3]):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert arrays[1].tolist() == [m["intent_index"] for m in metas]
-        assert arrays[2].tolist() == [m["log_ber"] for m in metas]
+    def test_file_of_the_record_list_layout_exits_with_data_code(self, tmp_path, capsys):
+        """A file whose records are a JSON list in the metadata, as files were
+        written before the records became an array, has no reader: it exits 4
+        with the header's key message."""
+        config = mini_config(train_per_kind=1)
+        records, tensors = build_records(config)
+        path = tmp_path / "old.cpad"
+        tensorfile.write(path, dataset.MAGIC,
+                         {"config": dataclasses.asdict(config),
+                          "records": [{"raw_ber": float(row[0])} for row in records]},
+                         {"tensors": tensors})
+        with pytest.raises(ValueError, match=r"'meta' with keys \['config'\]"):
+            Dataset(path)
+        assert cli_main(["train", "--dataset", str(path),
+                         "--out", str(tmp_path / "m.ckpt")]) == 4
+        assert f"{path}: header must hold 'arrays' and 'meta' with keys ['config']" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("value", [
-        pytest.param(KeyError, id="raw_ber"),
-        pytest.param(None, id="raw_ber=None"),
-        pytest.param(True, id="raw_ber=True"),
         pytest.param(math.nan, id="raw_ber=nan"),
         pytest.param(math.inf, id="raw_ber=inf"),
         pytest.param(-math.inf, id="raw_ber=-inf"),
@@ -235,21 +218,39 @@ class TestDatasetFile:
         pytest.param(-1e200, id="raw_ber=-1e200"),
     ])
     def test_rejects_record_without_label(self, tmp_path, capsys, value):
-        """A record whose raw_ber is missing, not a number or outside [0, 1]
-        has no label, and exits 4 naming the record."""
+        """A record whose raw_ber is outside [0, 1], NaN included, has no label,
+        and exits 4 naming the file and the record."""
         config = mini_config(train_per_kind=1)
-        metas, tensors = build_records(config)
-        if value is KeyError:
-            del metas[1]["raw_ber"]
-        else:
-            metas[1]["raw_ber"] = value
+        records, tensors = build_records(config)
+        records[1, 0] = value
         path = tmp_path / "data.cpad"
-        write_dataset(path, config, metas, tensors)
+        write_dataset(path, config, records, tensors)
         with pytest.raises(ValueError, match="record 1"):
             Dataset(path)
         assert cli_main(["train", "--dataset", str(path),
                          "--out", str(tmp_path / "m.ckpt")]) == 4
-        assert "record 1" in capsys.readouterr().err
+        assert f"{path}: record 1: raw_ber " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda r: r.astype("<f4"), id="f4"),
+        pytest.param(lambda r: r.astype("<i8"), id="i8"),
+        pytest.param(lambda r: r[:, :6], id="6_columns"),
+        pytest.param(lambda r: np.hstack([r, r[:, :1]]), id="8_columns"),
+        pytest.param(lambda r: r[:2], id="fewer_rows"),
+        pytest.param(lambda r: r[:, 0], id="1_dimension"),
+    ])
+    def test_rejects_records_array_of_another_layout(self, tmp_path, capsys, edit):
+        """A records array that is not float64 with 7 columns and one row per
+        tensor exits 4 naming the file."""
+        config = mini_config(train_per_kind=1)
+        records, tensors = build_records(config)
+        path = tmp_path / "data.cpad"
+        write_dataset(path, config, edit(records), tensors)
+        with pytest.raises(ValueError, match="float64 'records' array"):
+            Dataset(path)
+        assert cli_main(["train", "--dataset", str(path),
+                         "--out", str(tmp_path / "m.ckpt")]) == 4
+        assert f"{path}: a dataset holds" in capsys.readouterr().err
 
     def test_build_holds_the_block_once(self, tmp_path):
         """Building and writing a desk-geometry set peaks below 1.5 blocks
@@ -258,8 +259,8 @@ class TestDatasetFile:
         config = desk_config(train_per_kind=32)
         tracemalloc.start()
         try:
-            metas, tensors = build_records(config)
-            write_dataset(tmp_path / "d.cpad", config, metas, tensors)
+            records, tensors = build_records(config)
+            write_dataset(tmp_path / "d.cpad", config, records, tensors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -613,7 +614,7 @@ class TestCli:
         series = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
         block = np.stack([feature_tensor(s, config.frame, config.feature).data for s in series])
         data, npz = tmp_path / "three.cpad", tmp_path / "one.npz"
-        write_dataset(data, config, [{"raw_ber": 0.1}] * 3, block.astype("<f4"))
+        write_dataset(data, config, np.full((3, 7), 0.1), block.astype("<f4"))
         npz.write_bytes(_npz_bytes(samples=series[0]))
         config_path, ckpt = tmp_path / "config.json", tmp_path / "m.ckpt"
         save_config(config_path, config)
@@ -633,14 +634,14 @@ class TestCli:
         the same bytes (index aside).  A batched forward pass moved some
         log-BERs in their last digits."""
         config = mini_config(train_per_kind=7, master_seed=3)
-        metas, tensors = build_records(config)
+        records, tensors = build_records(config)
         ckpt = tmp_path / "m.ckpt"
         save_untrained(ckpt, config.net, 32)
 
         def report_rows(name, per_kind, picks):
             data, report = tmp_path / f"{name}.cpad", tmp_path / f"{name}.csv"
             write_dataset(data, dataclasses.replace(config, train_per_kind=per_kind),
-                          [metas[i] for i in picks], tensors[picks])
+                          records[picks], tensors[picks])
             assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(data),
                              "--out", str(report)]) == 0
             return [row.split(",", 1)[1] for row in report.read_text().splitlines()[1:]]
@@ -693,7 +694,7 @@ class TestCli:
     def test_wrong_typed_dataset_config_exits_with_data_code(self, tmp_path):
         data = tmp_path / "d.cpad"
         build_dataset(data, mini_config(train_per_kind=2))
-        meta, arrays = tensorfile.read(data, b"CPAD", ("config", "records"))
+        meta, arrays = tensorfile.read(data, b"CPAD", ("config",))
         meta["config"]["regime"]["epochs"] = 2.0
         tensorfile.write(data, b"CPAD", meta, arrays)
         assert cli_main(["train", "--dataset", str(data),
@@ -907,7 +908,7 @@ class TestCliExitCodes:
         """A set written while the network config still held these keys is refused."""
         data = tmp_path / "d.cpad"
         build_dataset(data, mini_config(train_per_kind=2))
-        meta, arrays = tensorfile.read(data, b"CPAD", ("config", "records"))
+        meta, arrays = tensorfile.read(data, b"CPAD", ("config",))
         meta["config"]["net"][key] = value
         tensorfile.write(data, b"CPAD", meta, arrays)
         assert cli_main(["train", "--dataset", str(data),
@@ -932,7 +933,7 @@ class TestCliExitCodes:
         pre_change(net)
         write_checkpoint(old_ckpt, net, tensors, extras)
         data = inputs["train"][1]
-        meta, arrays = tensorfile.read(data, b"CPAD", ("config", "records"))
+        meta, arrays = tensorfile.read(data, b"CPAD", ("config",))
         pre_change(meta["config"]["net"])
         tensorfile.write(old_data, b"CPAD", meta, arrays)
         old_config.write_text(json.dumps(meta["config"]))
@@ -987,7 +988,7 @@ class TestCliExitCodes:
         and both counts; eval, baseline and assess used to exit with NumPy's
         concatenate error."""
         data, ckpt, out = tmp_path / "empty.cpad", tmp_path / "m.ckpt", tmp_path / "out"
-        write_dataset(data, mini_config(), [], np.empty((0, 16, 16, 3), "<f4"))
+        write_dataset(data, mini_config(), np.empty((0, 7)), np.empty((0, 16, 16, 3), "<f4"))
         save_untrained(ckpt, mini_config().net)
         message = f"{data}: the dataset holds 0 records, its config makes 12"
         with pytest.raises(ValueError, match="holds 0 records, its config makes 12"):
@@ -1001,8 +1002,8 @@ class TestCliExitCodes:
         command that reads a dataset, naming the file and both counts; it used
         to load, and train took the 6 records for the 12 its config made."""
         data, ckpt, out = tmp_path / "six.cpad", tmp_path / "m.ckpt", tmp_path / "out"
-        metas, tensors = build_records(mini_config(train_per_kind=2))
-        write_dataset(data, mini_config(), metas, tensors)
+        records, tensors = build_records(mini_config(train_per_kind=2))
+        write_dataset(data, mini_config(), records, tensors)
         save_untrained(ckpt, mini_config().net)
         message = (f"{data}: the dataset holds 6 records, its config makes 12 "
                    "(3 intents x train_per_kind 4)")
@@ -1133,7 +1134,7 @@ class TestCliExitCodes:
         assert f"missing tensors {prefix}" in capsys.readouterr().err
         assert not report.exists()
 
-    @pytest.mark.parametrize("key", ["task", "train_seed", "batch_size", "labels_sha256",
+    @pytest.mark.parametrize("key", ["task", "train_seed", "batch_size", "data_sha256",
                                      "adam_step"])
     def test_checkpoint_without_run_record_exits_with_data_code(self, tmp_path, capsys, inputs,
                                                                 key):
@@ -1183,9 +1184,59 @@ class TestCliExitCodes:
         resume = ["--epochs", "2", "--resume", str(ckpt), "--out", str(out)]
         capsys.readouterr()
         assert cli_main(["train", "--dataset", str(other), *resume]) == 4
-        assert f"{ckpt}: the checkpoint's run has labels_sha256 '" in capsys.readouterr().err
+        assert f"{ckpt}: the checkpoint's run has data_sha256 '" in capsys.readouterr().err
         assert not out.exists()
         assert cli_main(["train", *inputs["train"], *resume]) == 0
+
+    def test_resume_on_other_feature_maps_exits_with_data_code(self, tmp_path, capsys, inputs):
+        """A set rebuilt with another disk radius has the same labels and network
+        config but other feature maps; a resume on it exits 4 naming the data's
+        digest.  It used to train on with the checkpoint's weights."""
+        ckpt, other, out = tmp_path / "m.ckpt", tmp_path / "r2.cpad", tmp_path / "out"
+        assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
+        build_dataset(other, mini_config(train_per_kind=2, feature=FeatureConfig(2)))
+        assert Dataset(other).load_arrays()[2].tobytes() == (
+            Dataset(inputs["train"][1]).load_arrays()[2].tobytes())
+        capsys.readouterr()
+        assert cli_main(["train", "--dataset", str(other), "--epochs", "2",
+                         "--resume", str(ckpt), "--out", str(out)]) == 4
+        assert f"{ckpt}: the checkpoint's run has data_sha256 '" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("adam_step", True), ("adam_step", 1.0), ("adam_step", -1), ("train_seed", "5"),
+        ("train_seed", False), ("batch_size", 8.0), ("batch_size", None),
+    ], ids=["adam_step=true", "adam_step=1.0", "adam_step=-1", "train_seed='5'",
+            "train_seed=false", "batch_size=8.0", "batch_size=null"])
+    def test_checkpoint_with_a_non_integer_record_field_exits_with_data_code(
+            self, tmp_path, capsys, inputs, key, value):
+        """The seed, batch size and optimizer step of a run record must be
+        non-negative integers; a JSON true used to load as step 1."""
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
+        assert cli_main(["train", *inputs["train"], "--epochs", "1", "--out", str(ckpt)]) == 0
+        config, tensors, record = read_checkpoint(ckpt)
+        write_checkpoint(ckpt, config, tensors, {**record, key: value})
+        capsys.readouterr()
+        assert cli_main(["eval", *inputs["train"], "--ckpt", str(ckpt),
+                         "--rows-out", str(out)]) == 4
+        assert f"{ckpt}: {key} must be a non-negative integer, not {value!r}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--ckpt2", "CKPT"], ["--theta", "0.5"],
+                                       ["--ckpt2", "CKPT", "--theta", "0.5"]],
+                             ids=["ckpt2", "theta", "both"])
+    def test_sequential_flags_in_multitask_eval_exit_with_data_code(
+            self, tmp_path, capsys, inputs, save_untrained, flags):
+        """Multitask eval reads one checkpoint and no gate, so --ckpt2 and --theta
+        are refused, naming the flag; they used to be ignored with exit 0."""
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
+        save_untrained(ckpt, mini_config().net)
+        flags = [str(ckpt) if flag == "CKPT" else flag for flag in flags]
+        assert cli_main(["eval", *inputs["train"], "--ckpt", str(ckpt), *flags,
+                         "--rows-out", str(out)]) == 4
+        assert f"--{flags[0][2:]} is for sequential mode" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_past_the_schedule_exits_with_data_code(self, tmp_path, capsys, inputs):
         """A checkpoint past the run's last step is refused, naming both steps;

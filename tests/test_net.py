@@ -23,6 +23,12 @@ TINY = NetworkConfig((8, 8, 3), conv_filters=(4, 6),
                      focal_gamma=2.0, l2_coeff=1e-3)
 
 
+def he_normal(layer, rng) -> None:
+    """Draw ``layer``'s kernel as ``he_init`` draws a model's: N(0, 2 / fan_in)."""
+    w = layer.params["w"]
+    w[...] = rng.normal(0.0, np.sqrt(2.0 / math.prod(w.shape[:-1])), size=w.shape)
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     num = np.abs(a - b)
     den = np.maximum(np.abs(a) + np.abs(b), 1e-8)
@@ -79,13 +85,13 @@ class TestLayerGradients:
     def test_conv_stride_1(self):
         rng = np.random.default_rng(1)
         layer = Conv2D(3, 4)
-        layer.init_params(rng)
+        he_normal(layer, rng)
         check_layer(layer, rng.normal(size=(2, 6, 6, 3)))
 
     def test_conv_non_square(self):
         rng = np.random.default_rng(7)
         layer = Conv2D(2, 3)
-        layer.init_params(rng)
+        he_normal(layer, rng)
         check_layer(layer, rng.normal(size=(2, 9, 6, 2)))
 
     def test_batchnorm(self):
@@ -109,7 +115,7 @@ class TestLayerGradients:
     def test_dense(self):
         rng = np.random.default_rng(6)
         layer = Dense(7, 4)
-        layer.init_params(rng)
+        he_normal(layer, rng)
         check_layer(layer, rng.normal(size=(3, 7)))
 
 
@@ -151,7 +157,7 @@ class TestConvOracle:
     def test_matches_direct_loop(self, shape, in_channels):
         rng = np.random.default_rng(in_channels)
         layer = Conv2D(in_channels, 4)
-        layer.init_params(rng)
+        he_normal(layer, rng)
         x = rng.normal(size=(2, *shape, in_channels))
         out = layer.forward(x, train=True)
         expected, xp = conv_loop_reference(x, layer.params["w"])
@@ -167,7 +173,7 @@ class TestConvOracle:
     def test_without_input_grad_keeps_kernel_grad(self):
         rng = np.random.default_rng(9)
         layer = Conv2D(3, 4)
-        layer.init_params(rng)
+        he_normal(layer, rng)
         x = rng.normal(size=(2, 6, 7, 3))
         dout = rng.normal(size=layer.forward(x, train=True).shape)
         layer.backward(dout)
@@ -404,10 +410,12 @@ class TestLosses:
 
 class TestHeInit:
     def test_variance_statistic(self):
-        layer = Dense(64, 1600)  # > 1e5 draws at fan_in 64
-        layer.init_params(np.random.default_rng(30))
-        assert layer.params["w"].size >= 100_000
-        assert np.var(layer.params["w"]) == pytest.approx(2 / 64, rel=0.03)
+        """A kernel of over 1e5 draws at fan_in 3 * 3 * 64 has variance 2 / fan_in."""
+        model = he_init(NetworkConfig((2, 2, 64), conv_filters=(200,)),
+                        np.random.default_rng(30))
+        w = model.named_params()["backbone.0.w"]
+        assert w.size >= 100_000
+        assert np.var(w) == pytest.approx(2 / (3 * 3 * 64), rel=0.03)
 
     def test_biases_zero_and_bn_identity(self):
         model = he_init(TINY, np.random.default_rng(31))
@@ -425,10 +433,15 @@ class TestHeInit:
                                         "head_cls.w", "head_reg.w"]
 
     def test_deterministic(self):
-        a = he_init(TINY, np.random.default_rng(32)).named_params()
-        b = he_init(TINY, np.random.default_rng(32)).named_params()
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
+        """The rule pinned by a second draw from the same seed: each kernel in
+        named_params order from N(0, 2 / fan_in), fan_in all but the output axis."""
+        model = he_init(TINY, np.random.default_rng(32))
+        params, rng = model.named_params(), np.random.default_rng(32)
+        fan_ins = {"backbone.0.w": 27, "backbone.4.w": 36, "head_cls.w": 6, "head_reg.w": 6}
+        assert model.kernel_names() == list(fan_ins)
+        for name, fan_in in fan_ins.items():
+            expected = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=params[name].shape)
+            assert params[name].tobytes() == expected.tobytes(), name
 
 
 class TestForward:
@@ -534,7 +547,7 @@ class TestCheckpoint:
         for _ in range(5):
             train_step(model, x, labels, rho, adam, float(np.var(rho)))
         path = tmp_path / "model.ckpt"
-        run = {"task": "multitask", "train_seed": 50, "batch_size": 4, "labels_sha256": "ab"}
+        run = {"task": "multitask", "train_seed": 50, "batch_size": 4, "data_sha256": "ab"}
         save_model(path, model, adam, run)
 
         loaded, loaded_adam, record = load_model(path)

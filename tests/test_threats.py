@@ -62,9 +62,14 @@ class TestIntentEncoding:
         assert [r["capability_bits"] for r in rows] == ["001", "010", "100"]
 
     def test_generated_intent_matches_kind(self):
-        for kind in ThreatKind:
+        """Each intent adds its own term, and the sample receives their sum."""
+        terms = {ThreatKind.DECEPTIVE: "spoof_term", ThreatKind.DISRUPTIVE: "jam_term",
+                 ThreatKind.NON_ADVERSARIAL: None}
+        for kind, term in terms.items():
+            parts = generate_components(scenario(kind), seed=3)
+            assert {"spoof_term", "jam_term"} & set(parts) == ({term} if term else set())
             sample = generate_sample(scenario(kind), seed=3)
-            assert sample.kind is kind
+            assert sample.received.tobytes() == parts["received"].tobytes()
 
 
 class TestLabelLogBer:
@@ -91,7 +96,8 @@ class TestNonAdversarial:
         sc = scenario(ThreatKind.NON_ADVERSARIAL, noise_dbw=-300.0)
         sample = generate_sample(sc, seed=11)
         assert sample.raw_ber == 0.0
-        assert sample.log_ber == pytest.approx(math.log10(1 / FRAME.bits_per_sample))
+        assert label_log_ber(sample.raw_ber, FRAME) == pytest.approx(
+            math.log10(1 / FRAME.bits_per_sample))
 
     def test_deterministic_bytes(self):
         sc = scenario(ThreatKind.NON_ADVERSARIAL)

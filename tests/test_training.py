@@ -1,10 +1,13 @@
 """Tests for the training loop: overfit sanity, task coupling, determinism."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cpaware.experiments.config import TrainRegime
-from cpaware.experiments.training import save_result, train, write_log_csv
+from cpaware.experiments.training import _run_record, save_result, train, write_log_csv
 from cpaware.net.checkpoint import read_checkpoint, write_checkpoint
 from cpaware.net.model import NetworkConfig
 
@@ -141,19 +144,38 @@ class TestDeterminismAndResume:
         with pytest.raises(ValueError, match=key):
             train(x, idx, rho, TOY_NET, task, TrainRegime(2, **settings), resume_from=ckpt)
 
-    @pytest.mark.parametrize("changed", ["intents", "log_ber"])
+    @pytest.mark.parametrize("changed", ["intents", "log_ber", "tensors"])
     def test_resume_on_other_labels_rejected(self, tmp_path, changed):
-        """The run record holds the sha256 of the labels, so a resume on other
-        intents or log-BERs is refused, naming it."""
+        """The run record holds the sha256 of the tensors and labels, so a resume
+        on other intents, log-BERs or feature tensors is refused, naming it."""
         x, idx, rho = toy_set(10)
         ckpt = tmp_path / "run.ckpt"
         save_result(ckpt, train(x, idx, rho, TOY_NET, "multitask", TrainRegime(1, 8, 11)))
         if changed == "intents":
             idx = np.roll(idx, 1)
-        else:
+        elif changed == "log_ber":
             rho = rho + 0.5  # the same variance
-        with pytest.raises(ValueError, match="labels_sha256"):
+        else:
+            x = x.copy()
+            x[3, 0, 0, 0] += 1.0
+        with pytest.raises(ValueError, match="data_sha256"):
             train(x, idx, rho, TOY_NET, "multitask", TrainRegime(2, 8, 11), resume_from=ckpt)
+
+    def test_data_digest_copies_no_block(self):
+        """The tensors are hashed a row at a time from the block as given, so the
+        digest allocates far less than the block."""
+        x = np.ones((64, 64, 64, 3), dtype="<f4")  # 3 MiB
+        idx, rho = np.arange(64) % 3, np.zeros(64)
+        tracemalloc.start()
+        try:
+            record = _run_record("multitask", TrainRegime(1, 8, 11), x, idx, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 8
+        # Row by row is the whole block's bytes, then the <i8 intents and <f8 labels.
+        whole = hashlib.sha256(x.tobytes() + idx.astype("<i8").tobytes() + rho.tobytes())
+        assert record["data_sha256"] == whole.hexdigest()
 
     def test_resume_hashes_the_labels_by_value(self, tmp_path):
         """The labels are hashed as <i8 intents and <f8 log-BERs, so the same
