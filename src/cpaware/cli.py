@@ -212,6 +212,11 @@ def cmd_assess(args) -> int:
             raise ValueError(f"{path}: corrupt .npz archive ({exc!r})") from None
         if not np.issubdtype(samples.dtype, np.number):
             raise ValueError(f"{path}: 'samples' must be numeric, not {samples.dtype}")
+        if samples.ndim != 1:
+            raise ValueError(f"{path}: 'samples' must be one 1-D series, "
+                             f"not an array of shape {samples.shape}")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(f"{path}: 'samples' must be finite")
         feats = feature_tensor(samples, config.frame, config.feature)
         # Rounded to the dataset's float32, so a series grades alike from either input.
         tensors = feats.data[None, ...].astype("<f4")

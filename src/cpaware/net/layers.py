@@ -10,6 +10,13 @@ caches whatever backward needs, so layers are not reentrant: one
 in-flight training batch at a time.  ``forward(train=False)`` keeps no
 cache, so inference holds only the activation it is passing on.
 
+A layer computes in the dtype of its input.  Parameters and state stay
+float64; each layer casts its parameters to the input's dtype where it
+uses them (``astype(x.dtype, copy=False)``, which returns the arrays
+themselves on float64 input).  So float32 input gives float32 outputs,
+cached arrays and gradients, and float64 input runs exactly as it would
+with no casts at all.
+
 The hot layers do their work in a few large BLAS calls: the convolution
 is an im2col GEMM per kernel row (Chellapilla et al. 2006), and batch
 normalization reduces over a (batch * height * width, channels) view
@@ -60,7 +67,8 @@ class Conv2D:
         b, h, w, _ = x.shape
         k = self.kernel_size
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        weight = self.params["w"].reshape(k, k * self.in_channels, self.out_channels)
+        weight = self.params["w"].astype(x.dtype, copy=False).reshape(
+            k, k * self.in_channels, self.out_channels)
         out = self._cols(xp, 0, h, w) @ weight[0]
         for i in range(1, k):
             out += self._cols(xp, i, h, w) @ weight[i]
@@ -72,7 +80,7 @@ class Conv2D:
         xp = self._xp
         _, h, w, o = dout.shape
         k = self.kernel_size
-        weight = self.params["w"]
+        weight = self.params["w"].astype(xp.dtype, copy=False)
         flat = dout.reshape(-1, o)
         dw = np.empty_like(weight)
         for i in range(k):
@@ -115,11 +123,12 @@ class BatchNorm2D:
         if not train:
             self._cache = None
             scale = gamma / np.sqrt(self.state["running_var"] + self.EPS)
-            out = flat * scale
-            out += beta - self.state["running_mean"] * scale
+            shift = beta - self.state["running_mean"] * scale
+            out = flat * scale.astype(flat.dtype, copy=False)
+            out += shift.astype(flat.dtype, copy=False)
             return out.reshape(x.shape)
         n = flat.shape[0]
-        mean = (np.ones(n) @ flat) / n
+        mean = (np.ones(n, flat.dtype) @ flat) / n
         xhat = flat - mean
         var = np.einsum("ij,ij->j", xhat, xhat) / n
         m = self.MOMENTUM
@@ -128,8 +137,8 @@ class BatchNorm2D:
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat *= inv_std
         self._cache = (xhat, inv_std)
-        out = xhat * gamma
-        out += beta
+        out = xhat * gamma.astype(flat.dtype, copy=False)
+        out += beta.astype(flat.dtype, copy=False)
         return out.reshape(x.shape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -137,14 +146,14 @@ class BatchNorm2D:
         flat = dout.reshape(-1, self.channels)
         n = flat.shape[0]
         dgamma = np.einsum("ij,ij->j", flat, xhat)
-        dbeta = np.ones(n) @ flat
+        dbeta = np.ones(n, flat.dtype) @ flat
         self.grads = {"gamma": dgamma, "beta": dbeta}
         # dx = (gamma * inv_std / n) * (n * dout - dbeta - xhat * dgamma),
         # built in one buffer.
         dx = xhat * (dgamma / n)
         dx += dbeta / n
         np.subtract(flat, dx, out=dx)
-        dx *= self.params["gamma"] * inv_std
+        dx *= self.params["gamma"].astype(flat.dtype, copy=False) * inv_std
         return dx.reshape(dout.shape)
 
 
@@ -214,8 +223,9 @@ class Dense:
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         self._x = x if train else None
-        return x @ self.params["w"] + self.params["b"]
+        return (x @ self.params["w"].astype(x.dtype, copy=False)
+                + self.params["b"].astype(x.dtype, copy=False))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         self.grads = {"w": self._x.T @ dout, "b": dout.sum(axis=0)}
-        return dout @ self.params["w"].T
+        return dout @ self.params["w"].astype(dout.dtype, copy=False).T

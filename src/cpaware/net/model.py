@@ -9,12 +9,22 @@ per intent (``ThreatKind``) and one with the log-BER.  Both heads
 backpropagate into the backbone, which is what couples the tasks during
 training.
 
-Everything runs in float64; weights follow the He normal scheme
-(variance 2 / fan_in).  The dense heads start with zero biases; the
-convolutions have none, since the batch normalization after each one
-would cancel it.  The convolutions run as im2col GEMMs (see ``layers``).
-L2 regularization covers every parameter of two or more dimensions,
-which are exactly the convolution and dense weights.
+The network computes in the dtype of its input: float32 input runs in
+float32, and any other input is cast to float64.  Datasets store their
+feature maps as float32, so training and inference run in float32;
+float64 is the reference path of the finite-difference gradient checks.
+The parameters, the batch-norm running statistics and the optimizer stay
+float64 whatever the input (mixed precision as in Micikevicius et al.
+2018, "Mixed precision training", ICLR): the layers cast the parameters
+where they use them, and the heads' outputs are cast to float64, so the
+losses and everything downstream see float64.
+
+Weights follow the He normal scheme (variance 2 / fan_in).  The dense
+heads start with zero biases; the convolutions have none, since the
+batch normalization after each one would cancel it.  The convolutions
+run as im2col GEMMs (see ``layers``).  L2 regularization covers every
+parameter of two or more dimensions, which are exactly the convolution
+and dense weights.
 
 Only ``forward(train=True)`` caches activations for ``backward``.
 Inference (``predict_batched``) keeps no cache and runs one sample per
@@ -70,6 +80,7 @@ class MultitaskNet:
 
     def __init__(self, config: NetworkConfig):
         self.config = config
+        self._dtype = None  # that of the last training forward pass
         h, w, c = config.input_shape
         self.backbone: list = []
         for filters in config.conv_filters:
@@ -129,23 +140,29 @@ class MultitaskNet:
                              f"was built for input_shape {expected}")
 
     def forward(self, x: np.ndarray, train: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Logits (batch, intents) and log-BER predictions (batch,)."""
+        """Logits (batch, intents) and log-BER predictions (batch,), as float64,
+        computed in float32 for float32 ``x`` and in float64 otherwise."""
         self.check_input(x)
-        out = np.asarray(x, dtype=float)
+        out = np.asarray(x)
+        out = out.astype(np.float32 if out.dtype == np.float32 else float, copy=False)
+        if train:
+            self._dtype = out.dtype
         for layer in self.backbone:
             out = layer.forward(out, train)
-        logits = self.head_cls.forward(out, train)
-        log_ber = self.head_reg.forward(out, train).reshape(-1)
+        logits = self.head_cls.forward(out, train).astype(float, copy=False)
+        log_ber = self.head_reg.forward(out, train).reshape(-1).astype(float, copy=False)
         return logits, log_ber
 
     def backward(self, dlogits: np.ndarray, dlog_ber: np.ndarray) -> None:
         """Backpropagate both head cotangents through the shared backbone.
 
         A head with no task signal gets a zero cotangent, which gives it
-        zero gradients and adds nothing to the backbone's.
+        zero gradients and adds nothing to the backbone's.  Both cotangents
+        are cast to the dtype the forward pass computed in.
         """
-        out = (self.head_cls.backward(dlogits)
-               + self.head_reg.backward(dlog_ber.reshape(-1, 1)))
+        dlogits = dlogits.astype(self._dtype, copy=False)
+        dlog_ber = dlog_ber.astype(self._dtype, copy=False).reshape(-1, 1)
+        out = self.head_cls.backward(dlogits) + self.head_reg.backward(dlog_ber)
         for layer in reversed(self.backbone[1:]):
             out = layer.backward(out)
         # Nothing reads the gradient with respect to the network input.

@@ -843,6 +843,26 @@ class TestCliExitCodes:
                          "--config", inputs["generate"][1], "--out", str(report)]) == 4
         assert not report.exists()
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda n: np.ones((2, n), complex), "1-D series, not an array of shape (2, "),
+        (lambda n: np.full(n, np.nan + 0j), "must be finite"),
+        (lambda n: np.r_[np.ones(n - 1), np.inf].astype(complex), "must be finite"),
+    ], ids=["two-series", "all-nan", "one-inf"])
+    def test_npz_samples_not_one_finite_series_exit_with_data_code(
+            self, tmp_path, capsys, inputs, save_untrained, make, message):
+        """A 2-D 'samples' array is not flattened into one series, and a
+        non-finite one is refused before the features: both exit 4 with a
+        message naming the file and the array."""
+        ckpt, npz, report = tmp_path / "m.ckpt", tmp_path / "in.npz", tmp_path / "r.csv"
+        save_untrained(ckpt, mini_config().net)
+        npz.write_bytes(_npz_bytes(samples=make(mini_config().frame.sample_len)))
+        assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(npz),
+                         "--config", inputs["generate"][1], "--out", str(report)]) == 4
+        err = capsys.readouterr().err
+        assert f"{npz}: 'samples' " in err
+        assert message in err
+        assert not report.exists()
+
     def test_checkpoint_of_another_input_shape_exits_with_data_code(self, tmp_path, capsys,
                                                                     inputs):
         """A 16x16 checkpoint used on a 32x32 set: each command exits 4, writes nothing."""

@@ -506,6 +506,76 @@ class TestForward:
                 run(x)
 
 
+class TestComputeDtype:
+    """The network computes in its input's float32; parameters, state, the
+    optimizer and the outputs stay float64."""
+
+    def test_float32_step_promotes_nothing(self):
+        """One stray float64 operand would turn the rest of the net float64
+        while every value stayed right; the dtypes show it."""
+        from cpaware.experiments.training import train_step
+        model = he_init(TINY, np.random.default_rng(70))
+        x, labels, rho = make_toy_batch(71, n=4)
+        x = x.astype(np.float32)
+        layers = [*model.backbone, model.head_cls, model.head_reg]
+        seen = []
+        for i, layer in enumerate(layers):
+            def forward(inp, train=True, _forward=layer.forward, _i=i):
+                out = _forward(inp, train)
+                seen.append((_i, "forward", out.dtype))
+                return out
+
+            def backward(dout, *args, _backward=layer.backward, _i=i, **kwargs):
+                seen.append((_i, "cotangent", dout.dtype))
+                return _backward(dout, *args, **kwargs)
+            layer.forward, layer.backward = forward, backward
+        fed = {}  # the gradients the optimizer is given
+
+        class SpiedAdam(Adam):
+            def step(self, params, grads):
+                fed.update(grads)
+                super().step(params, grads)
+        adam = SpiedAdam(model.named_params(), 1e-3)
+        train_step(model, x, labels, rho, adam, float(np.var(rho)))
+
+        assert len(seen) == 2 * len(layers)
+        assert [entry for entry in seen if entry[2] != np.float32] == []
+        for i, layer in enumerate(layers):
+            cached = [getattr(layer, name) for name in ("_xp", "_x") if hasattr(layer, name)]
+            cached += list(getattr(layer, "_cache", None) or ())
+            for array in cached:
+                assert array.dtype == np.float32, (i, type(layer).__name__)
+            for name, grad in layer.grads.items():
+                assert grad.dtype == np.float32, (i, name)
+        logits, log_ber = model.forward(x, train=True)
+        assert logits.dtype == np.float64 and log_ber.dtype == np.float64
+        assert set(fed) == set(model.named_params())
+        for table in (model.named_params(), model.named_state(), fed, adam.m, adam.v):
+            assert {name: a.dtype for name, a in table.items() if a.dtype != np.float64} == {}
+
+    def test_float32_agrees_with_float64(self):
+        """One He-initialized network and one batch, run as float32 and as
+        float64: outputs and losses agree to 1e-5 relative, and each gradient
+        to 1e-3 of its norm."""
+        config = NetworkConfig((16, 16, 3), conv_filters=(4, 8))
+        x, labels, rho = make_toy_batch(72, n=8, shape=(16, 16, 3))
+        runs = []
+        for dtype in (np.float64, np.float32):
+            model = he_init(config, np.random.default_rng(73))
+            logits, log_ber = model.forward(x.astype(dtype), train=True)
+            loss_cls, dlogits = focal_loss_with_logit_grad(labels, logits, config.focal_gamma)
+            loss_reg, dreg = mse_loss(rho, log_ber)
+            model.backward(dlogits, dreg)
+            runs.append((logits, log_ber, loss_cls, loss_reg, model.named_grads()))
+        (*wide, grads64), (*narrow, grads32) = runs
+        for name, a, b in zip(("logits", "log_ber", "loss_cls", "loss_reg"), narrow, wide):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == np.float64, name
+            assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b)), name
+        for name, g in grads64.items():
+            assert np.linalg.norm(grads32[name] - g) <= 1e-3 * np.linalg.norm(g), name
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
