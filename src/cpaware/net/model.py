@@ -21,8 +21,9 @@ losses and everything downstream see float64.
 
 Weights follow the He normal scheme (variance 2 / fan_in).  The dense
 heads start with zero biases; the convolutions have none, since the
-batch normalization after each one would cancel it.  The convolutions
-run as im2col GEMMs (see ``layers``).  L2 regularization covers every
+batch normalization after each one would cancel it.  A convolution
+reads its three kernel rows from one horizontal im2col of its input, in
+both passes (see ``layers``).  L2 regularization covers every
 parameter of two or more dimensions, which are exactly the convolution
 and dense weights.
 

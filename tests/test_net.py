@@ -1,5 +1,6 @@
 """Tests for the from-scratch network: layers, losses, gradients, optimizer."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -152,13 +153,16 @@ def conv_loop_backward(xp, weight, dout):
 class TestConvOracle:
     """The im2col convolution against a direct loop over output pixels."""
 
-    @pytest.mark.parametrize("shape", [(8, 5), (7, 10), (9, 9)])
+    # (batch, height, width).  The kernel gradient sums blocks of whole image
+    # rows: one row each at 8x5, 7x10 and 9x9, six blocks of four rows per
+    # sample at 24x200.
+    @pytest.mark.parametrize("shape", [(2, 8, 5), (2, 7, 10), (2, 9, 9), (3, 24, 200)])
     @pytest.mark.parametrize("in_channels", [1, 3])
     def test_matches_direct_loop(self, shape, in_channels):
         rng = np.random.default_rng(in_channels)
         layer = Conv2D(in_channels, 4)
         he_normal(layer, rng)
-        x = rng.normal(size=(2, *shape, in_channels))
+        x = rng.normal(size=(*shape, in_channels))
         out = layer.forward(x, train=True)
         expected, xp = conv_loop_reference(x, layer.params["w"])
         assert out.shape == expected.shape
@@ -180,6 +184,51 @@ class TestConvOracle:
         dw = layer.grads["w"]
         assert layer.backward(dout, input_grad=False) is None
         np.testing.assert_array_equal(layer.grads["w"], dw)
+
+
+class TestBatchNormRows:
+    """Batch norm's elementwise work runs on (batch * H, W * C) rows against
+    channel vectors tiled W times; it is the per-channel formulas to the bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_channel_formulas(self, dtype):
+        rng = np.random.default_rng(66)
+        c = 8
+        layer = BatchNorm2D(c)
+        layer.params["gamma"] = rng.normal(1.0, 0.3, c)
+        layer.params["beta"] = rng.normal(0.0, 0.5, c)
+        layer.state["running_mean"] = rng.normal(0.0, 0.5, c)
+        layer.state["running_var"] = rng.uniform(0.5, 2.0, c)
+        x = rng.normal(1.0, 2.0, size=(2, 6, 64, c)).astype(dtype)
+        dout = rng.normal(size=x.shape).astype(dtype)
+        gamma = layer.params["gamma"].astype(dtype)
+        beta = layer.params["beta"].astype(dtype)
+        running_mean, running_var = layer.state["running_mean"], layer.state["running_var"]
+
+        flat, dflat = x.reshape(-1, c), dout.reshape(-1, c)
+        n = len(flat)
+        scale = layer.params["gamma"] / np.sqrt(running_var + layer.EPS)
+        shift = layer.params["beta"] - running_mean * scale
+        inferred = flat * scale.astype(dtype) + shift.astype(dtype)
+        mean = (np.ones(n, dtype) @ flat) / n
+        centred = flat - mean
+        var = np.einsum("ij,ij->j", centred, centred) / n
+        inv_std = 1.0 / np.sqrt(var + layer.EPS)
+        xhat = centred * inv_std
+        out = xhat * gamma + beta
+        dgamma = np.einsum("ij,ij->j", dflat, xhat)
+        dbeta = np.ones(n, dtype) @ dflat
+        dx = (dflat - (xhat * (dgamma / n) + dbeta / n)) * (gamma * inv_std)
+
+        np.testing.assert_array_equal(layer.forward(x, train=False), inferred.reshape(x.shape))
+        np.testing.assert_array_equal(layer.forward(x, train=True), out.reshape(x.shape))
+        m = layer.MOMENTUM
+        np.testing.assert_array_equal(layer.state["running_mean"],
+                                      m * running_mean + (1 - m) * mean)
+        np.testing.assert_array_equal(layer.state["running_var"], m * running_var + (1 - m) * var)
+        np.testing.assert_array_equal(layer.backward(dout), dx.reshape(x.shape))
+        np.testing.assert_array_equal(layer.grads["gamma"], dgamma)
+        np.testing.assert_array_equal(layer.grads["beta"], dbeta)
 
 
 class TestInferenceMode:
@@ -492,6 +541,35 @@ class TestForward:
             p, r = model.predict_batched(x[i: i + 1])
             assert probs[i].tobytes() == p[0].tobytes(), i
             assert log_ber[i].tobytes() == r[0].tobytes(), i
+
+    def test_forward_is_pinned(self):
+        """Inference, the train-mode forward and the running statistics it
+        leaves are pinned to the bit, in float32 and float64, at the desk
+        geometry and at 8x8: a faster layer may change how the backward
+        sums, never what the forward computes.
+
+        Recorded before the convolution read its kernel rows from one
+        horizontal im2col and batch norm worked on (batch * H, W * C) rows.
+        """
+        digest = hashlib.sha256()
+        for shape, n in (((64, 64, 3), 8), ((8, 8, 3), 3)):
+            for dtype in (np.float32, np.float64):
+                rng = np.random.default_rng(80)
+                model = he_init(NetworkConfig(shape), rng)
+                for layer in model.backbone:
+                    if isinstance(layer, BatchNorm2D):
+                        c = layer.channels
+                        layer.params["gamma"][:] = rng.normal(1.0, 0.3, c)
+                        layer.params["beta"][:] = rng.normal(0.0, 0.5, c)
+                        layer.state["running_mean"] = rng.normal(0.0, 0.5, c)
+                        layer.state["running_var"] = rng.uniform(0.5, 2.0, c)
+                x = rng.normal(size=(n, *shape)).astype(dtype)
+                outputs = [*model.predict_batched(x), *model.forward(x, train=True),
+                           *model.named_state().values()]
+                for array in outputs:
+                    digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "6e4111f72a0af85b844cc47d59d9861d23e132802b6cf927c53d01fc84d40b32")
 
     def test_rejects_indivisible_input(self):
         with pytest.raises(ValueError, match="divisible"):

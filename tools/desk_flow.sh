@@ -13,7 +13,7 @@
 # Outputs: 2 datasets, config.json, 5 checkpoints, 5 loss logs, 4 row dumps,
 # report.csv and stdout.txt.  Every command runs inside OUTDIR on relative
 # paths, so stdout.txt holds no OUTDIR and two OUTDIRs compare with diff -r.
-# Takes about 5 s on 2 cores (numpy 2.4.6).
+# Takes about 7 s on 2 shared cores (numpy 2.4.6).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
