@@ -9,8 +9,11 @@ with aperture gains ``G = (pi * D / lambda)**2``, free-space path loss
 ``L_point = exp(-8 * jitter**2 / divergence**2)``.  The link is exo-
 atmospheric, so no turbulence or absorption terms appear.
 
-All dB values in this package are decibel-watts, ``10 * log10`` of a
-power quantity.
+``awgn`` draws circularly symmetric complex Gaussian samples of a power
+given in watts: the receiver's noise floor, and the jammer's waveform at
+its transmit power.  All dB values in this package are decibel-watts,
+``10 * log10`` of a power quantity; ``threats`` converts a noise level in
+dBW to watts once, where it generates the noise.
 """
 
 from __future__ import annotations
@@ -79,28 +82,13 @@ def channel_gain(link: LinkBudget) -> float:
     return math.sqrt(product)
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Receiver noise floor, circularly symmetric complex Gaussian."""
-
-    variance_dbw: float
-
-    @property
-    def linear_variance(self) -> float:
-        return 10.0 ** (self.variance_dbw / 10.0)
-
-    @classmethod
-    def from_linear(cls, variance_w: float) -> "NoiseConfig":
-        if variance_w <= 0:
-            raise ValueError("noise variance must be positive")
-        return cls(variance_dbw=10.0 * math.log10(variance_w))
-
-
-def awgn(length: int, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. complex Gaussian samples with E[|w|^2] = linear variance."""
+def awgn(length: int, power_w: float, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. complex Gaussian samples with E[|w|^2] = ``power_w`` watts."""
     if length <= 0:
         raise ValueError("length must be positive")
-    sigma = math.sqrt(noise.linear_variance / 2.0)
+    if not 0 < power_w < math.inf:
+        raise ValueError("power_w must be positive and finite")
+    sigma = math.sqrt(power_w / 2.0)
     out = np.empty(length, dtype=complex)  # filled in place: no complex temporaries
     out.real = rng.standard_normal(length)
     out.imag = rng.standard_normal(length)

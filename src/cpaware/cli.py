@@ -217,9 +217,9 @@ def cmd_assess(args) -> int:
                              f"not an array of shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"{path}: 'samples' must be finite")
-        feats = feature_tensor(samples, config.frame, config.feature)
+        data, _ = feature_tensor(samples, config.frame, config.feature)
         # Rounded to the dataset's float32, so a series grades alike from either input.
-        tensors = feats.data[None, ...].astype("<f4")
+        tensors = data[None, ...].astype("<f4")
     probs, rho_hat = model.predict_batched(tensors)
     write_report(args.out, np.argmax(probs, axis=1), rho_hat, thresholds)
     print(f"assessed {len(rho_hat)} samples; report written to {args.out}")

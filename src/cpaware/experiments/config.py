@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..features import FeatureConfig
+from ..features import FeatureConfig, feature_shape
 from ..net.model import NetworkConfig
 from ..ofdm import FrameConfig
 from ..tensorfile import from_json
@@ -52,7 +52,7 @@ class ExperimentConfig:
             raise ValueError("train_per_kind must be positive")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, not {self.master_seed}")
-        expected = (self.frame.n_symbols, self.frame.n_subcarriers, 3)
+        expected = feature_shape(self.frame)
         if tuple(self.net.input_shape) != expected:
             raise ValueError(
                 f"net input_shape {self.net.input_shape} does not match the "

@@ -2,22 +2,23 @@
 
 A dataset is a ``tensorfile`` container with magic ``CPAD``.  Its
 metadata is ``{"config": experiment config}`` and it holds two arrays:
-``tensors``, the ``(n, frames, bins, 3)`` float32 block of normalized
-feature tensors, and ``records``, the ``(n, 7)`` float64 array of what
-generation measured of each record, one row per tensor with the columns
-``RECORD_COLUMNS``: ``raw_ber``, then the per-channel ranges
-``channel_min`` and ``channel_max`` of the stored tensor, in the feature
-channel order (spectrogram, supremum, infimum).
+``tensors``, the float32 block of normalized feature tensors, each of
+``features.feature_shape(frame)``, and ``records``, the float64 array of
+what generation measured of each record, one row per tensor with the
+columns ``RECORD_COLUMNS``: ``raw_ber``, then the tensor's ranges in
+``features.RANGE_COLUMNS`` order.
 
 The stored config is the set's exact recipe: ``train_per_kind`` samples
 of each intent in ``ThreatKind`` order, sample ``i`` seeded by
 ``derive_seed(master_seed, i)`` alone, so the config a file holds
 rebuilds it byte for byte, gives record ``i`` its intent, the one at
-position ``i // train_per_kind``, and redraws its scenario.  The reader
-refuses a file whose arrays are not of those dtypes and shapes, or whose
-record count is not the recipe's, naming both counts.  Of a record it
-reads ``raw_ber`` alone: the label is ``label_log_ber(raw_ber)``, so a
-``raw_ber`` outside [0, 1], NaN included, is refused, naming the record.
+position ``i // train_per_kind``, and redraws its scenario,
+``config.space.draw(kind, frame, seed)``.  The reader refuses a file
+whose arrays are not of those dtypes and shapes, naming both tensor
+shapes if the recipe's is not the block's, or whose record count is not
+the recipe's, naming both counts.  Of a record it reads ``raw_ber``
+alone: the label is ``label_log_ber(raw_ber)``, so a ``raw_ber`` outside
+[0, 1], NaN included, is refused, naming the record.
 
 A build allocates the block before the first sample and writes each
 sample's features straight into its row, so it holds the block once.
@@ -30,16 +31,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .. import tensorfile
-from ..features import feature_tensor
+from ..features import RANGE_COLUMNS, feature_shape, feature_tensor
 from ..threats import ThreatKind, generate_sample, label_log_ber
 from .config import ExperimentConfig
 
 MAGIC = b"CPAD"
-RECORD_COLUMNS = ("raw_ber", "channel_min.spectrogram", "channel_min.supremum",
-                  "channel_min.infimum", "channel_max.spectrogram", "channel_max.supremum",
-                  "channel_max.infimum")
-
-_SCENARIO_STREAM = 5  # disjoint from the generator streams in threats
+RECORD_COLUMNS = ("raw_ber", *RANGE_COLUMNS)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -57,15 +54,14 @@ def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """The records and the float32 block of the set ``config`` describes."""
     kinds = _kinds(config)
     frame = config.frame
-    tensors = np.empty((len(kinds), frame.n_symbols, frame.n_subcarriers, 3), dtype="<f4")
+    tensors = np.empty((len(kinds), *feature_shape(frame)), dtype="<f4")
     records = np.empty((len(kinds), len(RECORD_COLUMNS)), dtype="<f8")
     for index, kind in enumerate(kinds):
         seed = derive_seed(config.master_seed, index)
-        rng = np.random.default_rng([seed, _SCENARIO_STREAM])
-        sample = generate_sample(config.space.draw(kind, frame, rng), seed)
-        feats = feature_tensor(sample.received, frame, config.feature)
-        tensors[index] = feats.data
-        records[index] = (sample.raw_ber, *feats.channel_min, *feats.channel_max)
+        sample = generate_sample(config.space.draw(kind, frame, seed), seed)
+        records[index, 0] = sample.raw_ber
+        tensors[index], records[index, 1:] = feature_tensor(sample.received, frame,
+                                                            config.feature)
     return records, tensors
 
 
@@ -112,6 +108,10 @@ class Dataset:
                              f"one float64 'records' array of {len(RECORD_COLUMNS)} "
                              "columns and one row per tensor")
         self.config = tensorfile.from_json(ExperimentConfig, meta["config"])
+        expected = feature_shape(self.config.frame)
+        if self._tensors.shape[1:] != expected:
+            raise ValueError(f"{path}: the tensors are of shape {self._tensors.shape[1:]}, "
+                             f"its config makes {expected}")
         try:
             self._intents, self._log_ber = record_labels(self.config, self._records)
         except ValueError as exc:

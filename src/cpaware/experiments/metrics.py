@@ -34,9 +34,9 @@ from ..net.model import MultitaskNet
 from ..threats import INTENT_NAMES
 from .training import one_hot_labels
 
+_PROB_FIELDS = tuple(f"p_{name}" for name in INTENT_NAMES)
 ROW_FIELDS = ("sample_id", "true_intent", "pred_intent", "true_log_ber",
-              "pred_log_ber", "true_scale", "pred_scale",
-              "p_deceptive", "p_disruptive", "p_non_adversarial", "gated")
+              "pred_log_ber", "true_scale", "pred_scale", *_PROB_FIELDS, "gated")
 
 
 def summary_lines(report: dict, label: str) -> list[str]:
@@ -150,9 +150,7 @@ def _make_rows(pred_idx, pred_log_ber, probs, gated, intent_idx, log_ber, true_s
         "pred_log_ber": float(pred_log_ber[i]),
         "true_scale": int(true_scales[i]),
         "pred_scale": int(pred_scales[i]),
-        "p_deceptive": float(probs[i][0]),
-        "p_disruptive": float(probs[i][1]),
-        "p_non_adversarial": float(probs[i][2]),
+        **{field: float(p) for field, p in zip(_PROB_FIELDS, probs[i])},
         "gated": int(gated[i]),
     } for i in range(len(pred_idx))]
 

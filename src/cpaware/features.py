@@ -8,9 +8,11 @@ then grayscale-dilate and -erode it over a disk neighborhood
 
 to obtain local supremum and infimum maps.  Each map is min-max
 normalized to [0, 1] on its own contiguous plane and written into one
-channel of a ``(frames, bins, 3)`` tensor, channel order (spectrogram,
-supremum, infimum), with the original ranges recorded so raw magnitudes
-stay recoverable.
+channel of a ``feature_shape(frame)`` = ``(frames, bins, 3)`` tensor,
+channel order ``CHANNELS`` (spectrogram, supremum, infimum).
+``feature_tensor`` returns the ranges beside it, every channel's minimum
+and then every maximum (``RANGE_COLUMNS``), so raw magnitudes stay
+recoverable: ``data * (max - min) + min``.
 
 The disk is evaluated as 2r+1 horizontal chords, one per row offset, as
 in Urbach & Wilkinson, "Efficient 2-D grayscale morphological
@@ -47,6 +49,11 @@ from .ofdm import FrameConfig, remove_cp
 # Measured on 2 cores: 600x512 r=15 went 42 -> 27 ms, 256x256 r=4 2.8 ->
 # 2.7 ms, while 128x128 r=8 went 1.2 -> 1.3 ms and 64x64 r=3 0.15 -> 0.46 ms.
 EXTREMA_THREAD_PIXELS = 2**16
+
+# The channels of a feature stack, in order, and its recorded ranges.
+CHANNELS = ("spectrogram", "supremum", "infimum")
+RANGE_COLUMNS = (*(f"channel_min.{c}" for c in CHANNELS),
+                 *(f"channel_max.{c}" for c in CHANNELS))
 
 
 @dataclass(frozen=True)
@@ -156,34 +163,22 @@ def _chain(padded: np.ndarray, chords: list[list[int]], fold: np.ufunc,
             fold(out, run[radius + du: radius + du + rows], out=out)
 
 
-@dataclass
-class FeatureTensor:
-    """Normalized (frames, bins, 3) stack with per-channel ranges."""
-
-    data: np.ndarray
-    channel_min: np.ndarray
-    channel_max: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    def denormalize(self) -> np.ndarray:
-        """Recover the raw-magnitude stack from the recorded ranges."""
-        span = self.channel_max - self.channel_min
-        return self.data * span + self.channel_min
+def feature_shape(frame: FrameConfig) -> tuple[int, int, int]:
+    """Shape of the feature stack of one sample of ``frame``."""
+    return (frame.n_symbols, frame.n_subcarriers, len(CHANNELS))
 
 
 def feature_tensor(received: np.ndarray, frame: FrameConfig,
-                   cfg: FeatureConfig) -> FeatureTensor:
-    """Full feature stack of a prefix-intact received sample."""
+                   cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Full feature stack of a prefix-intact received sample, and its ranges
+    in ``RANGE_COLUMNS`` order."""
     spec = spectrogram(remove_cp(received, frame), frame)
     maps = (spec, *local_extrema(spec, cfg.disk_radius))
     lo = np.array([plane.min() for plane in maps])
     hi = np.array([plane.max() for plane in maps])
-    # Constant channels normalize to zero; denormalize restores the constant.
+    # Constant channels normalize to zero; lo restores the constant.
     span = np.where(hi > lo, hi - lo, 1.0)
     data = np.empty(spec.shape + (len(maps),))
     for channel, plane in enumerate(maps):
         data[..., channel] = (plane - lo[channel]) / span[channel]
-    return FeatureTensor(data=data, channel_min=lo, channel_max=hi)
+    return data, np.concatenate([lo, hi])

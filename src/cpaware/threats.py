@@ -31,11 +31,17 @@ else: the scenario, and so the intent, is its caller's, and the label is
 it opens a file).
 
 Generators are pure functions of (scenario, seed).  Each randomness
-consumer (legitimate bits, receiver noise, jammer waveform, obfuscation
-mask, malicious bits) draws from its own derived stream, so switching a
-threat knob never perturbs the other components: a disruptive sample
-with obfuscation probability 0 is bit-identical to the non-adversarial
-sample at the same seed.
+consumer draws from its own stream ``default_rng([seed, tag])``, with
+tags 0 legitimate bits, 1 receiver noise, 2 jammer waveform, 3
+obfuscation mask, 4 malicious bits and 5 the scenario that
+``ScenarioSpace.draw`` picks for the seed.  So switching a threat knob
+never perturbs the other components: a disruptive sample with
+obfuscation probability 0 is bit-identical to the non-adversarial sample
+at the same seed.
+
+Powers are in watts where the signals are made: ``awgn`` takes the
+jammer's transmit power as it is, and the scenario's noise level, in
+dBW as its space states it, is converted once, ``10 ** (dBW / 10)``.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import LinkBudget, NoiseConfig, awgn, channel_gain
+from .channel import LinkBudget, awgn, channel_gain
 from .ofdm import (
     FrameConfig,
     compute_ber,
@@ -79,6 +85,7 @@ _STREAM_NOISE = 1
 _STREAM_JAMMER = 2
 _STREAM_OBFUSCATION = 3
 _STREAM_MALICIOUS_BITS = 4
+_STREAM_SCENARIO = 5  # ScenarioSpace.draw
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
@@ -91,7 +98,7 @@ class ThreatScenario:
 
     kind: ThreatKind
     legit_link: LinkBudget
-    noise: NoiseConfig
+    noise_dbw: float
     frame: FrameConfig
     adversary_link: Optional[LinkBudget] = None
     obfuscation_prob: float = 0.5
@@ -147,7 +154,7 @@ def generate_components(scenario: ThreatScenario, seed: int) -> dict:
     x = ofdm_modulate(qam_modulate(legit_bits, frame), frame)
     legit_amp = _tx_amplitude(scenario.legit_link)
     legit_term = legit_amp * x
-    noise = awgn(length, scenario.noise, _stream(seed, _STREAM_NOISE))
+    noise = awgn(length, 10.0 ** (scenario.noise_dbw / 10.0), _stream(seed, _STREAM_NOISE))
 
     parts: dict = {
         "legit_bits": legit_bits,
@@ -161,11 +168,7 @@ def generate_components(scenario: ThreatScenario, seed: int) -> dict:
 
     if scenario.kind is ThreatKind.DISRUPTIVE:
         adv = scenario.adversary_link
-        waveform = awgn(
-            length,
-            NoiseConfig.from_linear(adv.tx_power_w),
-            _stream(seed, _STREAM_JAMMER),
-        )
+        waveform = awgn(length, adv.tx_power_w, _stream(seed, _STREAM_JAMMER))
         mask = _stream(seed, _STREAM_OBFUSCATION).binomial(
             1, scenario.obfuscation_prob, size=length
         )
@@ -250,6 +253,8 @@ class ScenarioSpace:
                         raise ValueError("entries must be finite real numbers")
                     if attr:  # the LinkBudget field the entry becomes
                         replace(link, **{attr: value})
+                    elif not -3000.0 < value < 3000.0:  # awgn's watts: positive, finite
+                        raise ValueError("entries must lie in (-3000, 3000) dBW")
                 except ValueError as exc:
                     raise ValueError(f"space.{name} holds {value!r}: {exc}") from None
 
@@ -266,9 +271,11 @@ class ScenarioSpace:
             divergence_rad=self.divergence_rad,
         )
 
-    def draw(self, kind: ThreatKind, frame: FrameConfig,
-             rng: np.random.Generator) -> ThreatScenario:
-        """Draw one concrete scenario for the given intent."""
+    def draw(self, kind: ThreatKind, frame: FrameConfig, seed: int) -> ThreatScenario:
+        """Draw one concrete scenario for the given intent from the sample seed's
+        scenario stream, which no generator consumes."""
+        rng = _stream(seed, _STREAM_SCENARIO)
+
         def pick(values):
             return values[rng.integers(len(values))]
 
@@ -281,7 +288,7 @@ class ScenarioSpace:
         return ThreatScenario(
             kind=kind,
             legit_link=legit,
-            noise=NoiseConfig(variance_dbw=float(pick(self.noise_dbw_levels))),
+            noise_dbw=float(pick(self.noise_dbw_levels)),
             frame=frame,
             adversary_link=adversary,
             obfuscation_prob=self.obfuscation_prob,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cpaware.channel import (
     LinkBudget,
-    NoiseConfig,
     aperture_gain,
     awgn,
     channel_gain,
@@ -99,22 +98,22 @@ class TestLinkBudget:
 
 class TestAwgn:
     def test_variance_at_minus_56_dbw(self):
-        noise = NoiseConfig(variance_dbw=-56.0)
-        assert noise.linear_variance == pytest.approx(2.5119e-6, rel=1e-4)
-        samples = awgn(1_000_000, noise, np.random.default_rng(9))
+        power_w = 10.0 ** (-56.0 / 10.0)
+        assert power_w == pytest.approx(2.5119e-6, rel=1e-4)
+        samples = awgn(1_000_000, power_w, np.random.default_rng(9))
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(10 ** -5.6, rel=0.01)
 
     def test_circular_symmetry(self):
-        noise = NoiseConfig(variance_dbw=-56.0)
-        samples = awgn(1_000_000, noise, np.random.default_rng(10))
-        half = noise.linear_variance / 2
+        power_w = 10.0 ** (-56.0 / 10.0)
+        samples = awgn(1_000_000, power_w, np.random.default_rng(10))
+        half = power_w / 2
         assert np.var(samples.real) == pytest.approx(half, rel=0.02)
         assert np.var(samples.imag) == pytest.approx(half, rel=0.02)
 
     def test_deterministic_per_seed(self):
-        noise = NoiseConfig(variance_dbw=-57.0)
-        a = awgn(4096, noise, np.random.default_rng(42))
-        b = awgn(4096, noise, np.random.default_rng(42))
+        power_w = 10.0 ** (-57.0 / 10.0)
+        a = awgn(4096, power_w, np.random.default_rng(42))
+        b = awgn(4096, power_w, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("variance_dbw", [-56.0, -31.5])
@@ -122,22 +121,19 @@ class TestAwgn:
         """Same draws, same order and same bytes as the expression
         ``sigma * (a + 1j * b)``, at the full preset's sample length."""
         length = (512 + 64) * 600
-        noise = NoiseConfig(variance_dbw)
+        power_w = 10.0 ** (variance_dbw / 10.0)
         got_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-        got = awgn(length, noise, got_rng)
-        sigma = math.sqrt(noise.linear_variance / 2.0)
+        got = awgn(length, power_w, got_rng)
+        sigma = math.sqrt(power_w / 2.0)
         ref = sigma * (ref_rng.standard_normal(length)
                        + 1j * ref_rng.standard_normal(length))
         assert got.dtype == ref.dtype and got.shape == ref.shape
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert got_rng.standard_normal() == ref_rng.standard_normal()
 
-    def test_from_linear_roundtrip(self):
-        noise = NoiseConfig.from_linear(2.5e-6)
-        assert noise.linear_variance == pytest.approx(2.5e-6, rel=1e-12)
-
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            awgn(0, NoiseConfig(-56.0), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            NoiseConfig.from_linear(0.0)
+        with pytest.raises(ValueError, match="length"):
+            awgn(0, 2e-6, np.random.default_rng(0))
+        for power_w in (0.0, -1e-6, math.inf, math.nan):
+            with pytest.raises(ValueError, match="power_w must be positive and finite"):
+                awgn(8, power_w, np.random.default_rng(0))

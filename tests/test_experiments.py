@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -190,6 +191,15 @@ class TestDatasetFile:
         build_dataset(path, config)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "22b305c7c81bff6817555757206c1e8395520447ea4ef2fb055a0b7ad605dd82")
+
+    def test_pinned_coverage_file_digest(self, tmp_path):
+        """The committed coverage config at 4 per intent, whole file: 16-QAM,
+        adversary powers 0.25, 0.5 and 2.0 W and noise at -55 and -58 dBW, a
+        space and a constellation that the pins above leave at their defaults."""
+        path = tmp_path / "coverage.cpad"
+        build_dataset(path, dataclasses.replace(load_config(COVERAGE), train_per_kind=4))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0b0fd4a4312b44a8b38fe8094dcb2cd7449583360ce351e4e382553445e05a5f")
 
     def test_file_of_the_record_list_layout_exits_with_data_code(self, tmp_path, capsys):
         """A file whose records are a JSON list in the metadata, as files were
@@ -612,7 +622,7 @@ class TestCli:
         config = mini_config(train_per_kind=1)
         rng, n = np.random.default_rng(30), config.frame.sample_len
         series = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
-        block = np.stack([feature_tensor(s, config.frame, config.feature).data for s in series])
+        block = np.stack([feature_tensor(s, config.frame, config.feature)[0] for s in series])
         data, npz = tmp_path / "three.cpad", tmp_path / "one.npz"
         write_dataset(data, config, np.full((3, 7), 0.1), block.astype("<f4"))
         npz.write_bytes(_npz_bytes(samples=series[0]))
@@ -1015,6 +1025,21 @@ class TestCliExitCodes:
             Dataset(data)
         _every_dataset_reader_refuses(capsys, data, ckpt, out, message)
 
+    def test_tensors_of_another_shape_than_the_recipe_exit_with_data_code(
+            self, tmp_path, capsys, save_untrained):
+        """A block of (8, 8, 3) tensors under a 16x16 recipe is refused when it
+        is opened, naming the file and both shapes; it used to load, and the
+        commands exited only through the model's input-shape message, which
+        names no file."""
+        data, ckpt, out = tmp_path / "small.cpad", tmp_path / "m.ckpt", tmp_path / "out"
+        config = mini_config(train_per_kind=2)
+        write_dataset(data, config, build_records(config)[0], np.zeros((6, 8, 8, 3), "<f4"))
+        save_untrained(ckpt, config.net)
+        message = f"{data}: the tensors are of shape (8, 8, 3), its config makes (16, 16, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(data)
+        _every_dataset_reader_refuses(capsys, data, ckpt, out, message)
+
     def test_record_count_other_than_the_recipe_exits_with_data_code(self, tmp_path, capsys,
                                                                     save_untrained):
         """A header whose train_per_kind misstates its record count, as one of
@@ -1066,9 +1091,10 @@ class TestCliExitCodes:
         ("legit_powers_w", [0.5, -1.0]), ("legit_distances_m", [750e3, 0.0]),
         ("obfuscation_prob", 2.0), ("obfuscation_prob", math.nan),
         ("estimation_error", -0.5), ("tx_efficiency", 0.0),
+        ("noise_dbw_levels", [-56.0, -4000.0]), ("noise_dbw_levels", [4000.0]),
     ], ids=["adversary_power=-1", "adversary_distance=0", "second_legit_power=-1",
             "second_legit_distance=0", "obfuscation_prob=2", "obfuscation_prob=nan",
-            "estimation_error=-0.5", "tx_efficiency=0"])
+            "estimation_error=-0.5", "tx_efficiency=0", "noise_dbw=-4000", "noise_dbw=4000"])
     def test_bad_space_value_exits_before_the_build(self, tmp_path, capsys, monkeypatch,
                                                     key, value):
         """Every value a draw would refuse is refused when the config loads, named

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpaware import features
-from cpaware.channel import NoiseConfig, awgn
+from cpaware.channel import awgn
 from cpaware.features import (
     EXTREMA_THREAD_PIXELS,
+    RANGE_COLUMNS,
     FeatureConfig,
+    feature_shape,
     feature_tensor,
     local_extrema,
     spectrogram,
@@ -71,6 +73,12 @@ def stacked_feature_tensor(received: np.ndarray, frame: FrameConfig, radius: int
     hi = stack.max(axis=(0, 1))
     span = np.where(hi > lo, hi - lo, 1.0)
     return (stack - lo) / span, lo, hi
+
+
+def denormalize(data: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """The raw-magnitude stack, recovered from ``feature_tensor``'s ranges."""
+    lo, hi = ranges[:3], ranges[3:]
+    return data * (hi - lo) + lo
 
 
 @pytest.fixture
@@ -134,7 +142,7 @@ class TestSpectrogram:
     def test_noise_spectrogram_has_no_dead_column(self):
         """Column means of a pure-noise spectrogram all sit near the average."""
         frame = FrameConfig(64, 0, 64)
-        noise = awgn(64 * 64, NoiseConfig(-56.0), np.random.default_rng(3))
+        noise = awgn(64 * 64, 10.0 ** (-56.0 / 10.0), np.random.default_rng(3))
         spec = spectrogram(noise, frame)
         column_means = spec.mean(axis=0)
         assert column_means.min() > 0.5 * column_means.mean()
@@ -298,14 +306,14 @@ class TestFeatureTensor:
                 + 1j * rng.normal(size=self.FRAME.sample_len))
 
     def test_shape_and_range(self):
-        tensor = feature_tensor(self._sample(), self.FRAME, FeatureConfig(2))
-        assert tensor.shape == (12, 16, 3)
-        assert tensor.data.min() >= 0.0
-        assert tensor.data.max() <= 1.0
+        data, ranges = feature_tensor(self._sample(), self.FRAME, FeatureConfig(2))
+        assert data.shape == feature_shape(self.FRAME) == (12, 16, 3)
+        assert ranges.shape == (len(RANGE_COLUMNS),) == (6,)
+        assert data.min() >= 0.0
+        assert data.max() <= 1.0
 
     def test_channel_ordering_before_normalization(self):
-        tensor = feature_tensor(self._sample(1), self.FRAME, FeatureConfig(2))
-        raw = tensor.denormalize()
+        raw = denormalize(*feature_tensor(self._sample(1), self.FRAME, FeatureConfig(2)))
         assert np.all(raw[:, :, 1] >= raw[:, :, 0] - 1e-12)
         assert np.all(raw[:, :, 0] >= raw[:, :, 2] - 1e-12)
 
@@ -315,18 +323,17 @@ class TestFeatureTensor:
         from cpaware.ofdm import remove_cp
 
         received = self._sample(2)
-        tensor = feature_tensor(received, self.FRAME, FeatureConfig(2))
+        features = feature_tensor(received, self.FRAME, FeatureConfig(2))
         spec = spec_fn(remove_cp(received, self.FRAME), self.FRAME)
         sup, inf = extrema(spec, 2)
         raw = np.stack([spec, sup, inf], axis=-1)
-        np.testing.assert_allclose(tensor.denormalize(), raw, atol=1e-6)
+        np.testing.assert_allclose(denormalize(*features), raw, atol=1e-6)
 
     def test_constant_channel_roundtrip(self):
         # A lone tone gives a constant supremum map at small radii.
         frame = FrameConfig(4, 0, 4)
         series = np.ones(16, dtype=complex)
-        tensor = feature_tensor(series, frame, FeatureConfig(0))
-        round_tripped = tensor.denormalize()
+        round_tripped = denormalize(*feature_tensor(series, frame, FeatureConfig(0)))
         spec = spectrogram(series, frame)
         np.testing.assert_allclose(round_tripped[:, :, 0], spec, atol=1e-9)
 
@@ -348,12 +355,13 @@ class TestFeatureTensor:
             series = np.tile(np.fft.ifft([1.0, 2, 3, 4, 9, 5, 6, 7]), 2)
         else:
             series = np.zeros(frame.sample_len, dtype=complex)
-        tensor = feature_tensor(series, frame, FeatureConfig(radius))
+        got, ranges = feature_tensor(series, frame, FeatureConfig(radius))
         data, lo, hi = stacked_feature_tensor(series, frame, radius)
         constant = hi == lo
         assert list(constant) == {"noise": [False] * 3, "one-constant": [False, True, False],
                                   "zeros": [True] * 3}[name]
-        assert tensor.data.dtype == data.dtype and tensor.data.shape == data.shape
-        np.testing.assert_array_equal(tensor.data.view(np.uint64), data.view(np.uint64))
-        np.testing.assert_array_equal(tensor.channel_min.view(np.uint64), lo.view(np.uint64))
-        np.testing.assert_array_equal(tensor.channel_max.view(np.uint64), hi.view(np.uint64))
+        assert got.dtype == data.dtype and got.shape == data.shape
+        np.testing.assert_array_equal(got.view(np.uint64), data.view(np.uint64))
+        assert ranges.dtype == lo.dtype and ranges.shape == (6,)
+        np.testing.assert_array_equal(ranges[:3].view(np.uint64), lo.view(np.uint64))
+        np.testing.assert_array_equal(ranges[3:].view(np.uint64), hi.view(np.uint64))

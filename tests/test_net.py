@@ -135,18 +135,38 @@ def conv_loop_reference(x, weight):
     return out, xp
 
 
+def exact_products(a, b):
+    """Four arrays whose sum is ``a * b`` without rounding: Veltkamp's split
+    by 2**27 + 1 leaves each half 26 significant bits, so each product of
+    halves is exact in float64."""
+    def split(v):
+        t = v * 134217729.0
+        hi = t - (t - v)
+        return hi, v - hi
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    return a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo
+
+
 def conv_loop_backward(xp, weight, dout):
-    """Its adjoints, one output pixel at a time."""
+    """Its adjoints: the input gradient one output pixel at a time, the kernel
+    gradient per entry as the correctly rounded ``math.fsum`` of its exact
+    products, so the oracle carries no rounding of its own summation order."""
     k = weight.shape[0]
     p = k // 2
-    dw = np.zeros_like(weight)
+    _, ho, wo, n_out = dout.shape
+    grad = dout.reshape(-1, 1, n_out)
+    dw = np.empty_like(weight)
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, i: i + ho, j: j + wo, :].reshape(-1, xp.shape[3], 1)
+            terms = np.concatenate(exact_products(patch, grad))  # (4 * pixels, C, O)
+            dw[i, j] = [[math.fsum(entry) for entry in row]
+                        for row in terms.transpose(1, 2, 0).tolist()]
     dxp = np.zeros_like(xp)
-    for r in range(dout.shape[1]):
-        for c in range(dout.shape[2]):
-            rows = slice(r, r + k)
-            cols = slice(c, c + k)
-            dw += np.einsum("bijc,bo->ijco", xp[:, rows, cols, :], dout[:, r, c, :])
-            dxp[:, rows, cols, :] += np.einsum("ijco,bo->bijc", weight, dout[:, r, c, :])
+    for r in range(ho):
+        for c in range(wo):
+            dxp[:, r: r + k, c: c + k, :] += np.einsum("ijco,bo->bijc", weight,
+                                                       dout[:, r, c, :])
     return dw, dxp[:, p: xp.shape[1] - p, p: xp.shape[2] - p, :]
 
 

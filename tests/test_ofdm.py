@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cpaware.channel import NoiseConfig, awgn
+from cpaware.channel import awgn
 from cpaware.ofdm import (
     FrameConfig,
     compute_ber,
@@ -265,14 +265,14 @@ class TestAwgnBerPhysics:
         expected = stats.norm.sf(math.sqrt(2.0 * eb_n0))  # ~1.25e-2
         cfg = FrameConfig(512, 0, 100, qam_order=4)
         # Unit symbol energy, 2 bits/symbol: N0 = (Es / 2) / (Eb/N0).
-        noise = NoiseConfig.from_linear(0.5 / eb_n0)
+        noise_w = 0.5 / eb_n0
         rng = np.random.default_rng(2024)
         errors = 0
         total = 0
         while total < 1_000_000:
             bits = random_bits(cfg.bits_per_sample, rng)
             tx = ofdm_modulate(qam_modulate(bits, cfg), cfg)
-            rx = tx + awgn(tx.size, noise, rng)
+            rx = tx + awgn(tx.size, noise_w, rng)
             decoded = qam_demodulate(ofdm_demodulate(rx, 1.0, cfg), cfg)
             errors += int(np.sum(decoded != bits))
             total += bits.size

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cpaware import threats
 from cpaware.assessment import write_report
-from cpaware.channel import LinkBudget, NoiseConfig, awgn, channel_gain
+from cpaware.channel import LinkBudget, channel_gain
 from cpaware.ofdm import (
     FrameConfig,
     compute_ber,
@@ -42,7 +43,7 @@ def scenario(kind, *, legit_d=500e3, adv_d=750e3, adv_p=0.5, noise_dbw=-56.0,
     if kind is not ThreatKind.NON_ADVERSARIAL:
         adversary = legit_link(distance_m=adv_d, power_w=adv_p)
     return ThreatScenario(kind=kind, legit_link=legit_link(distance_m=legit_d),
-                          noise=NoiseConfig(noise_dbw), frame=frame,
+                          noise_dbw=noise_dbw, frame=frame,
                           adversary_link=adversary, obfuscation_prob=p_obf,
                           estimation_error=est_err)
 
@@ -113,7 +114,7 @@ class TestNonAdversarial:
         sample = generate_sample(sc, seed=5)
 
         amp = math.sqrt(0.5) * channel_gain(sc.legit_link)
-        snr = 0.5 * channel_gain(sc.legit_link) ** 2 / sc.noise.linear_variance
+        snr = 0.5 * channel_gain(sc.legit_link) ** 2 / 10.0 ** (sc.noise_dbw / 10.0)
         rng = np.random.default_rng(99)
         errors = total = 0
         for _ in range(20):
@@ -156,10 +157,27 @@ class TestDisruptive:
         ber = _decode(sample.received, parts["legit_amp"], parts["legit_bits"])
         assert sample.raw_ber == ber
 
+    def test_jam_term_takes_the_adversary_power_in_watts(self):
+        """At adversary power 0.3 W the jammer term is
+        ``channel_gain * mask * sqrt(0.3 / 2) * (a + jb)`` of the jammer and
+        obfuscation streams, bit for bit.  A dB round trip of 0.3 lands one
+        ULP off, and with it the waveform's scale."""
+        sc = scenario(ThreatKind.DISRUPTIVE, adv_p=0.3)
+        seed, length = 5, FRAME.sample_len
+        jammer = threats._stream(seed, threats._STREAM_JAMMER)
+        waveform = np.empty(length, dtype=complex)
+        waveform.real = jammer.standard_normal(length)
+        waveform.imag = jammer.standard_normal(length)
+        waveform *= math.sqrt(0.3 / 2.0)
+        mask = threats._stream(seed, threats._STREAM_OBFUSCATION).binomial(1, 0.5, size=length)
+        expected = channel_gain(sc.adversary_link) * mask * waveform
+        got = generate_components(sc, seed)["jam_term"]
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_requires_adversary_link(self):
         with pytest.raises(ValueError, match="adversary"):
             ThreatScenario(kind=ThreatKind.DISRUPTIVE, legit_link=legit_link(),
-                           noise=NoiseConfig(-56.0), frame=FRAME)
+                           noise_dbw=-56.0, frame=FRAME)
 
 
 def _decode(received, amplitude, ref_bits) -> float:
@@ -222,22 +240,36 @@ class TestDeceptive:
         assert np.mean(np.abs(sample.received) ** 2) == pytest.approx(
             noise_energy, rel=1e-6
         )
-        assert noise_energy == pytest.approx(sc.noise.linear_variance, rel=0.05)
+        assert noise_energy == pytest.approx(10.0 ** (sc.noise_dbw / 10.0), rel=0.05)
 
 
 class TestScenarioSpace:
     def test_draw_respects_value_sets(self):
         space = ScenarioSpace()
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            sc = space.draw(ThreatKind.DISRUPTIVE, FRAME, rng)
+        for seed in range(20):
+            sc = space.draw(ThreatKind.DISRUPTIVE, FRAME, seed)
             assert sc.legit_link.tx_power_w in space.legit_powers_w
             assert sc.legit_link.distance_m in space.legit_distances_m
             assert sc.adversary_link.tx_power_w in space.adversary_powers_w
             assert sc.adversary_link.distance_m in space.adversary_distances_m
-            assert sc.noise.variance_dbw in space.noise_dbw_levels
-        benign = space.draw(ThreatKind.NON_ADVERSARIAL, FRAME, rng)
+            assert sc.noise_dbw in space.noise_dbw_levels
+        benign = space.draw(ThreatKind.NON_ADVERSARIAL, FRAME, 20)
         assert benign.adversary_link is None
+
+    def test_draw_picks_from_the_seed_scenario_stream(self):
+        """A draw picks legit power, legit distance, adversary power, adversary
+        distance and noise level, in that order, from ``default_rng([seed, 5])``,
+        a stream that no generator of the sample consumes."""
+        space = ScenarioSpace(legit_powers_w=(0.5, 1.0), adversary_powers_w=(0.25, 0.5, 2.0))
+        for seed in (0, 7, 2**63 + 5):
+            rng = np.random.default_rng([seed, 5])
+            picks = [values[rng.integers(len(values))] for values in (
+                space.legit_powers_w, space.legit_distances_m, space.adversary_powers_w,
+                space.adversary_distances_m, space.noise_dbw_levels)]
+            sc = space.draw(ThreatKind.DECEPTIVE, FRAME, seed)
+            assert [sc.legit_link.tx_power_w, sc.legit_link.distance_m,
+                    sc.adversary_link.tx_power_w, sc.adversary_link.distance_m,
+                    sc.noise_dbw] == picks
 
     def test_rejects_empty_sets(self):
         with pytest.raises(ValueError):
