@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .threats import INTENT_NAMES, ThreatKind
+from .ofdm import FrameConfig
+from .threats import INTENT_NAMES, ThreatKind, label_log_ber
 
 CAPABILITY_NAMES = ("high", "moderate", "low")
 ONE_HOT_BITS = ("100", "010", "001")
@@ -93,21 +94,22 @@ def assess(intent_idx, log_ber_pred,
     return capability, THREAT_SCALE[intent_idx, capability]
 
 
-def unreachable_scales(bits_per_sample: int,
+def unreachable_scales(frame: FrameConfig,
                        thresholds: AssessmentThresholds = DEFAULT_THRESHOLDS) -> list[int]:
-    """Grades that no true label of a frame with this many bits can take.
+    """Grades that no true label of a sample of ``frame`` can take.
 
-    A label is log10(k / bits) for k = 1..bits errors (``label_log_ber``
-    floors k = 0 at one), and the BER category is monotone in k, so every
-    reachable grade shows at k = 1, at k = bits or at one of the three
-    counts from ``floor(threshold * bits)`` up (the third in case round-off
-    moves a count that lies on a threshold to the other side).
+    A label is ``label_log_ber(k / bits, frame)`` for k = 0..bits errors,
+    which floors k = 0 at one, and the BER category is monotone in k, so
+    every reachable grade shows at k = 1, at k = bits or at one of the
+    three counts from ``floor(threshold * bits)`` up (the third in case
+    round-off moves a count that lies on a threshold to the other side).
     """
-    counts = {1, bits_per_sample}
+    bits = frame.bits_per_sample
+    counts = {1, bits}
     for threshold in (thresholds.low_ber, thresholds.high_ber):
-        base = math.floor(threshold * bits_per_sample)
-        counts.update(min(max(k, 1), bits_per_sample) for k in (base, base + 1, base + 2))
-    log_ber = [float(np.log10(k / bits_per_sample)) for k in sorted(counts)]
+        base = math.floor(threshold * bits)
+        counts.update(min(k, bits) for k in (base, base + 1, base + 2))
+    log_ber = [label_log_ber(k / bits, frame) for k in sorted(counts)]
     _, scale = assess(np.repeat(np.arange(len(ThreatKind)), len(log_ber)),
                       log_ber * len(ThreatKind), thresholds)
     return sorted(set(range(N_SCALES)) - set(scale.tolist()))

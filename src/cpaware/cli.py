@@ -93,7 +93,7 @@ def _add_assess(sub):
     p.add_argument("--ckpt", required=True)
     p.add_argument("--input", required=True,
                    help="dataset file, or .npz with a complex 'samples' series")
-    p.add_argument("--config", help="experiment config JSON (required for .npz input)")
+    p.add_argument("--config", help="config JSON for .npz input (required; a dataset holds its own)")
     p.add_argument("--out", required=True)
     p.add_argument("--high-ber", type=float, default=DEFAULT_THRESHOLDS.high_ber)
     p.add_argument("--low-ber", type=float, default=DEFAULT_THRESHOLDS.low_ber)
@@ -152,6 +152,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
     if args.mode == "multitask":
         for flag in ("ckpt2", "theta"):
             if getattr(args, flag) is not None:
@@ -165,7 +166,6 @@ def cmd_eval(args) -> int:
             raise ValueError("--rows-out holds the rows of one --theta; give a single value")
     ds = Dataset(args.dataset)
     tensors, intent_idx, log_ber, _ = ds.load_arrays()
-    thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
     if args.mode == "multitask":
         model, _, _ = load_model(args.ckpt)
         report, rows = evaluate_multitask(model, tensors, intent_idx, log_ber, thresholds)
@@ -179,7 +179,7 @@ def cmd_eval(args) -> int:
             print("\n".join(summary_lines(report, label)))
             print(f"  classifier invocations: {assessor.classifier_invocations}"
                   f" / {len(rows)} (gated {assessor.gated_count})")
-    unreachable = unreachable_scales(ds.config.frame.bits_per_sample, thresholds)
+    unreachable = unreachable_scales(ds.config.frame, thresholds)
     if unreachable:
         print("  unreachable scales at this frame and thresholds: "
               + ", ".join(map(str, unreachable)))
@@ -189,12 +189,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_assess(args) -> int:
-    model = _load_trained(args.ckpt, "multitask")
     thresholds = AssessmentThresholds(high_ber=args.high_ber, low_ber=args.low_ber)
+    model = _load_trained(args.ckpt, "multitask")
     path = Path(args.input)
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
     if head == MAGIC:
+        if args.config:
+            raise ValueError("--config is for .npz input; a dataset carries its own config")
         tensors, _, _, _ = Dataset(path).load_arrays()
     else:
         if head != b"PK\x03\x04":  # an .npz is a zip archive
@@ -215,6 +217,9 @@ def cmd_assess(args) -> int:
         if samples.ndim != 1:
             raise ValueError(f"{path}: 'samples' must be one 1-D series, "
                              f"not an array of shape {samples.shape}")
+        if samples.size != config.frame.sample_len:
+            raise ValueError(f"{path}: 'samples' must be one frame of "
+                             f"{config.frame.sample_len} samples, not {samples.size}")
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"{path}: 'samples' must be finite")
         data, _ = feature_tensor(samples, config.frame, config.feature)

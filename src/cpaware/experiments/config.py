@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..features import FeatureConfig, feature_shape
@@ -21,6 +21,8 @@ from ..net.model import NetworkConfig
 from ..ofdm import FrameConfig
 from ..tensorfile import from_json
 from ..threats import ScenarioSpace
+
+_DESK_FRAME = FrameConfig(64, 8, 64)
 
 
 @dataclass(frozen=True)
@@ -41,11 +43,11 @@ class ExperimentConfig:
     master_seed: int = 1
     # Samples per intent of the set built from this config, a train or a test set.
     train_per_kind: int = 200
-    frame: FrameConfig = field(default_factory=lambda: FrameConfig(64, 8, 64))
-    feature: FeatureConfig = field(default_factory=lambda: FeatureConfig(3))
-    space: ScenarioSpace = field(default_factory=ScenarioSpace)
-    net: NetworkConfig = field(default_factory=lambda: NetworkConfig((64, 64, 3)))
-    regime: TrainRegime = field(default_factory=TrainRegime)
+    frame: FrameConfig = _DESK_FRAME
+    feature: FeatureConfig = FeatureConfig(3)
+    space: ScenarioSpace = ScenarioSpace()
+    net: NetworkConfig = NetworkConfig(feature_shape(_DESK_FRAME))
+    regime: TrainRegime = TrainRegime()
 
     def __post_init__(self) -> None:
         if self.train_per_kind <= 0:
@@ -67,11 +69,12 @@ def desk_config(**overrides) -> ExperimentConfig:
 
 def full_scale_config(**overrides) -> ExperimentConfig:
     """Full frame geometry and sample counts; hours of CPU, not minutes."""
+    frame = FrameConfig(512, 64, 600)
     base = ExperimentConfig(
         train_per_kind=3600,
-        frame=FrameConfig(512, 64, 600),
+        frame=frame,
         feature=FeatureConfig(15),
-        net=NetworkConfig((600, 512, 3)),
+        net=NetworkConfig(feature_shape(frame)),
     )
     return dataclasses.replace(base, **overrides)
 

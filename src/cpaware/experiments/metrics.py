@@ -117,14 +117,14 @@ def evaluate_sequential(regressor: MultitaskNet, classifier: MultitaskNet, theta
                         ) -> list[tuple[SequentialAssessor, dict, list[dict]]]:
     """``(assessor, report, rows)`` of the cascade at each gate threshold; one
     classifier pass serves them all and loss_cls, which scores it on every
-    sample, gated or not."""
+    sample, gated or not.  Every threshold is checked before that pass."""
     check_same_backbone(regressor, classifier)
+    assessors = [SequentialAssessor(regressor, theta) for theta in thetas]
     probs, _ = classifier.predict_batched(tensors)
     loss_cls = focal_loss(one_hot_labels(intent_idx), probs, classifier.config.focal_gamma)
     _, true_scales = assess(intent_idx, log_ber, thresholds)
     results = []
-    for theta in thetas:
-        assessor = SequentialAssessor(regressor, theta)
+    for assessor in assessors:
         pred_idx, rho_hat, gated = assessor.assess_batch(tensors, probs)
         rows = _make_rows(pred_idx, rho_hat, probs, gated, intent_idx, log_ber, true_scales,
                           thresholds)

@@ -13,10 +13,10 @@ not be past its schedule: a checkpoint whose step count exceeds epochs x
 steps per epoch is refused, and one at the end resumes to no step.
 
 A step computes in the dtype of its batch (see ``net.model``): a float32
-dataset trains in float32, float64 arrays in float64.  The losses, the
-gradients fed to the optimizer, the Adam moments and the parameters are
-float64 either way, so a checkpoint's layout and dtypes do not depend on
-the data's dtype.
+dataset trains in float32, float64 arrays in float64.  The model hands out
+float64 outputs and gradients either way, so the losses, the Adam update
+and the parameters are float64, the loop never names the compute dtype,
+and a checkpoint's layout and dtypes do not depend on the data's dtype.
 
 Tasks:
 
@@ -113,8 +113,7 @@ def train_step(model: MultitaskNet, x: np.ndarray, intent_one_hot: np.ndarray,
                       cfg.l2_coeff)
 
     params = model.named_params()
-    # A float32 step leaves float32 gradients; the update runs in float64.
-    grads = {name: g.astype(float, copy=False) for name, g in model.named_grads().items()}
+    grads = model.named_grads()
     for name in model.kernel_names():
         grads[name] = grads[name] + 2.0 * cfg.l2_coeff * params[name]
     optimizer.step(params, grads)

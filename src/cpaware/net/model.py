@@ -16,8 +16,8 @@ float64 is the reference path of the finite-difference gradient checks.
 The parameters, the batch-norm running statistics and the optimizer stay
 float64 whatever the input (mixed precision as in Micikevicius et al.
 2018, "Mixed precision training", ICLR): the layers cast the parameters
-where they use them, and the heads' outputs are cast to float64, so the
-losses and everything downstream see float64.
+where they use them, and the outputs and ``named_grads`` are cast to
+float64, so the losses, Adam and everything downstream see float64.
 
 Weights follow the He normal scheme (variance 2 / fan_in).  The dense
 heads start with zero biases; the convolutions have none, since the
@@ -113,7 +113,7 @@ class MultitaskNet:
         return self._named("params")
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        return self._named("grads")
+        return {name: g.astype(float, copy=False) for name, g in self._named("grads").items()}
 
     def named_state(self) -> dict[str, np.ndarray]:
         """Non-trainable state (batch-norm running statistics)."""

@@ -4,10 +4,11 @@ Conventions, fixed so that bit-level results are reproducible:
 
 * Square QAM alphabets (4/16/64) are normalized to unit average power.
 * Gray labelling is per axis.  Each axis takes ``k = log2(sqrt(order))``
-  bits, interpreted MSB-first as an integer ``v``; the axis amplitude is
-  ``(sqrt(order) - 1) - 2 * gray_decode(v)`` before normalization.  The
-  first ``k`` bits of a symbol label select the in-phase axis, the last
-  ``k`` the quadrature axis.  For 4-QAM this yields
+  bits, read MSB-first as an integer label.  The ``g``-th amplitude from
+  the top, ``(sqrt(order) - 1) - 2 * g`` before normalization, has the
+  Gray label ``g ^ (g >> 1)``, by which the slicer labels its decisions
+  too.  The first ``k`` bits of a symbol label select the in-phase axis,
+  the last ``k`` the quadrature axis.  For 4-QAM this yields
 
       00 -> (+1+1j)/sqrt(2)    01 -> (+1-1j)/sqrt(2)
       10 -> (-1+1j)/sqrt(2)    11 -> (-1-1j)/sqrt(2)
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,13 +74,9 @@ class FrameConfig:
         return self.n_symbols * self.block_len
 
 
-def _gray_decode(value: int) -> int:
-    """Invert the reflected binary (Gray) code."""
-    mask = value >> 1
-    while mask:
-        value ^= mask
-        mask >>= 1
-    return value
+def _gray(g):
+    """The reflected binary (Gray) code of ``g``, an int or an integer array."""
+    return g ^ (g >> 1)
 
 
 def _axis_geometry(order: int) -> tuple[int, float]:
@@ -88,21 +84,17 @@ def _axis_geometry(order: int) -> tuple[int, float]:
     return int(round(math.sqrt(order))), math.sqrt(2.0 * (order - 1) / 3.0)
 
 
-@lru_cache(maxsize=None)
 def qam_alphabet(order: int) -> np.ndarray:
     """Unit-average-power constellation, indexed by the MSB-first bit label."""
     if order not in _QAM_ORDERS:
         raise ValueError(f"qam_order must be one of {_QAM_ORDERS}")
     side, scale = _axis_geometry(order)
-    k = int(math.log2(side))
     # Amplitude per axis label; descending so the all-zero label is positive.
-    axis = np.array([(side - 1) - 2 * _gray_decode(v) for v in range(side)], dtype=float)
-    points = np.empty(order, dtype=complex)
-    for i_bits in range(side):
-        for q_bits in range(side):
-            points[(i_bits << k) | q_bits] = (axis[i_bits] + 1j * axis[q_bits]) / scale
-    points.setflags(write=False)
-    return points
+    g = np.arange(side)
+    axis = np.empty(side)
+    axis[_gray(g)] = (side - 1) - 2 * g
+    i_bits, q_bits = np.divmod(np.arange(order), side)
+    return (axis[i_bits] + 1j * axis[q_bits]) / scale
 
 
 def qam_modulate(bits: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -129,8 +121,8 @@ def qam_demodulate(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
 
     Square QAM's nearest point is the nearest amplitude on each axis, so
     each axis is sliced on its own: ``g = rint(((side - 1) - x * scale) / 2)``
-    clipped to the alphabet, whose Gray label is ``g ^ (g >> 1)``.  A point
-    exactly between two amplitudes (the origin, say) takes the smaller
+    clipped to the alphabet, and the axis label is the Gray code of ``g``.
+    A point exactly between two amplitudes (the origin, say) takes the smaller
     label, as a first-minimum search over the whole alphabet would.
     """
     _check_grid(grid, cfg)
@@ -140,11 +132,11 @@ def qam_demodulate(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     def axis_labels(x: np.ndarray) -> np.ndarray:
         t = np.clip(((side - 1) - x * scale) / 2, 0, side - 1)
         g = np.rint(t).astype(np.int64)
-        labels = g ^ (g >> 1)
+        labels = _gray(g)
         lo = np.floor(t)
         tie = t - lo == 0.5
         lo = lo[tie].astype(np.int64)
-        labels[tie] = np.minimum(lo ^ (lo >> 1), (lo + 1) ^ ((lo + 1) >> 1))
+        labels[tie] = np.minimum(_gray(lo), _gray(lo + 1))
         return labels
 
     bps = cfg.bits_per_symbol

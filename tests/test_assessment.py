@@ -229,15 +229,15 @@ def brute_force_unreachable(frame: FrameConfig, thresholds) -> list[int]:
 
 class TestUnreachableScales:
     def test_desk_frame_cannot_reach_low_ber(self):
-        assert unreachable_scales(FrameConfig(64, 8, 64).bits_per_sample) == [0, 5]
+        assert unreachable_scales(FrameConfig(64, 8, 64)) == [0, 5]
 
     @pytest.mark.parametrize("frame", [FrameConfig(512, 64, 600), FrameConfig(64, 8, 64, 16)],
                              ids=["full", "16qam-desk"])
     def test_every_grade_reachable(self, frame):
-        assert unreachable_scales(frame.bits_per_sample) == []
+        assert unreachable_scales(frame) == []
 
     def test_floor_above_high_threshold(self):
-        assert unreachable_scales(FrameConfig(8, 1, 4).bits_per_sample) == [0, 1, 3, 5, 6]
+        assert unreachable_scales(FrameConfig(8, 1, 4)) == [0, 1, 3, 5, 6]
 
     @pytest.mark.parametrize("frame", [FrameConfig(16, 2, 16), FrameConfig(8, 1, 4)],
                              ids=["512-bit", "64-bit"])
@@ -248,5 +248,5 @@ class TestUnreachableScales:
         AssessmentThresholds(high_ber=3 / 512, low_ber=float(np.nextafter(1 / 512, 0))),
     ], ids=["default", "custom", "exact", "round-off"])
     def test_matches_brute_force_oracle(self, frame, thresholds):
-        assert (unreachable_scales(frame.bits_per_sample, thresholds)
+        assert (unreachable_scales(frame, thresholds)
                 == brute_force_unreachable(frame, thresholds))

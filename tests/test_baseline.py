@@ -141,3 +141,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="backbone"):
             evaluate_sequential(regressor, classifier, [1e-2, 1e-3], features(),
                                 np.zeros(12, dtype=int), np.full(12, -1.0))
+
+    def test_sweep_checks_every_threshold_before_the_classifier_pass(self):
+        """A threshold out of (0, 1) anywhere in the sweep is refused before
+        either model runs a pass."""
+        regressor, classifier = make_models(9)
+        passes = []
+
+        def counted(predict):
+            def run(x):
+                passes.append(len(x))
+                return predict(x)
+            return run
+
+        regressor.predict_batched = counted(regressor.predict_batched)
+        classifier.predict_batched = counted(classifier.predict_batched)
+        with pytest.raises(ValueError, match="threshold_ber"):
+            evaluate_sequential(regressor, classifier, [1e-2, 2.0], features(),
+                                np.zeros(12, dtype=int), np.full(12, -1.0))
+        assert passes == []

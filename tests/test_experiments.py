@@ -359,7 +359,7 @@ class TestCoverageConfig:
         intents, log_ber = record_labels(config, build_records(config)[0])
         counts = np.bincount(assess(intents, log_ber)[1], minlength=8).tolist()
         assert counts == [66, 40, 94, 24, 176, 52, 19, 129]
-        assert unreachable_scales(config.frame.bits_per_sample) == []
+        assert unreachable_scales(config.frame) == []
 
 
 class TestMetricHelpers:
@@ -857,12 +857,16 @@ class TestCliExitCodes:
         (lambda n: np.ones((2, n), complex), "1-D series, not an array of shape (2, "),
         (lambda n: np.full(n, np.nan + 0j), "must be finite"),
         (lambda n: np.r_[np.ones(n - 1), np.inf].astype(complex), "must be finite"),
-    ], ids=["two-series", "all-nan", "one-inf"])
+        (lambda n: np.ones(0, complex), "one frame of 288 samples, not 0"),
+        (lambda n: np.ones(100, complex), "one frame of 288 samples, not 100"),
+        (lambda n: np.ones(2 * n, complex), "one frame of 288 samples, not 576"),
+    ], ids=["two-series", "all-nan", "one-inf", "empty", "100-samples", "two-frames"])
     def test_npz_samples_not_one_finite_series_exit_with_data_code(
             self, tmp_path, capsys, inputs, save_untrained, make, message):
-        """A 2-D 'samples' array is not flattened into one series, and a
-        non-finite one is refused before the features: both exit 4 with a
-        message naming the file and the array."""
+        """A 2-D 'samples' array is not flattened into one series, one that is
+        not one frame long is refused with both lengths, and a non-finite one
+        is refused before the features: each exits 4 with a message naming
+        the file and the array."""
         ckpt, npz, report = tmp_path / "m.ckpt", tmp_path / "in.npz", tmp_path / "r.csv"
         save_untrained(ckpt, mini_config().net)
         npz.write_bytes(_npz_bytes(samples=make(mini_config().frame.sample_len)))
@@ -872,6 +876,33 @@ class TestCliExitCodes:
         assert f"{npz}: 'samples' " in err
         assert message in err
         assert not report.exists()
+
+    def test_config_with_a_dataset_input_exits_with_data_code(self, tmp_path, capsys, inputs,
+                                                              save_untrained):
+        """A dataset carries its own config, so assess refuses --config for one
+        rather than ignore it unopened."""
+        ckpt, report = tmp_path / "m.ckpt", tmp_path / "r.csv"
+        save_untrained(ckpt, mini_config().net)
+        assert cli_main(["assess", "--ckpt", str(ckpt), "--input", inputs["train"][1],
+                         "--config", str(tmp_path / "missing.json"),
+                         "--out", str(report)]) == 4
+        assert "--config is for .npz input" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--dataset", "MISSING", "--ckpt", "MISSING"],
+        ["baseline", "--dataset", "MISSING", "--ckpt", "MISSING", "--ckpt2", "MISSING"],
+        ["assess", "--input", "MISSING", "--ckpt", "MISSING", "--out", "MISSING"],
+    ], ids=["eval", "baseline", "assess"])
+    def test_bad_thresholds_exit_with_data_code_before_any_file(self, tmp_path, capsys,
+                                                                argv):
+        """The grading thresholds are checked before a file is opened: equal
+        ones exit 4 even where every file is missing, which would exit 3."""
+        missing = tmp_path / "missing"
+        argv = [str(missing) if arg == "MISSING" else arg for arg in argv]
+        assert cli_main(argv + ["--high-ber", "1e-3", "--low-ber", "1e-3"]) == 4
+        assert "low_ber < high_ber" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_checkpoint_of_another_input_shape_exits_with_data_code(self, tmp_path, capsys,
                                                                     inputs):

@@ -1,5 +1,6 @@
 """Tests for the QAM/OFDM baseband chain."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -84,6 +85,15 @@ class TestQamMapping:
         alphabet = qam_alphabet(order)
         assert alphabet.size == order
         np.testing.assert_allclose(np.mean(np.abs(alphabet) ** 2), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("order, digest", [
+        (4, "db860e05d78202f159e28f16fbe26c8e060fc8c65c4b872c8bb3f7fc5915071e"),
+        (16, "76a51a7540737fc5fdeee017f325993c9c95afaf275dc32606e8f28c84ecd651"),
+        (64, "1f1f21a0d8cae4f3366f29dc3cd762db6415b8d40951223fafcc74d5f5eb35b0"),
+    ])
+    def test_alphabet_bytes_pinned(self, order, digest):
+        """Every point of every alphabet, to the bit: the datasets' bytes start here."""
+        assert hashlib.sha256(qam_alphabet(order).tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_gray_property_exhaustive(self, order):
