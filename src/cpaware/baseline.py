@@ -27,6 +27,12 @@ from .net.model import MultitaskNet
 from .threats import ThreatKind
 
 
+def check_threshold(threshold_ber: float) -> None:
+    """A gate threshold is a linear BER strictly between 0 and 1."""
+    if not 0.0 < threshold_ber < 1.0:
+        raise ValueError(f"threshold_ber must lie in (0, 1), not {threshold_ber!r}")
+
+
 def check_same_backbone(regressor: MultitaskNet, classifier: MultitaskNet) -> None:
     """Both cascade models must share architecture and input shape."""
     a, b = regressor.config, classifier.config
@@ -45,8 +51,7 @@ class SequentialAssessor:
     gated_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.threshold_ber < 1.0:
-            raise ValueError("threshold_ber must lie in (0, 1)")
+        check_threshold(self.threshold_ber)
 
     def assess_batch(self, tensors: np.ndarray,
                      probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

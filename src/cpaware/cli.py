@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .assessment import DEFAULT_THRESHOLDS, AssessmentThresholds, unreachable_scales, write_report
+from .baseline import check_threshold
 from .experiments.config import desk_config, full_scale_config, load_config, save_config
 from .experiments.dataset import MAGIC, Dataset, build_dataset
 from .experiments.metrics import (
@@ -37,7 +38,7 @@ from .experiments.metrics import (
     write_rows_csv,
 )
 from .experiments.training import TASKS, save_result, train, write_log_csv
-from .features import feature_tensor
+from .features import feature_shape, feature_tensor
 from .net.checkpoint import load_model
 
 
@@ -164,6 +165,8 @@ def cmd_eval(args) -> int:
             raise ValueError("sequential mode needs --ckpt (regression) and --ckpt2 (classifier)")
         if args.rows_out and len(thetas) > 1:
             raise ValueError("--rows-out holds the rows of one --theta; give a single value")
+        for theta in thetas:
+            check_threshold(theta)
     ds = Dataset(args.dataset)
     tensors, intent_idx, log_ber, _ = ds.load_arrays()
     if args.mode == "multitask":
@@ -222,9 +225,9 @@ def cmd_assess(args) -> int:
                              f"{config.frame.sample_len} samples, not {samples.size}")
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"{path}: 'samples' must be finite")
-        data, _ = feature_tensor(samples, config.frame, config.feature)
         # Rounded to the dataset's float32, so a series grades alike from either input.
-        tensors = data[None, ...].astype("<f4")
+        tensors = np.empty((1, *feature_shape(config.frame)), dtype="<f4")
+        feature_tensor(samples, config.frame, config.feature, out=tensors[0])
     probs, rho_hat = model.predict_batched(tensors)
     write_report(args.out, np.argmax(probs, axis=1), rho_hat, thresholds)
     print(f"assessed {len(rho_hat)} samples; report written to {args.out}")

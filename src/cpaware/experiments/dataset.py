@@ -60,8 +60,8 @@ def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         seed = derive_seed(config.master_seed, index)
         sample = generate_sample(config.space.draw(kind, frame, seed), seed)
         records[index, 0] = sample.raw_ber
-        tensors[index], records[index, 1:] = feature_tensor(sample.received, frame,
-                                                            config.feature)
+        _, records[index, 1:] = feature_tensor(sample.received, frame, config.feature,
+                                               out=tensors[index])
     return records, tensors
 
 

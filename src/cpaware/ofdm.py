@@ -35,6 +35,13 @@ import numpy as np
 
 _QAM_ORDERS = (4, 16, 64)
 
+# Symbols per pass of qam_demodulate's slicer: about a dozen temporaries of
+# this many values stay in a core's 2 MiB L2.  Measured on 2 cores at the
+# full 600x512 4-QAM grid, medians of 40 interleaved calls in two runs: one
+# pass over all 307200 symbols 10.4-10.8 ms; passes of 8192 5.9 ms, 16384
+# 5.3-5.5 ms, 32768 5.4-6.0 ms, 65536 6.4-6.8 ms.
+QAM_SLICE_SYMBOLS = 2**14
+
 
 @dataclass(frozen=True)
 class FrameConfig:
@@ -109,7 +116,7 @@ def qam_modulate(bits: np.ndarray, cfg: FrameConfig) -> np.ndarray:
             f"expected {cfg.bits_per_sample} bits, got {bits.size}"
         )
     bps = cfg.bits_per_symbol
-    groups = bits.reshape(-1, bps).astype(np.int64)
+    groups = bits.reshape(-1, bps).astype(np.int64, copy=False)
     weights = 1 << np.arange(bps - 1, -1, -1)
     labels = groups @ weights
     symbols = qam_alphabet(cfg.qam_order)[labels]
@@ -123,7 +130,9 @@ def qam_demodulate(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     each axis is sliced on its own: ``g = rint(((side - 1) - x * scale) / 2)``
     clipped to the alphabet, and the axis label is the Gray code of ``g``.
     A point exactly between two amplitudes (the origin, say) takes the smaller
-    label, as a first-minimum search over the whole alphabet would.
+    label, as a first-minimum search over the whole alphabet would.  Each
+    symbol is sliced alone, so the grid is sliced in passes of
+    QAM_SLICE_SYMBOLS symbols whose temporaries stay in cache.
     """
     _check_grid(grid, cfg)
     side, scale = _axis_geometry(cfg.qam_order)
@@ -140,12 +149,15 @@ def qam_demodulate(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
         return labels
 
     bps = cfg.bits_per_symbol
-    labels = (axis_labels(flat.real) << (bps // 2)) | axis_labels(flat.imag)
-    # One long pass per bit column; broadcasting over a bps-wide inner axis
-    # is about three times slower at the full grid.
-    bits = np.empty((labels.size, bps), dtype=np.int64)
-    for j in range(bps):
-        np.bitwise_and(labels >> (bps - 1 - j), 1, out=bits[:, j])
+    bits = np.empty((flat.size, bps), dtype=np.int64)
+    for start in range(0, flat.size, QAM_SLICE_SYMBOLS):
+        part = flat[start: start + QAM_SLICE_SYMBOLS]
+        labels = (axis_labels(part.real) << (bps // 2)) | axis_labels(part.imag)
+        # One pass per bit column; broadcasting over a bps-wide inner axis
+        # was about three times slower at the full grid.
+        for j in range(bps):
+            np.bitwise_and(labels >> (bps - 1 - j), 1,
+                           out=bits[start: start + QAM_SLICE_SYMBOLS, j])
     return bits.reshape(-1)
 
 
@@ -184,8 +196,10 @@ def ofdm_demodulate(series: np.ndarray, h_est: complex, cfg: FrameConfig) -> np.
     if series.size % cfg.n_subcarriers != 0:
         raise ValueError("series length is not a multiple of n_subcarriers")
     blocks = series.reshape(-1, cfg.n_subcarriers)
-    grid = np.fft.fft(blocks, axis=1) / math.sqrt(cfg.n_subcarriers)
-    return (grid / h_est).T
+    grid = np.fft.fft(blocks, axis=1)
+    grid /= math.sqrt(cfg.n_subcarriers)
+    grid /= h_est
+    return grid.T
 
 
 def compute_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> float:

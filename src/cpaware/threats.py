@@ -186,11 +186,16 @@ def generate_components(scenario: ThreatScenario, seed: int) -> dict:
         adv_amp = _tx_amplitude(scenario.adversary_link)
         spoof_term = adv_amp * s
         estimate = legit_amp * (1.0 - scenario.estimation_error)
+        # legit_term + (spoof_term - estimate * x) + noise, summed in one buffer.
+        received = estimate * x
+        np.subtract(spoof_term, received, out=received)
+        np.add(legit_term, received, out=received)
+        received += noise
         parts.update(
             malicious_bits=malicious_bits,
             adv_amp=adv_amp,
             spoof_term=spoof_term,
-            received=legit_term + (spoof_term - estimate * x) + noise,
+            received=received,
             label_amp=adv_amp,
             label_bits=malicious_bits,
         )

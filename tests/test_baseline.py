@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpaware.assessment import assess, ber
-from cpaware.baseline import SequentialAssessor, check_same_backbone
+from cpaware.baseline import SequentialAssessor, check_same_backbone, check_threshold
 from cpaware.experiments.metrics import evaluate_sequential
 from cpaware.net.model import NetworkConfig, he_init
 from cpaware.threats import ThreatKind
@@ -120,10 +120,16 @@ class TestGate:
 
 class TestConfigValidation:
     def test_threshold_domain(self):
+        """The assessor refuses what ``check_threshold`` refuses, the CLI's rule."""
         regressor, _ = make_models(6)
-        for theta in (0.0, 1.0, 1.5):
-            with pytest.raises(ValueError):
+        for theta in (0.0, 1.0, 1.5, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="threshold_ber must lie in"):
+                check_threshold(theta)
+            with pytest.raises(ValueError, match="threshold_ber must lie in"):
                 SequentialAssessor(regressor, threshold_ber=theta)
+        for theta in (1e-300, 0.5, 1.0 - 1e-16):
+            check_threshold(theta)
+            assert SequentialAssessor(regressor, threshold_ber=theta).threshold_ber == theta
 
     def test_backbone_mismatch_rejected(self):
         regressor = he_init(NET, np.random.default_rng(7))

@@ -904,6 +904,19 @@ class TestCliExitCodes:
         assert "low_ber < high_ber" in capsys.readouterr().err
         assert not missing.exists()
 
+    @pytest.mark.parametrize("command", [["baseline"], ["eval", "--mode", "sequential"]],
+                             ids=["baseline", "eval-sequential"])
+    def test_bad_theta_exits_with_data_code_before_any_file(self, tmp_path, capsys, command):
+        """A gate threshold outside (0, 1) anywhere in the sweep exits 4 while
+        the dataset and both checkpoints are missing; valid ones reach the
+        missing dataset and exit 3."""
+        argv = command + ["--dataset", str(tmp_path / "missing.cpad"),
+                          "--ckpt", str(tmp_path / "a"), "--ckpt2", str(tmp_path / "b")]
+        assert cli_main(argv + ["--theta", "1e-2", "2"]) == 4
+        assert "threshold_ber must lie in (0, 1), not 2.0" in capsys.readouterr().err
+        assert cli_main(argv + ["--theta", "1e-2"]) == 3
+        assert "missing.cpad" in capsys.readouterr().err
+
     def test_checkpoint_of_another_input_shape_exits_with_data_code(self, tmp_path, capsys,
                                                                     inputs):
         """A 16x16 checkpoint used on a 32x32 set: each command exits 4, writes nothing."""

@@ -1,6 +1,7 @@
 """Tests for the spectrogram-morphology feature pipeline."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cpaware import features
 from cpaware.channel import awgn
 from cpaware.features import (
+    EXTREMA_BAND_ROWS,
     EXTREMA_THREAD_PIXELS,
     RANGE_COLUMNS,
     FeatureConfig,
@@ -93,6 +95,28 @@ def chain_threads(monkeypatch):
 
     monkeypatch.setattr(features, "_chain", spy)
     return threads
+
+
+def cols_beside_the_gate(rows: int, threaded: bool) -> int:
+    """The fewest columns that put ``rows`` rows at EXTREMA_THREAD_PIXELS or
+    above, or the most that keep them below it."""
+    if threaded:
+        return -(-EXTREMA_THREAD_PIXELS // rows)
+    return (EXTREMA_THREAD_PIXELS - 1) // rows
+
+
+def assert_chains_ran(threads: dict, threaded: bool) -> None:
+    """The dilation ran on the calling thread, the erosion on a second
+    thread above the gate and on the calling thread below it."""
+    caller = threading.get_ident()
+    assert threads["maximum"] == caller
+    assert (threads["minimum"] != caller) == threaded
+
+
+def assert_bitwise_equal(got, ref) -> None:
+    for a, b in zip(got, ref, strict=True):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def naive_spectrogram(series: np.ndarray, n: int) -> np.ndarray:
@@ -296,6 +320,43 @@ class TestLocalExtrema:
         np.testing.assert_array_equal(sup, np.full((7, 5), matrix.max()))
         np.testing.assert_array_equal(inf, np.full((7, 5), matrix.min()))
 
+    @pytest.mark.parametrize("threaded", [False, True], ids=["below-gate", "above-gate"])
+    @pytest.mark.parametrize("rows", [EXTREMA_BAND_ROWS - 1, EXTREMA_BAND_ROWS,
+                                      EXTREMA_BAND_ROWS + 1, 2 * EXTREMA_BAND_ROWS + 3],
+                             ids=["band-1", "band", "band+1", "2band+3"])
+    def test_band_edges_match_scan_oracle(self, rows, threaded, chain_threads):
+        """One band short of, at and past a band boundary, and a short third
+        band: each band reads its own 2r padded rows, bit for bit the scan."""
+        shape = (rows, cols_beside_the_gate(rows, threaded))
+        matrix = np.random.default_rng(rows).normal(size=shape)
+        assert (matrix.size >= EXTREMA_THREAD_PIXELS) == threaded
+        assert_bitwise_equal(local_extrema(matrix, 15), scan_extrema(matrix, 15))
+        assert_chains_ran(chain_threads, threaded)
+
+    @pytest.mark.parametrize("shape, radius, band, threaded", [
+        pytest.param((300, 40), 150, EXTREMA_BAND_ROWS, False, id="300x40-r150"),
+        pytest.param((19, 3450), 12, 8, True, id="19x3450-r12-band8"),
+    ])
+    def test_radius_beyond_the_band_matches_scan_oracle(self, shape, radius, band, threaded,
+                                                        monkeypatch, chain_threads):
+        """A band may read more padded rows than it writes.  The scan oracle
+        costs O(r^2) per pixel, so the case above the gate narrows the band."""
+        monkeypatch.setattr(features, "EXTREMA_BAND_ROWS", band)
+        assert radius > band and shape[0] > band
+        matrix = np.random.default_rng(radius).normal(size=shape)
+        assert (matrix.size >= EXTREMA_THREAD_PIXELS) == threaded
+        assert_bitwise_equal(local_extrema(matrix, radius), scan_extrema(matrix, radius))
+        assert_chains_ran(chain_threads, threaded)
+
+    def test_radius_clamped_beyond_the_band_gives_global_extrema(self):
+        """band + 2 rows by 3 columns reach band + 2: r = 10^6 is clamped to a
+        radius over the band, and both bands see every pixel."""
+        shape = (EXTREMA_BAND_ROWS + 2, 3)
+        matrix = np.random.default_rng(3).normal(size=shape)
+        sup, inf = local_extrema(matrix, 10**6)
+        np.testing.assert_array_equal(sup, np.full(shape, matrix.max()))
+        np.testing.assert_array_equal(inf, np.full(shape, matrix.min()))
+
 
 class TestFeatureTensor:
     FRAME = FrameConfig(16, 4, 12)
@@ -337,24 +398,29 @@ class TestFeatureTensor:
         spec = spectrogram(series, frame)
         np.testing.assert_allclose(round_tripped[:, :, 0], spec, atol=1e-9)
 
-    @pytest.mark.parametrize("name, frame, radius", [
+    @staticmethod
+    def _case_series(name: str, frame: FrameConfig) -> np.ndarray:
+        if name == "noise":
+            rng = np.random.default_rng(frame.n_symbols)
+            return (rng.normal(size=frame.sample_len)
+                    + 1j * rng.normal(size=frame.sample_len))
+        if name == "one-constant":
+            # Spectrum magnitudes (1, 2, ..., 7) with a 9 at bin 4: every bin
+            # is within r = 4 of bin 4, so the supremum map is constant, while
+            # bin 7 cannot see the minimum at bin 0.
+            return np.tile(np.fft.ifft([1.0, 2, 3, 4, 9, 5, 6, 7]), 2)
+        return np.zeros(frame.sample_len, dtype=complex)
+
+    CASES = [
         pytest.param("noise", FrameConfig(16, 4, 12), 2, id="noise"),
         pytest.param("noise", FrameConfig(256, 16, 256), 6, id="noise-above-gate"),
         pytest.param("one-constant", FrameConfig(8, 0, 2), 4, id="one-constant"),
         pytest.param("zeros", FrameConfig(8, 2, 4), 1, id="all-zero"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, frame, radius", CASES)
     def test_bitwise_equal_to_stacked_normalization(self, name, frame, radius):
-        if name == "noise":
-            rng = np.random.default_rng(frame.n_symbols)
-            series = (rng.normal(size=frame.sample_len)
-                      + 1j * rng.normal(size=frame.sample_len))
-        elif name == "one-constant":
-            # Spectrum magnitudes (1, 2, ..., 7) with a 9 at bin 4: every bin
-            # is within r = 4 of bin 4, so the supremum map is constant, while
-            # bin 7 cannot see the minimum at bin 0.
-            series = np.tile(np.fft.ifft([1.0, 2, 3, 4, 9, 5, 6, 7]), 2)
-        else:
-            series = np.zeros(frame.sample_len, dtype=complex)
+        series = self._case_series(name, frame)
         got, ranges = feature_tensor(series, frame, FeatureConfig(radius))
         data, lo, hi = stacked_feature_tensor(series, frame, radius)
         constant = hi == lo
@@ -365,3 +431,34 @@ class TestFeatureTensor:
         assert ranges.dtype == lo.dtype and ranges.shape == (6,)
         np.testing.assert_array_equal(ranges[:3].view(np.uint64), lo.view(np.uint64))
         np.testing.assert_array_equal(ranges[3:].view(np.uint64), hi.view(np.uint64))
+
+    @pytest.mark.parametrize("name, frame, radius", CASES)
+    def test_float32_out_is_the_float64_stack_rounded(self, name, frame, radius):
+        """Into a float32 ``out``, each value is the float64 result rounded
+        once; the call returns ``out`` itself and the same ranges."""
+        series = self._case_series(name, frame)
+        data, ranges = feature_tensor(series, frame, FeatureConfig(radius))
+        out = np.full(feature_shape(frame), np.nan, dtype=np.float32)
+        got, got_ranges = feature_tensor(series, frame, FeatureConfig(radius), out=out)
+        assert got is out
+        np.testing.assert_array_equal(out.view(np.uint32),
+                                      data.astype(np.float32).view(np.uint32))
+        assert got_ranges.dtype == ranges.dtype
+        np.testing.assert_array_equal(got_ranges.view(np.uint64), ranges.view(np.uint64))
+
+    def test_float32_row_at_full_geometry_allocates_under_bound(self):
+        """One full-geometry sample (600 x 512, r = 15) into a float32 row holds
+        the three float64 planes, the padding and both chains' band buffers,
+        and no float64 stack: tracemalloc peaks at 12.0 MiB.  Writing a
+        float64 stack and casting it into the row peaked at 16.4 MiB."""
+        frame = FrameConfig(512, 64, 600)
+        rng = np.random.default_rng(15)
+        series = rng.normal(size=frame.sample_len) + 1j * rng.normal(size=frame.sample_len)
+        row = np.empty(feature_shape(frame), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            feature_tensor(series, frame, FeatureConfig(15), out=row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.5 * 2**20

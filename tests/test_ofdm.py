@@ -11,6 +11,7 @@ from scipy import stats
 
 from cpaware.channel import awgn
 from cpaware.ofdm import (
+    QAM_SLICE_SYMBOLS,
     FrameConfig,
     compute_ber,
     ofdm_demodulate,
@@ -151,6 +152,24 @@ class TestQamMapping:
         grid = points.reshape(-1, 1)
         np.testing.assert_array_equal(qam_demodulate(grid, cfg),
                                       nearest_neighbour_bits(grid, cfg))
+
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_slicer_passes_decide_each_symbol_alone(self, order):
+        """Two full passes and a short third decide every symbol as the
+        oracle does, ties on the axes included."""
+        rng = np.random.default_rng(order + 1)
+        n = 997
+        base = (qam_alphabet(order)[rng.integers(order, size=n)]
+                + 0.4 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+        base[:4] = [0j, 0.5, 1j, 3.0 - 2j]
+        count = 2 * QAM_SLICE_SYMBOLS + 123
+        points = np.resize(base, count)
+        cfg = FrameConfig(count, 0, 1, qam_order=order)
+        expected = nearest_neighbour_bits(base.reshape(-1, 1), FrameConfig(n, 0, 1, order))
+        np.testing.assert_array_equal(
+            qam_demodulate(points.reshape(-1, 1), cfg),
+            np.resize(expected.reshape(n, -1), (count, cfg.bits_per_symbol)).reshape(-1))
 
 
 class TestOfdm:

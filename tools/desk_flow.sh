@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# Run the desk flow of one checkout and write its 19 outputs to OUTDIR.
+# Run the desk flow of one checkout and write its 20 outputs to OUTDIR.
 #
 #   tools/desk_flow.sh CHECKOUT OUTDIR
 #
-# The flow generates a train set (seed 3, 16 per kind, with --dump-config)
-# and a test set (seed 4, 21 per kind); trains multitask, intent and
-# capability models (8 epochs, batch 8, seed 5, with --log); trains a
-# multitask run for 4 epochs and resumes it to 8; then runs eval --rows-out,
-# baseline --rows-out at theta 1e-2, 1e-3 and 1e-4, the 3-theta baseline
-# sweep, eval --mode sequential and assess.
+# The flow generates a train set (seed 3, 16 per kind, with --dump-config),
+# a test set (seed 4, 21 per kind) and the benchmark's golden full-geometry
+# set (--preset full, seed 1, 1 per kind: 600x512 maps, whose extrema run
+# in row bands on two threads); trains multitask, intent and capability
+# models (8 epochs, batch 8, seed 5, with --log); trains a multitask run
+# for 4 epochs and resumes it to 8; then runs eval --rows-out, baseline
+# --rows-out at theta 1e-2, 1e-3 and 1e-4, the 3-theta baseline sweep,
+# eval --mode sequential and assess.
 #
-# Outputs: 2 datasets, config.json, 5 checkpoints, 5 loss logs, 4 row dumps,
+# Outputs: 3 datasets, config.json, 5 checkpoints, 5 loss logs, 4 row dumps,
 # report.csv and stdout.txt.  Every command runs inside OUTDIR on relative
 # paths, so stdout.txt holds no OUTDIR and two OUTDIRs compare with diff -r.
-# Takes about 7 s on 2 shared cores (numpy 2.4.6).
+# Takes about 8 s on 2 shared cores (numpy 2.4.6), 0.6 s of it the
+# full-geometry set.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -39,6 +42,7 @@ train() {  # train MODE OUT EPOCHS [more flags]
 
 run generate --out train.cpad --seed 3 --count-per-kind 16 --dump-config config.json
 run generate --out test.cpad --seed 4 --count-per-kind 21
+run generate --preset full --out full.cpad --seed 1 --count-per-kind 1
 for mode in multitask intent capability; do
     train "$mode" "$mode.ckpt" 8 --log "$mode.log.csv"
 done
