@@ -41,14 +41,6 @@ cheaper; a radius near the band or the width pays more of it.  The bytes
 are the same.  A matrix of at most EXTREMA_BAND_ROWS rows, such as the
 64 x 64 desk map, is one band.
 
-The dilation and the erosion share nothing but the read-only padded
-matrix.  From EXTREMA_THREAD_PIXELS pixels up, the erosion chain runs on
-one extra thread while the calling thread runs the dilation; NumPy's
-ufunc loops release the interpreter lock, so the two chains overlap.
-Each chain keeps its own order of operations and max and min are exact,
-so the threaded result is the same bytes.  Below that size a thread
-costs more than it saves, and both chains run on the calling thread.
-
 At the matrix border the neighborhood is clipped to valid indices, so
 border extrema are taken over fewer pixels rather than invented values.
 """
@@ -56,22 +48,17 @@ border extrema are taken over fewer pixels rather than invented values.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ofdm import FrameConfig, remove_cp
 
-# Pixel count from which local_extrema runs the erosion on a second thread.
-# Measured on 2 cores: 600x512 r=15 went 42 -> 27 ms, 256x256 r=4 2.8 ->
-# 2.7 ms, while 128x128 r=8 went 1.2 -> 1.3 ms and 64x64 r=3 0.15 -> 0.46 ms.
-EXTREMA_THREAD_PIXELS = 2**16
-
 # Output rows per band of local_extrema's chord folds.  Measured on 2 cores
-# (2 MiB L2 each) at 600x512 r=15, two threads, median of 30 calls on full-
-# preset spectrograms: 64 rows 13 ms, 96 12 ms, 128 11.2 ms, 160 11.5 ms,
-# 192 12.6 ms, 256 14 ms, one band of 600 rows 18 ms (20 ms before bands).
+# (2 MiB L2 each, numpy 2.4.6) at 600x512 r=15, median of 30 calls on full-
+# preset spectrograms, low and high of two runs: 64 rows 18.3-19.4 ms, 96
+# 17.0-18.3 ms, 128 16.3-17.8 ms, 160 16.9-18.9 ms, 192 20.1-21.6 ms, 256
+# 26.3-26.5 ms, one band of 600 rows 32.6-33.2 ms.
 EXTREMA_BAND_ROWS = 128
 
 # The channels of a feature stack, in order, and its recorded ranges.
@@ -121,12 +108,10 @@ def local_extrema(matrix: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarr
 
     Each chain folds bands of EXTREMA_BAND_ROWS output rows, the last one
     shorter; a band reads its rows of the padding and 2r more, so a radius
-    larger than the band is served too.  Both chains' band-sized buffers are
-    allocated here.  From EXTREMA_THREAD_PIXELS pixels up, the erosion (min)
-    chain runs on one extra thread while the calling thread runs the
-    dilation (max) chain.  The chains only read the shared padding and each
-    keeps its own order of exact max or min operations, so the bytes equal
-    the one-thread, one-band result.
+    larger than the band is served too.  The dilation (max) chain runs
+    first, then the erosion (min) chain in the same band buffer; each keeps
+    its own order of exact max or min operations, so the bytes equal the
+    one-band result.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -140,35 +125,11 @@ def local_extrema(matrix: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarr
     chords = [[] for _ in range(radius + 1)]  # row offsets du by half-width
     for du in range(-radius, radius + 1):
         chords[math.isqrt(radius * radius - du * du)].append(du)
-    # Every buffer is allocated here, on the calling thread: what a worker
-    # thread allocates stays in a heap of its own after the thread ends
-    # (5-10 MiB more peak RSS in a full-geometry build).
-    run_max = np.empty((2 * min(rows, EXTREMA_BAND_ROWS) + 2 * radius, cols + 2 * radius))
-    run_min = np.empty_like(run_max)
+    run = np.empty((2 * min(rows, EXTREMA_BAND_ROWS) + 2 * radius, cols + 2 * radius))
     sup = np.empty_like(matrix)
     inf = np.empty_like(matrix)
-    if matrix.size < EXTREMA_THREAD_PIXELS:
-        _chain(padded, chords, np.maximum, run_max, sup)
-        _chain(padded, chords, np.minimum, run_min, inf)
-        return sup, inf
-    failure = []
-
-    def erode():
-        try:
-            _chain(padded, chords, np.minimum, run_min, inf)
-        except BaseException as exc:  # raised again on the calling thread
-            failure.append(exc)
-
-    # A bare thread, not a concurrent.futures executor: importing that
-    # module alone costs 0.4 MiB of peak RSS in a full-geometry training run.
-    worker = threading.Thread(target=erode)
-    worker.start()
-    try:
-        _chain(padded, chords, np.maximum, run_max, sup)
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
+    _chain(padded, chords, np.maximum, run, sup)
+    _chain(padded, chords, np.minimum, run, inf)
     return sup, inf
 
 
@@ -183,9 +144,7 @@ def _chain(padded: np.ndarray, chords: list[list[int]], fold: np.ufunc,
     chords.  Each row is folded across its full padded width, so every fold
     is one pass over contiguous memory; a shift of up to r along a flattened
     row block crosses into a neighbouring row only in the padding columns,
-    which the band's copy into ``out`` leaves out.  Calls NumPy only: it may
-    run on a worker thread, where a traced package function would open a
-    span out of the caller's order.
+    which the band's copy into ``out`` leaves out.
     """
     radius = len(chords) - 1
     rows, cols = out.shape

@@ -44,7 +44,7 @@ from cpaware.experiments.metrics import (
     write_rows_csv,
 )
 from cpaware.experiments.training import save_result, train
-from cpaware.features import EXTREMA_THREAD_PIXELS, FeatureConfig, feature_tensor
+from cpaware.features import FeatureConfig, feature_tensor
 from cpaware.net.checkpoint import load_model, read_checkpoint, save_model, write_checkpoint
 from cpaware.net.losses import focal_loss, mse_loss
 from cpaware.net.model import MultitaskNet, NetworkConfig, he_init
@@ -136,10 +136,9 @@ class TestDatasetFile:
         assert digest.hexdigest() == (
             "c774ff4b367ca3e4564fa7461c4ecf564489af4ab78ff77cd9f377b4f17e93fa")
 
-    def test_pinned_arrays_digest_above_thread_gate(self, tmp_path):
+    def test_pinned_arrays_digest_at_256x256(self, tmp_path):
         """The same pin at 256 symbols by 256 bins, disk radius 6: every
-        feature map has EXTREMA_THREAD_PIXELS pixels, so the disk extrema
-        take the two-thread path.  Recorded from the one-thread code."""
+        feature map spans two bands of the disk extrema."""
         config = ExperimentConfig(
             master_seed=3,
             train_per_kind=1,
@@ -150,7 +149,6 @@ class TestDatasetFile:
         path = tmp_path / "data.cpad"
         build_dataset(path, config)
         tensors, intents, log_ber, _ = Dataset(path).load_arrays()
-        assert tensors.shape[1] * tensors.shape[2] >= EXTREMA_THREAD_PIXELS
         digest = hashlib.sha256()
         digest.update(tensors.astype("<f4").tobytes())
         digest.update(intents.astype("<i8").tobytes())

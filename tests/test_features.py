@@ -1,6 +1,5 @@
 """Tests for the spectrogram-morphology feature pipeline."""
 
-import threading
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,6 @@ from cpaware import features
 from cpaware.channel import awgn
 from cpaware.features import (
     EXTREMA_BAND_ROWS,
-    EXTREMA_THREAD_PIXELS,
     RANGE_COLUMNS,
     FeatureConfig,
     feature_shape,
@@ -81,36 +79,6 @@ def denormalize(data: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     """The raw-magnitude stack, recovered from ``feature_tensor``'s ranges."""
     lo, hi = ranges[:3], ranges[3:]
     return data * (hi - lo) + lo
-
-
-@pytest.fixture
-def chain_threads(monkeypatch):
-    """The thread each local_extrema chain ran on, by ufunc name."""
-    threads = {}
-    chain = features._chain
-
-    def spy(padded, chords, fold, run, out):
-        threads[fold.__name__] = threading.get_ident()
-        chain(padded, chords, fold, run, out)
-
-    monkeypatch.setattr(features, "_chain", spy)
-    return threads
-
-
-def cols_beside_the_gate(rows: int, threaded: bool) -> int:
-    """The fewest columns that put ``rows`` rows at EXTREMA_THREAD_PIXELS or
-    above, or the most that keep them below it."""
-    if threaded:
-        return -(-EXTREMA_THREAD_PIXELS // rows)
-    return (EXTREMA_THREAD_PIXELS - 1) // rows
-
-
-def assert_chains_ran(threads: dict, threaded: bool) -> None:
-    """The dilation ran on the calling thread, the erosion on a second
-    thread above the gate and on the calling thread below it."""
-    caller = threading.get_ident()
-    assert threads["maximum"] == caller
-    assert (threads["minimum"] != caller) == threaded
 
 
 def assert_bitwise_equal(got, ref) -> None:
@@ -253,6 +221,10 @@ class TestLocalExtrema:
         with pytest.raises(ValueError, match="finite"):
             local_extrema(np.array([[1.0, np.nan]]), 1)
 
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            local_extrema(np.zeros((4, 4, 2)), 1)
+
     @pytest.mark.parametrize("radius", [6, 7, 8, 9, 20])
     def test_radius_around_the_reach_matches_oracle(self, radius):
         """A 7x5 matrix has reach 8 (6^2 + 4^2 = 52 <= 64); 7 is the last
@@ -281,37 +253,16 @@ class TestLocalExtrema:
         pytest.param((256, 260), 5, id="256x260-r5"),
         pytest.param((256, 260), 15, id="256x260-r15"),
         pytest.param((131, 509), 9, id="131x509-r9"),
-        pytest.param((256, 256), 3, id="at-the-gate-r3"),
+        pytest.param((256, 256), 3, id="256x256-r3"),
     ])
-    def test_threaded_matches_scan_oracle(self, shape, radius, chain_threads):
-        """From EXTREMA_THREAD_PIXELS up the erosion runs on a second thread;
-        the result still equals the border-clipped scan bit for bit."""
-        assert shape[0] * shape[1] >= EXTREMA_THREAD_PIXELS
+    def test_large_matrix_matches_scan_oracle(self, shape, radius):
+        """Matrices of 2^16 pixels and more, each two bands tall, equal the
+        border-clipped scan bit for bit."""
         matrix = np.random.default_rng(radius).normal(size=shape)
         sup, inf = local_extrema(matrix, radius)
-        assert chain_threads["maximum"] == threading.get_ident() != chain_threads["minimum"]
         sup_ref, inf_ref = scan_extrema(matrix, radius)
         np.testing.assert_array_equal(sup, sup_ref)
         np.testing.assert_array_equal(inf, inf_ref)
-
-    def test_below_the_gate_stays_on_the_calling_thread(self, chain_threads):
-        matrix = np.random.default_rng(2).normal(size=(255, 257))
-        assert matrix.size < EXTREMA_THREAD_PIXELS
-        local_extrema(matrix, 4)
-        assert chain_threads == {"maximum": threading.get_ident(),
-                                 "minimum": threading.get_ident()}
-
-    def test_worker_failure_is_raised_on_the_calling_thread(self, monkeypatch):
-        chain = features._chain
-
-        def failing(padded, chords, fold, run, out):
-            if fold is np.minimum:
-                raise MemoryError("erosion")
-            chain(padded, chords, fold, run, out)
-
-        monkeypatch.setattr(features, "_chain", failing)
-        with pytest.raises(MemoryError, match="erosion"):
-            local_extrema(np.zeros((256, 256)), 2)
 
     def test_huge_radius_gives_global_extrema(self):
         """r = 10^6 is clamped to the reach: no (2r+1)^2 padding, no O(r^2) scan."""
@@ -320,33 +271,51 @@ class TestLocalExtrema:
         np.testing.assert_array_equal(sup, np.full((7, 5), matrix.max()))
         np.testing.assert_array_equal(inf, np.full((7, 5), matrix.min()))
 
-    @pytest.mark.parametrize("threaded", [False, True], ids=["below-gate", "above-gate"])
-    @pytest.mark.parametrize("rows", [EXTREMA_BAND_ROWS - 1, EXTREMA_BAND_ROWS,
-                                      EXTREMA_BAND_ROWS + 1, 2 * EXTREMA_BAND_ROWS + 3],
-                             ids=["band-1", "band", "band+1", "2band+3"])
-    def test_band_edges_match_scan_oracle(self, rows, threaded, chain_threads):
-        """One band short of, at and past a band boundary, and a short third
-        band: each band reads its own 2r padded rows, bit for bit the scan."""
-        shape = (rows, cols_beside_the_gate(rows, threaded))
-        matrix = np.random.default_rng(rows).normal(size=shape)
-        assert (matrix.size >= EXTREMA_THREAD_PIXELS) == threaded
-        assert_bitwise_equal(local_extrema(matrix, 15), scan_extrema(matrix, 15))
-        assert_chains_ran(chain_threads, threaded)
-
-    @pytest.mark.parametrize("shape, radius, band, threaded", [
-        pytest.param((300, 40), 150, EXTREMA_BAND_ROWS, False, id="300x40-r150"),
-        pytest.param((19, 3450), 12, 8, True, id="19x3450-r12-band8"),
+    @pytest.mark.parametrize("shape", [
+        pytest.param((EXTREMA_BAND_ROWS - 1, 516), id="band-1-by-516"),
+        pytest.param((EXTREMA_BAND_ROWS - 1, 517), id="band-1-by-517"),
+        pytest.param((EXTREMA_BAND_ROWS, 511), id="band-by-511"),
+        pytest.param((EXTREMA_BAND_ROWS, 512), id="band-by-512"),
+        pytest.param((EXTREMA_BAND_ROWS + 1, 508), id="band+1-by-508"),
+        pytest.param((EXTREMA_BAND_ROWS + 1, 509), id="band+1-by-509"),
+        pytest.param((2 * EXTREMA_BAND_ROWS + 3, 253), id="2band+3-by-253"),
+        pytest.param((2 * EXTREMA_BAND_ROWS + 3, 254), id="2band+3-by-254"),
     ])
-    def test_radius_beyond_the_band_matches_scan_oracle(self, shape, radius, band, threaded,
-                                                        monkeypatch, chain_threads):
+    def test_band_edges_match_scan_oracle(self, shape):
+        """One band short of, at and past a band boundary, and a short third
+        band, each just under and at 2^16 pixels: each band reads its own 2r
+        padded rows, bit for bit the scan."""
+        matrix = np.random.default_rng(shape[0]).normal(size=shape)
+        assert_bitwise_equal(local_extrema(matrix, 15), scan_extrema(matrix, 15))
+
+    @pytest.mark.parametrize("shape, radius, band", [
+        pytest.param((300, 40), 150, EXTREMA_BAND_ROWS, id="300x40-r150"),
+        pytest.param((19, 3450), 12, 8, id="19x3450-r12-band8"),
+    ])
+    def test_radius_beyond_the_band_matches_scan_oracle(self, shape, radius, band,
+                                                        monkeypatch):
         """A band may read more padded rows than it writes.  The scan oracle
-        costs O(r^2) per pixel, so the case above the gate narrows the band."""
+        costs O(r^2) per pixel, so the wide case narrows the band."""
         monkeypatch.setattr(features, "EXTREMA_BAND_ROWS", band)
         assert radius > band and shape[0] > band
         matrix = np.random.default_rng(radius).normal(size=shape)
-        assert (matrix.size >= EXTREMA_THREAD_PIXELS) == threaded
         assert_bitwise_equal(local_extrema(matrix, radius), scan_extrema(matrix, radius))
-        assert_chains_ran(chain_threads, threaded)
+
+    def test_chains_share_one_band_buffer(self):
+        """At 600 x 512, r = 15, the call holds the padding, the two output
+        planes and one band buffer that both chains reuse: tracemalloc peaks
+        at 8.48 MiB.  A band buffer per chain peaked at 9.67 MiB."""
+        rows, cols, radius = 600, 512, 15
+        matrix = np.random.default_rng(radius).normal(size=(rows, cols))
+        padded = (rows + 2 * radius) * (cols + 2 * radius) * 8
+        band = (2 * EXTREMA_BAND_ROWS + 2 * radius) * (cols + 2 * radius) * 8
+        tracemalloc.start()
+        try:
+            local_extrema(matrix, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < padded + band + 2 * matrix.nbytes + 2**16
 
     def test_radius_clamped_beyond_the_band_gives_global_extrema(self):
         """band + 2 rows by 3 columns reach band + 2: r = 10^6 is clamped to a
@@ -448,8 +417,8 @@ class TestFeatureTensor:
 
     def test_float32_row_at_full_geometry_allocates_under_bound(self):
         """One full-geometry sample (600 x 512, r = 15) into a float32 row holds
-        the three float64 planes, the padding and both chains' band buffers,
-        and no float64 stack: tracemalloc peaks at 12.0 MiB.  Writing a
+        the three float64 planes, the padding and the chains' band buffer,
+        and no float64 stack: tracemalloc peaks at 11.8 MiB.  Writing a
         float64 stack and casting it into the row peaked at 16.4 MiB."""
         frame = FrameConfig(512, 64, 600)
         rng = np.random.default_rng(15)

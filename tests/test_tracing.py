@@ -1,8 +1,10 @@
-"""Traced runs of the benchmark survive local_extrema's second thread.
+"""A traced feature_tensor gives the benchmark its feature spans.
 
-perfbench's Tracer keeps one stack of open spans, so a traced package
-function called from the worker thread would close its span out of order.
-spans.py is imported by path; the benchmark's files are not changed.
+perfbench's Tracer keeps one stack of open spans, and its per-layer
+metrics such as features.local_extrema_ms are read from the spans
+feature_tensor, remove_cp, spectrogram and local_extrema, so they must
+open in that order under feature_tensor.  spans.py is imported by path;
+the benchmark's files are not changed.
 """
 
 import importlib.util
@@ -23,20 +25,19 @@ def load_spans():
     return module
 
 
-def test_feature_tensor_above_the_gate_traces_in_order():
+def test_feature_tensor_traces_in_order():
     spans = load_spans()
     frame = FrameConfig(256, 16, 256)
-    assert frame.n_symbols * frame.n_subcarriers >= features.EXTREMA_THREAD_PIXELS
     rng = np.random.default_rng(0)
     received = rng.normal(size=frame.sample_len) + 1j * rng.normal(size=frame.sample_len)
-    tracer = spans.Tracer("thread-gate")
+    tracer = spans.Tracer("feature-spans")
     with spans.Instrumentation(tracer):  # a span closed out of order raises here
         features.feature_tensor(received, frame, features.FeatureConfig(6))
     by_id = {span["id"]: span for span in tracer.spans}
     extrema = [span for span in tracer.spans if span["name"] == "features.local_extrema"]
     assert len(extrema) == 1
     assert by_id[extrema[0]["parent"]]["name"] == "features.feature_tensor"
-    # One span per traced call of the calling thread; none from the helper.
+    # One span per traced call; none from the band helper.
     assert [span["name"] for span in tracer.spans] == [
         "features.feature_tensor", "ofdm.remove_cp", "features.spectrogram",
         "features.local_extrema"]

@@ -6,7 +6,7 @@
 # The flow generates a train set (seed 3, 16 per kind, with --dump-config),
 # a test set (seed 4, 21 per kind) and the benchmark's golden full-geometry
 # set (--preset full, seed 1, 1 per kind: 600x512 maps, whose extrema run
-# in row bands on two threads); trains multitask, intent and capability
+# in row bands on one thread); trains multitask, intent and capability
 # models (8 epochs, batch 8, seed 5, with --log); trains a multitask run
 # for 4 epochs and resumes it to 8; then runs eval --rows-out, baseline
 # --rows-out at theta 1e-2, 1e-3 and 1e-4, the 3-theta baseline sweep,
