@@ -20,12 +20,22 @@ the recipe's, naming both counts.  Of a record it reads ``raw_ber``
 alone: the label is ``label_log_ber(raw_ber)``, so a ``raw_ber`` outside
 [0, 1], NaN included, is refused, naming the record.
 
-A build allocates the block before the first sample and writes each
-sample's features straight into its row, so it holds the block once.
+A build allocates the records and the block in one shared anonymous
+mapping before the first sample and writes each sample's features
+straight into its row, so it allocates no per-record copy.  It fills the
+rows on one worker per CPU the process may run on, at most one per
+record; each row is a function of the config and its index alone, so
+the bytes do not depend on how many workers filled them.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import asdict
 
 import numpy as np
@@ -50,18 +60,94 @@ def _kinds(config: ExperimentConfig) -> list[ThreatKind]:
     return [kind for kind in ThreatKind for _ in range(config.train_per_kind)]
 
 
+def _worker_count(records: int) -> int:
+    """Build workers: one per CPU this process may run on, at most one per
+    record; one on a platform that cannot say which CPUs those are."""
+    if not hasattr(os, "sched_getaffinity"):  # macOS, Windows
+        return 1
+    return min(len(os.sched_getaffinity(0)), records)
+
+
+def _fork(fill, worker: int, workers: int) -> tuple[int, int]:
+    """Fork a worker that runs ``fill(worker, workers)``; returns its pid and the
+    read end of the pipe that carries its exception, if it raises one.
+
+    The child never returns: it leaves by ``os._exit``, so no inherited
+    buffer is flushed and no exit hook or finalizer of the parent runs twice.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        fill(worker, workers)
+        status = 0
+    except BaseException as exc:
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps((exc, traceback.format_exc())))
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read: int) -> tuple[int, bytes]:
+    """Wait for a forked worker; its exit code and what it sent down its pipe."""
+    with open(read, "rb") as pipe:
+        payload = pipe.read()  # to the end: the worker may block on a full pipe
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), payload
+
+
 def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The records and the float32 block of the set ``config`` describes."""
+    """The records and the float32 block of the set ``config`` describes.
+
+    Both arrays are views of one shared anonymous mapping.  ``_worker_count``
+    workers fill it: worker ``w`` builds records ``w, w + K, w + 2K, ...``,
+    the calling process is worker 0 and forks the other K - 1, so K = 1
+    forks nothing.  A worker's failure is raised here, with the worker's
+    traceback as its cause, once every worker has exited; if the calling
+    process's own share raises, it kills the others first.  No worker
+    outlives the call.  Each forked worker has a resident set of its own:
+    at the full geometry (600x512, disk radius 15, 12 records, 2 CPUs,
+    numpy 2.4.6) its peak, ``RUSAGE_CHILDREN``'s ``ru_maxrss``, read 96 MiB
+    against the caller's 100 MiB; at its end 28 of its 53 MiB were its own
+    pages, the rest shared with the caller.
+    """
     kinds = _kinds(config)
     frame = config.frame
-    tensors = np.empty((len(kinds), *feature_shape(frame)), dtype="<f4")
-    records = np.empty((len(kinds), len(RECORD_COLUMNS)), dtype="<f8")
-    for index, kind in enumerate(kinds):
-        seed = derive_seed(config.master_seed, index)
-        sample = generate_sample(config.space.draw(kind, frame, seed), seed)
-        records[index, 0] = sample.raw_ber
-        _, records[index, 1:] = feature_tensor(sample.received, frame, config.feature,
-                                               out=tensors[index])
+    rows, columns = len(kinds), len(RECORD_COLUMNS)
+    shape = (rows, *feature_shape(frame))
+    block = mmap.mmap(-1, rows * columns * 8 + math.prod(shape) * 4)
+    records = np.frombuffer(block, "<f8", rows * columns).reshape(rows, columns)
+    tensors = np.frombuffer(block, "<f4", offset=records.nbytes).reshape(shape)
+
+    def fill(first: int, step: int) -> None:
+        for index in range(first, rows, step):
+            seed = derive_seed(config.master_seed, index)
+            sample = generate_sample(config.space.draw(kinds[index], frame, seed), seed)
+            records[index, 0] = sample.raw_ber
+            _, records[index, 1:] = feature_tensor(sample.received, frame, config.feature,
+                                                   out=tensors[index])
+
+    workers = _worker_count(rows)
+    children: list[tuple[int, int]] = []
+    try:
+        for worker in range(1, workers):
+            children.append(_fork(fill, worker, workers))
+        fill(0, workers)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        outcomes = [_reap(pid, read) for pid, read in children]
+    for (pid, _), (status, payload) in zip(children, outcomes):
+        if payload:
+            exc, trace = pickle.loads(payload)
+            raise exc from RuntimeError(f"in build worker {pid}:\n{trace}")
+        if status:
+            raise RuntimeError(f"build worker {pid} exited with status {status}")
     return records, tensors
 
 

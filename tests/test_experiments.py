@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import signal
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -260,9 +263,12 @@ class TestDatasetFile:
                          "--out", str(tmp_path / "m.ckpt")]) == 4
         assert f"{path}: a dataset holds" in capsys.readouterr().err
 
-    def test_build_holds_the_block_once(self, tmp_path):
-        """Building and writing a desk-geometry set peaks below 1.5 blocks
-        (a build that stacks per-record copies peaks near 2)."""
+    def test_build_holds_the_block_once(self, tmp_path, monkeypatch):
+        """Building and writing a desk-geometry set on one worker allocates
+        under half a block: the block is the build's shared mapping, which
+        tracemalloc does not see, so a build that stacked per-record copies
+        would allocate a whole block more."""
+        monkeypatch.setattr(dataset, "_worker_count", lambda records: 1)
         build_records(desk_config(train_per_kind=1))  # lazy imports are not the build's
         config = desk_config(train_per_kind=32)
         tracemalloc.start()
@@ -273,13 +279,111 @@ class TestDatasetFile:
         finally:
             tracemalloc.stop()
         assert tensors.shape == (96, 64, 64, 3)
-        assert peak < 1.5 * tensors.nbytes
+        assert peak < 0.5 * tensors.nbytes
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.cpad"
         path.write_bytes(b"JUNK" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             Dataset(path)
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, running or exited and unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestBuildWorkers:
+    """build_records forks one worker per CPU, at most one per record: the
+    bytes do not depend on the count, a worker's failure is raised in the
+    caller and no worker outlives the call."""
+
+    @staticmethod
+    def digest(records, tensors) -> str:
+        return hashlib.sha256(records.tobytes() + tensors.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_same_bytes_for_any_worker_count(self, monkeypatch, cpus):
+        """With 3 records, 4 CPUs fork 2 workers, not an idle third."""
+        config = mini_config(train_per_kind=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = self.digest(*build_records(config))
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert self.digest(*build_records(config)) == serial
+        assert len(forks) == min(cpus, 3) - 1
+        assert no_child_left()
+
+    def test_one_worker_where_the_cpus_are_unknown(self, monkeypatch):
+        """Without sched_getaffinity the build runs on the calling process."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+        records, _ = build_records(mini_config(train_per_kind=1))
+        assert len(records) == 3
+
+    def fail_at(self, monkeypatch, config, index=None, other=None):
+        """Run two workers; record ``index`` raises ValueError and every other
+        record calls ``other`` first."""
+        doomed = None if index is None else derive_seed(config.master_seed, index)
+        generate = dataset.generate_sample
+
+        def generate_or_fail(scenario, seed):
+            if seed == doomed:
+                raise ValueError(f"record {index} cannot be generated")
+            if other is not None:
+                other()
+            return generate(scenario, seed)
+
+        monkeypatch.setattr(dataset, "_worker_count", lambda records: 2)
+        monkeypatch.setattr(dataset, "generate_sample", generate_or_fail)
+
+    def test_worker_failure_is_raised_in_the_caller(self, monkeypatch):
+        """Record 1 is the forked worker's: its ValueError reaches the caller
+        with the worker's traceback as its cause."""
+        config = mini_config(train_per_kind=1)
+        self.fail_at(monkeypatch, config, 1)
+        with pytest.raises(ValueError, match="^record 1 cannot be generated$") as info:
+            build_records(config)
+        cause = str(info.value.__cause__)
+        assert cause.startswith("in build worker ") and "generate_or_fail" in cause
+        assert no_child_left()
+
+    def test_callers_failure_stops_the_workers(self, monkeypatch):
+        """Record 0 is the caller's own: its failure kills the worker, which is
+        still asleep on record 1, instead of waiting for it."""
+        config = mini_config(train_per_kind=1)
+        self.fail_at(monkeypatch, config, 0, other=lambda: time.sleep(30))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^record 0 cannot be generated$"):
+            build_records(config)
+        assert time.perf_counter() - start < 10
+        assert no_child_left()
+
+    def test_worker_killed_without_a_word_is_raised(self, monkeypatch):
+        """A worker that dies by a signal sends no exception; its exit status
+        is raised instead."""
+        config = mini_config(train_per_kind=1)
+        caller = os.getpid()
+
+        def die_in_the_worker():
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.fail_at(monkeypatch, config, other=die_in_the_worker)
+        with pytest.raises(RuntimeError, match=r"^build worker \d+ exited with status -9$"):
+            build_records(config)
+        assert no_child_left()
 
 
 class TestConfigSerialization:
