@@ -40,6 +40,7 @@ from .experiments.metrics import (
 from .experiments.training import TASKS, save_result, train, write_log_csv
 from .features import feature_shape, feature_tensor
 from .net.checkpoint import load_model
+from .ofdm import block_spectra
 
 
 def _add_generate(sub):
@@ -227,7 +228,7 @@ def cmd_assess(args) -> int:
             raise ValueError(f"{path}: 'samples' must be finite")
         # Rounded to the dataset's float32, so a series grades alike from either input.
         tensors = np.empty((1, *feature_shape(config.frame)), dtype="<f4")
-        feature_tensor(samples, config.frame, config.feature, out=tensors[0])
+        feature_tensor(block_spectra(samples, config.frame), config.feature, out=tensors[0])
     probs, rho_hat = model.predict_batched(tensors)
     write_report(args.out, np.argmax(probs, axis=1), rho_hat, thresholds)
     print(f"assessed {len(rho_hat)} samples; report written to {args.out}")

@@ -76,7 +76,12 @@ def _fork(fill, worker: int, workers: int) -> tuple[int, int]:
     buffer is flushed and no exit hook or finalizer of the parent runs twice.
     """
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
     if pid:
         os.close(write)
         return pid, read
@@ -127,7 +132,7 @@ def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
             seed = derive_seed(config.master_seed, index)
             sample = generate_sample(config.space.draw(kinds[index], frame, seed), seed)
             records[index, 0] = sample.raw_ber
-            _, records[index, 1:] = feature_tensor(sample.received, frame, config.feature,
+            _, records[index, 1:] = feature_tensor(sample.spectra, config.feature,
                                                    out=tensors[index])
 
     workers = _worker_count(rows)

@@ -1,8 +1,9 @@
 """Textural feature maps of a received signal block.
 
-Pipeline: strip cyclic prefixes, compute a magnitude spectrogram (one
-frame per OFDM symbol, one unnormalized N-point transform per frame),
-then grayscale-dilate and -erode it over a disk neighborhood
+Pipeline: take the magnitude of a sample's ``ofdm.block_spectra``, which
+``threats.LabeledSample`` holds (one unnormalized N-point transform per OFDM
+symbol), as a spectrogram, then grayscale-dilate and -erode it over a disk
+neighborhood
 
     B = {(u, v) : u^2 + v^2 <= radius^2}
 
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ofdm import FrameConfig, remove_cp
+from .ofdm import FrameConfig
 
 # Output rows per band of local_extrema's chord folds.  Measured on 2 cores
 # (2 MiB L2 each, numpy 2.4.6) at 600x512 r=15, median of 30 calls on full-
@@ -78,17 +79,10 @@ class FeatureConfig:
             raise ValueError("disk_radius must be non-negative")
 
 
-def spectrogram(payload: np.ndarray, frame: FrameConfig) -> np.ndarray:
-    """Magnitude spectrogram, shape (frames, bins) = (n_symbols, n_subcarriers).
-
-    Frame k covers samples [k*N, (k+1)*N); bin m is the plain transform sum
-    |sum_n y(n + kN) exp(-j 2 pi m n / N)| with no normalization.
-    """
-    payload = np.asarray(payload)
-    n = frame.n_subcarriers
-    if payload.size % n != 0:
-        raise ValueError(f"series length {payload.size} is not a multiple of {n}")
-    return np.abs(np.fft.fft(payload.reshape(-1, n), axis=1))
+def spectrogram(spectra: np.ndarray) -> np.ndarray:
+    """The magnitude of ``ofdm.block_spectra``'s output, unnormalized: shape
+    (frames, bins) = (n_symbols, n_subcarriers)."""
+    return np.abs(spectra)
 
 
 def local_extrema(matrix: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,9 +168,9 @@ def feature_shape(frame: FrameConfig) -> tuple[int, int, int]:
     return (frame.n_symbols, frame.n_subcarriers, len(CHANNELS))
 
 
-def feature_tensor(received: np.ndarray, frame: FrameConfig, cfg: FeatureConfig,
+def feature_tensor(spectra: np.ndarray, cfg: FeatureConfig,
                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Full feature stack of a prefix-intact received sample, and its ranges
+    """Full feature stack of a sample's ``ofdm.block_spectra``, and its ranges
     in ``RANGE_COLUMNS`` order.
 
     The stack is written into ``out``, of ``feature_shape(frame)`` and any
@@ -184,7 +178,7 @@ def feature_tensor(received: np.ndarray, frame: FrameConfig, cfg: FeatureConfig,
     array.  Each channel is computed in float64 and rounded once on store,
     so a float32 ``out`` holds the float64 stack cast to float32.
     """
-    spec = spectrogram(remove_cp(received, frame), frame)
+    spec = spectrogram(spectra)
     maps = (spec, *local_extrema(spec, cfg.disk_radius))
     lo = np.array([plane.min() for plane in maps])
     hi = np.array([plane.max() for plane in maps])

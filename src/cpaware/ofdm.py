@@ -21,6 +21,8 @@ Conventions, fixed so that bit-level results are reproducible:
   padding).
 * The cyclic prefix is the last ``cp_len`` time samples of a block,
   prepended to that block.
+* ``block_spectra`` is the receiver's one analysis, unnormalized; both
+  ``ofdm_demodulate`` and ``features.spectrogram`` read its output.
 
 Symbol grids are complex arrays of shape ``(n_subcarriers, n_symbols)``;
 time series are 1-D complex arrays.
@@ -177,27 +179,23 @@ def ofdm_modulate(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     return blocks.reshape(-1)
 
 
-def remove_cp(series: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """Strip the first cp_len samples of every block; with cp_len 0, a view of ``series``."""
+def block_spectra(series: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """The unnormalized transform of each block of ``series`` past its prefix,
+    shape (n_symbols, n_subcarriers); the prefixes are skipped by a strided view."""
     series = np.asarray(series)
     if series.size % cfg.block_len != 0:
         raise ValueError(
             f"series length {series.size} is not a multiple of {cfg.block_len}"
         )
-    blocks = series.reshape(-1, cfg.block_len)
-    return blocks[:, cfg.cp_len:].reshape(-1)
+    return np.fft.fft(series.reshape(-1, cfg.block_len)[:, cfg.cp_len:], axis=1)
 
 
-def ofdm_demodulate(series: np.ndarray, h_est: complex, cfg: FrameConfig) -> np.ndarray:
-    """Analyse a prefix-free series and equalize by a single complex tap."""
+def ofdm_demodulate(spectra: np.ndarray, h_est: complex, cfg: FrameConfig) -> np.ndarray:
+    """The symbol grid of ``block_spectra``'s output: scaled to the unitary
+    transform, then equalized by a single complex tap."""
     if h_est == 0:
         raise ValueError("h_est must be nonzero (degenerate equalizer)")
-    series = np.asarray(series)
-    if series.size % cfg.n_subcarriers != 0:
-        raise ValueError("series length is not a multiple of n_subcarriers")
-    blocks = series.reshape(-1, cfg.n_subcarriers)
-    grid = np.fft.fft(blocks, axis=1)
-    grid /= math.sqrt(cfg.n_subcarriers)
+    grid = spectra / math.sqrt(cfg.n_subcarriers)
     grid /= h_est
     return grid.T
 

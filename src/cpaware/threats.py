@@ -25,7 +25,8 @@ it returns the received sum with the amplitude and bits it is decoded against.
 
 The capability label is ``log10(BER)`` floored at one error per sample
 (``1 / bits_per_sample``) so error-free samples get a finite label.  A
-``LabeledSample`` holds the received series and its raw BER and nothing
+``LabeledSample`` holds the received series' ``ofdm.block_spectra``, which
+its BER is decoded from and ``features`` reads, and the raw BER and nothing
 else: the scenario, and so the intent, is its caller's, and the label is
 ``label_log_ber`` of the raw BER (``experiments.dataset`` derives it when
 it opens a file).
@@ -57,13 +58,13 @@ import numpy as np
 from .channel import LinkBudget, awgn, channel_gain
 from .ofdm import (
     FrameConfig,
+    block_spectra,
     compute_ber,
     ofdm_demodulate,
     ofdm_modulate,
     qam_demodulate,
     qam_modulate,
     random_bits,
-    remove_cp,
 )
 
 
@@ -119,9 +120,9 @@ def _check_fractions(obfuscation_prob: float, estimation_error: float) -> None:
 
 @dataclass
 class LabeledSample:
-    """Received series (prefix intact) plus its raw BER, which the label is taken from."""
+    """Block spectra of the received series plus its raw BER, which the label is taken from."""
 
-    received: np.ndarray
+    spectra: np.ndarray
     raw_ber: float
 
 
@@ -136,12 +137,6 @@ def label_log_ber(ber: float, frame: FrameConfig) -> float:
 def _tx_amplitude(link: LinkBudget) -> float:
     """sqrt(P) * h."""
     return np.sqrt(link.tx_power_w) * channel_gain(link)
-
-
-def _decode_ber(received, amplitude: float, frame: FrameConfig, ref_bits) -> float:
-    """Equalize with a known amplitude and count bit errors."""
-    grid = ofdm_demodulate(remove_cp(received, frame), complex(amplitude), frame)
-    return compute_ber(ref_bits, qam_demodulate(grid, frame))
 
 
 def generate_components(scenario: ThreatScenario, seed: int) -> dict:
@@ -210,8 +205,10 @@ def generate_sample(scenario: ThreatScenario, seed: int) -> LabeledSample:
     parts = generate_components(scenario, seed)
     received, label_amp, label_bits = parts["received"], parts["label_amp"], parts["label_bits"]
     del parts  # frees the other full-length terms before decoding allocates its own
-    ber = _decode_ber(received, label_amp, frame, label_bits)
-    return LabeledSample(received=received, raw_ber=ber)
+    spectra = block_spectra(received, frame)
+    grid = ofdm_demodulate(spectra, complex(label_amp), frame)
+    ber = compute_ber(label_bits, qam_demodulate(grid, frame))
+    return LabeledSample(spectra=spectra, raw_ber=ber)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for dataset persistence, metric helpers, config and the CLI."""
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -51,7 +52,7 @@ from cpaware.features import FeatureConfig, feature_tensor
 from cpaware.net.checkpoint import load_model, read_checkpoint, save_model, write_checkpoint
 from cpaware.net.losses import focal_loss, mse_loss
 from cpaware.net.model import MultitaskNet, NetworkConfig, he_init
-from cpaware.ofdm import FrameConfig
+from cpaware.ofdm import FrameConfig, block_spectra
 from cpaware.threats import ThreatKind, label_log_ber
 
 # The benchmark's golden-set digests, read (never written) by the tests.
@@ -331,6 +332,20 @@ class TestBuildWorkers:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
         records, _ = build_records(mini_config(train_per_kind=1))
         assert len(records) == 3
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        """A fork that fails, as on EAGAIN, is raised with both ends of its
+        pipe closed."""
+        def no_fork():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(dataset, "_worker_count", lambda records: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="fork refused"):
+            build_records(mini_config(train_per_kind=1))
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def fail_at(self, monkeypatch, config, index=None, other=None):
         """Run two workers; record ``index`` raises ValueError and every other
@@ -724,7 +739,8 @@ class TestCli:
         config = mini_config(train_per_kind=1)
         rng, n = np.random.default_rng(30), config.frame.sample_len
         series = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
-        block = np.stack([feature_tensor(s, config.frame, config.feature)[0] for s in series])
+        block = np.stack([feature_tensor(block_spectra(s, config.frame), config.feature)[0]
+                          for s in series])
         data, npz = tmp_path / "three.cpad", tmp_path / "one.npz"
         write_dataset(data, config, np.full((3, 7), 0.1), block.astype("<f4"))
         npz.write_bytes(_npz_bytes(samples=series[0]))

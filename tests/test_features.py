@@ -18,7 +18,8 @@ from cpaware.features import (
     local_extrema,
     spectrogram,
 )
-from cpaware.ofdm import FrameConfig, remove_cp
+from cpaware.ofdm import FrameConfig, block_spectra
+from cpaware.threats import ScenarioSpace, ThreatKind, generate_sample
 
 
 def disk_offsets(radius: int) -> tuple[tuple[int, int], ...]:
@@ -64,10 +65,10 @@ def scan_extrema(matrix: np.ndarray, radius: int):
     return sup, inf
 
 
-def stacked_feature_tensor(received: np.ndarray, frame: FrameConfig, radius: int):
+def stacked_feature_tensor(spectra: np.ndarray, radius: int):
     """Stack the three maps, then min-max normalize over the last axis
     (the oracle for feature_tensor's plane-by-plane normalization)."""
-    spec = spectrogram(remove_cp(received, frame), frame)
+    spec = spectrogram(spectra)
     stack = np.stack([spec, *local_extrema(spec, radius)], axis=-1)
     lo = stack.min(axis=(0, 1))
     hi = stack.max(axis=(0, 1))
@@ -103,7 +104,7 @@ def naive_spectrogram(series: np.ndarray, n: int) -> np.ndarray:
 class TestSpectrogram:
     def test_dc_input(self):
         frame = FrameConfig(8, 0, 4)
-        spec = spectrogram(np.ones(32, dtype=complex), frame)
+        spec = spectrogram(block_spectra(np.ones(32, dtype=complex), frame))
         np.testing.assert_allclose(spec[:, 0], 8.0, atol=1e-12)
         np.testing.assert_allclose(spec[:, 1:], 0.0, atol=1e-12)
 
@@ -112,7 +113,7 @@ class TestSpectrogram:
         bin_idx = 5
         n = np.arange(48)
         tone = np.exp(2j * np.pi * bin_idx * (n % 16) / 16)
-        spec = spectrogram(tone, frame)
+        spec = spectrogram(block_spectra(tone, frame))
         np.testing.assert_allclose(spec[:, bin_idx], 16.0, atol=1e-10)
         mask = np.ones(16, dtype=bool)
         mask[bin_idx] = False
@@ -123,19 +124,19 @@ class TestSpectrogram:
         frame = FrameConfig(8, 0, 4)
         series = rng.normal(size=32) + 1j * rng.normal(size=32)
         np.testing.assert_allclose(
-            spectrogram(series, frame), naive_spectrogram(series, 8), atol=1e-10
+            spectrogram(block_spectra(series, frame)), naive_spectrogram(series, 8), atol=1e-10
         )
 
     def test_rejects_non_divisible_length(self):
         frame = FrameConfig(8, 0, 4)
         with pytest.raises(ValueError, match="multiple"):
-            spectrogram(np.zeros(30, dtype=complex), frame)
+            spectrogram(block_spectra(np.zeros(30, dtype=complex), frame))
 
     def test_noise_spectrogram_has_no_dead_column(self):
         """Column means of a pure-noise spectrogram all sit near the average."""
         frame = FrameConfig(64, 0, 64)
         noise = awgn(64 * 64, 10.0 ** (-56.0 / 10.0), np.random.default_rng(3))
-        spec = spectrogram(noise, frame)
+        spec = spectrogram(block_spectra(noise, frame))
         column_means = spec.mean(axis=0)
         assert column_means.min() > 0.5 * column_means.mean()
 
@@ -331,30 +332,31 @@ class TestFeatureTensor:
     FRAME = FrameConfig(16, 4, 12)
 
     def _sample(self, seed=0):
+        """The block spectra of a seeded complex-normal series."""
         rng = np.random.default_rng(seed)
-        return (rng.normal(size=self.FRAME.sample_len)
-                + 1j * rng.normal(size=self.FRAME.sample_len))
+        series = (rng.normal(size=self.FRAME.sample_len)
+                  + 1j * rng.normal(size=self.FRAME.sample_len))
+        return block_spectra(series, self.FRAME)
 
     def test_shape_and_range(self):
-        data, ranges = feature_tensor(self._sample(), self.FRAME, FeatureConfig(2))
+        data, ranges = feature_tensor(self._sample(), FeatureConfig(2))
         assert data.shape == feature_shape(self.FRAME) == (12, 16, 3)
         assert ranges.shape == (len(RANGE_COLUMNS),) == (6,)
         assert data.min() >= 0.0
         assert data.max() <= 1.0
 
     def test_channel_ordering_before_normalization(self):
-        raw = denormalize(*feature_tensor(self._sample(1), self.FRAME, FeatureConfig(2)))
+        raw = denormalize(*feature_tensor(self._sample(1), FeatureConfig(2)))
         assert np.all(raw[:, :, 1] >= raw[:, :, 0] - 1e-12)
         assert np.all(raw[:, :, 0] >= raw[:, :, 2] - 1e-12)
 
     def test_normalization_roundtrip(self):
         from cpaware.features import local_extrema as extrema
         from cpaware.features import spectrogram as spec_fn
-        from cpaware.ofdm import remove_cp
 
-        received = self._sample(2)
-        features = feature_tensor(received, self.FRAME, FeatureConfig(2))
-        spec = spec_fn(remove_cp(received, self.FRAME), self.FRAME)
+        spectra = self._sample(2)
+        features = feature_tensor(spectra, FeatureConfig(2))
+        spec = spec_fn(spectra)
         sup, inf = extrema(spec, 2)
         raw = np.stack([spec, sup, inf], axis=-1)
         np.testing.assert_allclose(denormalize(*features), raw, atol=1e-6)
@@ -362,23 +364,25 @@ class TestFeatureTensor:
     def test_constant_channel_roundtrip(self):
         # A lone tone gives a constant supremum map at small radii.
         frame = FrameConfig(4, 0, 4)
-        series = np.ones(16, dtype=complex)
-        round_tripped = denormalize(*feature_tensor(series, frame, FeatureConfig(0)))
-        spec = spectrogram(series, frame)
+        spectra = block_spectra(np.ones(16, dtype=complex), frame)
+        round_tripped = denormalize(*feature_tensor(spectra, FeatureConfig(0)))
+        spec = spectrogram(spectra)
         np.testing.assert_allclose(round_tripped[:, :, 0], spec, atol=1e-9)
 
     @staticmethod
-    def _case_series(name: str, frame: FrameConfig) -> np.ndarray:
+    def _case_spectra(name: str, frame: FrameConfig) -> np.ndarray:
         if name == "noise":
             rng = np.random.default_rng(frame.n_symbols)
-            return (rng.normal(size=frame.sample_len)
-                    + 1j * rng.normal(size=frame.sample_len))
-        if name == "one-constant":
+            series = (rng.normal(size=frame.sample_len)
+                      + 1j * rng.normal(size=frame.sample_len))
+        elif name == "one-constant":
             # Spectrum magnitudes (1, 2, ..., 7) with a 9 at bin 4: every bin
             # is within r = 4 of bin 4, so the supremum map is constant, while
             # bin 7 cannot see the minimum at bin 0.
-            return np.tile(np.fft.ifft([1.0, 2, 3, 4, 9, 5, 6, 7]), 2)
-        return np.zeros(frame.sample_len, dtype=complex)
+            series = np.tile(np.fft.ifft([1.0, 2, 3, 4, 9, 5, 6, 7]), 2)
+        else:
+            series = np.zeros(frame.sample_len, dtype=complex)
+        return block_spectra(series, frame)
 
     CASES = [
         pytest.param("noise", FrameConfig(16, 4, 12), 2, id="noise"),
@@ -389,9 +393,9 @@ class TestFeatureTensor:
 
     @pytest.mark.parametrize("name, frame, radius", CASES)
     def test_bitwise_equal_to_stacked_normalization(self, name, frame, radius):
-        series = self._case_series(name, frame)
-        got, ranges = feature_tensor(series, frame, FeatureConfig(radius))
-        data, lo, hi = stacked_feature_tensor(series, frame, radius)
+        spectra = self._case_spectra(name, frame)
+        got, ranges = feature_tensor(spectra, FeatureConfig(radius))
+        data, lo, hi = stacked_feature_tensor(spectra, radius)
         constant = hi == lo
         assert list(constant) == {"noise": [False] * 3, "one-constant": [False, True, False],
                                   "zeros": [True] * 3}[name]
@@ -405,28 +409,45 @@ class TestFeatureTensor:
     def test_float32_out_is_the_float64_stack_rounded(self, name, frame, radius):
         """Into a float32 ``out``, each value is the float64 result rounded
         once; the call returns ``out`` itself and the same ranges."""
-        series = self._case_series(name, frame)
-        data, ranges = feature_tensor(series, frame, FeatureConfig(radius))
+        spectra = self._case_spectra(name, frame)
+        data, ranges = feature_tensor(spectra, FeatureConfig(radius))
         out = np.full(feature_shape(frame), np.nan, dtype=np.float32)
-        got, got_ranges = feature_tensor(series, frame, FeatureConfig(radius), out=out)
+        got, got_ranges = feature_tensor(spectra, FeatureConfig(radius), out=out)
         assert got is out
         np.testing.assert_array_equal(out.view(np.uint32),
                                       data.astype(np.float32).view(np.uint32))
         assert got_ranges.dtype == ranges.dtype
         np.testing.assert_array_equal(got_ranges.view(np.uint64), ranges.view(np.uint64))
 
+    def test_one_forward_transform_per_sample(self, monkeypatch):
+        """A sample's label and its feature maps read the same block spectra:
+        generating it and its features runs one forward FFT."""
+        transforms = []
+        fft = np.fft.fft
+
+        def counted_fft(*args, **kwargs):
+            transforms.append(args[0].shape)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted_fft)
+        scenario = ScenarioSpace().draw(ThreatKind.DISRUPTIVE, self.FRAME, 3)
+        sample = generate_sample(scenario, 3)
+        feature_tensor(sample.spectra, FeatureConfig(2))
+        assert transforms == [(self.FRAME.n_symbols, self.FRAME.n_subcarriers)]
+
     def test_float32_row_at_full_geometry_allocates_under_bound(self):
-        """One full-geometry sample (600 x 512, r = 15) into a float32 row holds
-        the three float64 planes, the padding and the chains' band buffer,
-        and no float64 stack: tracemalloc peaks at 11.8 MiB.  Writing a
-        float64 stack and casting it into the row peaked at 16.4 MiB."""
+        """One full-geometry sample's spectra (600 x 512, r = 15) into a float32
+        row hold the three float64 planes, the padding and the chains' band
+        buffer, and no float64 stack: tracemalloc peaks at 10.8 MiB.  Writing
+        a float64 stack and casting it into the row peaks at 14.1 MiB."""
         frame = FrameConfig(512, 64, 600)
         rng = np.random.default_rng(15)
         series = rng.normal(size=frame.sample_len) + 1j * rng.normal(size=frame.sample_len)
+        spectra = block_spectra(series, frame)
         row = np.empty(feature_shape(frame), dtype=np.float32)
         tracemalloc.start()
         try:
-            feature_tensor(series, frame, FeatureConfig(15), out=row)
+            feature_tensor(spectra, FeatureConfig(15), out=row)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -13,6 +13,7 @@ from cpaware.channel import awgn
 from cpaware.ofdm import (
     QAM_SLICE_SYMBOLS,
     FrameConfig,
+    block_spectra,
     compute_ber,
     ofdm_demodulate,
     ofdm_modulate,
@@ -20,7 +21,6 @@ from cpaware.ofdm import (
     qam_demodulate,
     qam_modulate,
     random_bits,
-    remove_cp,
 )
 
 
@@ -183,9 +183,9 @@ class TestOfdm:
         cfg = FrameConfig(32, 8, 4)
         rng = np.random.default_rng(3)
         grid = qam_modulate(random_bits(cfg.bits_per_sample, rng), cfg)
-        series = remove_cp(ofdm_modulate(grid, cfg), cfg)
+        blocks = ofdm_modulate(grid, cfg).reshape(cfg.n_symbols, cfg.block_len)[:, 8:]
         for m in range(cfg.n_symbols):
-            block = series[m * 32: (m + 1) * 32]
+            block = blocks[m]
             np.testing.assert_allclose(
                 np.sum(np.abs(block) ** 2),
                 np.sum(np.abs(grid[:, m]) ** 2),
@@ -205,7 +205,7 @@ class TestOfdm:
         cfg = FrameConfig(8, 0, 1)
         rng = np.random.default_rng(12)
         block = rng.normal(size=8) + 1j * rng.normal(size=8)
-        grid = ofdm_demodulate(block, 1.0, cfg)
+        grid = ofdm_demodulate(block_spectra(block, cfg), 1.0, cfg)
         np.testing.assert_allclose(grid[:, 0], naive_dft(block), atol=1e-10)
 
     def test_shape_mismatch(self):
@@ -220,16 +220,19 @@ class TestOfdm:
         grid = qam_modulate(bits, cfg)
         h = 3.7e-3 * np.exp(0.3j)
         received = h * ofdm_modulate(grid, cfg)
-        recovered = ofdm_demodulate(remove_cp(received, cfg), h, cfg)
+        recovered = ofdm_demodulate(block_spectra(received, cfg), h, cfg)
         np.testing.assert_allclose(recovered, grid, atol=1e-9)
 
     def test_zero_equalizer_rejected(self):
         cfg = FrameConfig(8, 0, 1)
         with pytest.raises(ValueError, match="h_est"):
-            ofdm_demodulate(np.zeros(8, dtype=complex), 0.0, cfg)
+            ofdm_demodulate(np.zeros((1, 8), dtype=complex), 0.0, cfg)
 
 
 class TestCyclicPrefix:
+    """block_spectra skips each block's prefix: its spectra are the transforms
+    of the prefix-free blocks, bit for bit."""
+
     def test_remove_inverts_add(self):
         """Each modulated block starts with a copy of its own last cp_len samples."""
         cfg = FrameConfig(16, 4, 3)
@@ -237,28 +240,30 @@ class TestCyclicPrefix:
         series = ofdm_modulate(grid, cfg)
         blocks = series.reshape(cfg.n_symbols, cfg.block_len)
         np.testing.assert_array_equal(blocks[:, :cfg.cp_len], blocks[:, -cfg.cp_len:])
-        np.testing.assert_array_equal(remove_cp(series, cfg),
-                                      ofdm_modulate(grid, FrameConfig(16, 0, 3)))
+        bare = FrameConfig(16, 0, 3)
+        np.testing.assert_array_equal(block_spectra(series, cfg),
+                                      block_spectra(ofdm_modulate(grid, bare), bare))
 
     def test_literal_prefix_layout(self):
         cfg = FrameConfig(4, 2, 1)
-        series = np.array([1, 2, 3, 4], dtype=complex)
-        # The unitary spectrum of [1, 2, 3, 4]; a 4-point transform of it is exact.
+        # The unitary spectrum of [1, 2, 3, 4]; 4-point transforms of it are exact.
         grid = np.array([[5], [-1 + 1j], [-1], [-1 - 1j]])
         np.testing.assert_array_equal(ofdm_modulate(grid, cfg), [3, 4, 1, 2, 3, 4])
         np.testing.assert_array_equal(
-            remove_cp(np.array([3, 4, 1, 2, 3, 4], dtype=complex), cfg), series
+            block_spectra(np.array([3, 4, 1, 2, 3, 4], dtype=complex), cfg),
+            2 * grid.T,
         )
 
     def test_zero_cp_is_identity(self):
         cfg = FrameConfig(8, 0, 2)
         series = np.arange(16, dtype=complex)
-        np.testing.assert_array_equal(remove_cp(series, cfg), series)
+        np.testing.assert_array_equal(block_spectra(series, cfg),
+                                      np.fft.fft(series.reshape(2, 8), axis=1))
 
     def test_rejects_non_divisible_length(self):
         cfg = FrameConfig(8, 2, 2)
         with pytest.raises(ValueError, match="multiple"):
-            remove_cp(np.zeros(19, dtype=complex), cfg)
+            block_spectra(np.zeros(19, dtype=complex), cfg)
 
 
 class TestComputeBer:
@@ -302,7 +307,7 @@ class TestAwgnBerPhysics:
             bits = random_bits(cfg.bits_per_sample, rng)
             tx = ofdm_modulate(qam_modulate(bits, cfg), cfg)
             rx = tx + awgn(tx.size, noise_w, rng)
-            decoded = qam_demodulate(ofdm_demodulate(rx, 1.0, cfg), cfg)
+            decoded = qam_demodulate(ofdm_demodulate(block_spectra(rx, cfg), 1.0, cfg), cfg)
             errors += int(np.sum(decoded != bits))
             total += bits.size
         ber = errors / total

@@ -13,10 +13,10 @@ from cpaware.assessment import write_report
 from cpaware.channel import LinkBudget, channel_gain
 from cpaware.ofdm import (
     FrameConfig,
+    block_spectra,
     compute_ber,
     ofdm_demodulate,
     qam_demodulate,
-    remove_cp,
 )
 from cpaware.threats import (
     INTENT_NAMES,
@@ -63,14 +63,16 @@ class TestIntentEncoding:
         assert [r["capability_bits"] for r in rows] == ["001", "010", "100"]
 
     def test_generated_intent_matches_kind(self):
-        """Each intent adds its own term, and the sample receives their sum."""
+        """Each intent adds its own term, and the sample holds the block spectra
+        of their sum."""
         terms = {ThreatKind.DECEPTIVE: "spoof_term", ThreatKind.DISRUPTIVE: "jam_term",
                  ThreatKind.NON_ADVERSARIAL: None}
         for kind, term in terms.items():
             parts = generate_components(scenario(kind), seed=3)
             assert {"spoof_term", "jam_term"} & set(parts) == ({term} if term else set())
             sample = generate_sample(scenario(kind), seed=3)
-            assert sample.received.tobytes() == parts["received"].tobytes()
+            assert (sample.spectra.tobytes()
+                    == block_spectra(parts["received"], FRAME).tobytes())
 
 
 class TestLabelLogBer:
@@ -104,8 +106,10 @@ class TestNonAdversarial:
         sc = scenario(ThreatKind.NON_ADVERSARIAL)
         a = generate_sample(sc, seed=77)
         b = generate_sample(sc, seed=77)
-        assert a.received.tobytes() == b.received.tobytes()
+        assert a.spectra.tobytes() == b.spectra.tobytes()
         assert a.raw_ber == b.raw_ber
+        assert (generate_components(sc, seed=77)["received"].tobytes()
+                == generate_components(sc, seed=77)["received"].tobytes())
 
     def test_ber_against_monte_carlo_oracle(self):
         """Generator BER at 1500 km vs a 20x-bits oracle at identical SNR."""
@@ -134,7 +138,9 @@ class TestDisruptive:
         for seed in (0, 1, 31337):
             jammed = generate_sample(sc_jam, seed)
             clean = generate_sample(sc_clean, seed)
-            np.testing.assert_array_equal(jammed.received, clean.received)
+            np.testing.assert_array_equal(generate_components(sc_jam, seed)["received"],
+                                          generate_components(sc_clean, seed)["received"])
+            np.testing.assert_array_equal(jammed.spectra, clean.spectra)
             assert jammed.raw_ber == clean.raw_ber
 
     def test_strong_jammer_drives_ber_to_half(self):
@@ -154,7 +160,7 @@ class TestDisruptive:
         sc = scenario(ThreatKind.DISRUPTIVE, adv_d=750e3, p_obf=1.0)
         sample = generate_sample(sc, seed=4)
         parts = generate_components(sc, seed=4)
-        ber = _decode(sample.received, parts["legit_amp"], parts["legit_bits"])
+        ber = _decode(parts["received"], parts["legit_amp"], parts["legit_bits"])
         assert sample.raw_ber == ber
 
     def test_jam_term_takes_the_adversary_power_in_watts(self):
@@ -181,8 +187,7 @@ class TestDisruptive:
 
 
 def _decode(received, amplitude, ref_bits) -> float:
-    payload = remove_cp(received, FRAME)
-    grid = ofdm_demodulate(payload, complex(amplitude), FRAME)
+    grid = ofdm_demodulate(block_spectra(received, FRAME), complex(amplitude), FRAME)
     return compute_ber(ref_bits, qam_demodulate(grid, FRAME))
 
 
@@ -191,8 +196,7 @@ class TestDeceptive:
         """With zero estimation error the received signal holds no trace of x."""
         sc = scenario(ThreatKind.DECEPTIVE, est_err=0.0, noise_dbw=-300.0)
         parts = generate_components(sc, seed=13)
-        sample = generate_sample(sc, seed=13)
-        residual = sample.received - parts["spoof_term"] - parts["noise"]
+        residual = parts["received"] - parts["spoof_term"] - parts["noise"]
         x = parts["legit_series"]
         corr = abs(np.vdot(x, residual))
         assert corr <= 1e-6 * abs(np.vdot(x, x))
@@ -200,9 +204,8 @@ class TestDeceptive:
     def test_full_estimation_error_leaves_legit_untouched(self):
         sc = scenario(ThreatKind.DECEPTIVE, est_err=1.0)
         parts = generate_components(sc, seed=14)
-        sample = generate_sample(sc, seed=14)
         expected = parts["legit_term"] + parts["spoof_term"] + parts["noise"]
-        np.testing.assert_array_equal(sample.received, expected)
+        np.testing.assert_array_equal(parts["received"], expected)
 
     def test_residual_coefficient_recovery(self):
         """Differencing two runs isolates the residual legit amplitude.
@@ -213,9 +216,9 @@ class TestDeceptive:
         """
         sc_a = scenario(ThreatKind.DECEPTIVE, est_err=0.3)
         sc_b = scenario(ThreatKind.DECEPTIVE, est_err=0.0)
-        y_a = generate_sample(sc_a, seed=15).received
-        y_b = generate_sample(sc_b, seed=15).received
         parts = generate_components(sc_a, seed=15)
+        y_a = parts["received"]
+        y_b = generate_components(sc_b, seed=15)["received"]
         x = parts["legit_series"]
         coeff = np.vdot(x, y_a - y_b) / np.vdot(x, x)
         assert coeff == pytest.approx(0.3 * parts["legit_amp"], rel=1e-9)
@@ -225,19 +228,18 @@ class TestDeceptive:
         sc = scenario(ThreatKind.DECEPTIVE, legit_d=1500e3, adv_d=750e3, adv_p=0.5)
         sample = generate_sample(sc, seed=16)
         parts = generate_components(sc, seed=16)
-        assert sample.raw_ber == _decode(sample.received, parts["adv_amp"],
+        assert sample.raw_ber == _decode(parts["received"], parts["adv_amp"],
                                          parts["malicious_bits"])
         assert sample.raw_ber < 1e-3
-        legit_view = _decode(sample.received, parts["legit_amp"], parts["legit_bits"])
+        legit_view = _decode(parts["received"], parts["legit_amp"], parts["legit_bits"])
         assert legit_view > 0.1
 
     def test_zero_power_adversary_degrades_to_noise(self):
         """err=0 plus a vanishing spoofer leaves (statistically) pure noise."""
         sc = scenario(ThreatKind.DECEPTIVE, est_err=0.0, adv_p=1e-30)
-        sample = generate_sample(sc, seed=17)
         parts = generate_components(sc, seed=17)
         noise_energy = np.mean(np.abs(parts["noise"]) ** 2)
-        assert np.mean(np.abs(sample.received) ** 2) == pytest.approx(
+        assert np.mean(np.abs(parts["received"]) ** 2) == pytest.approx(
             noise_energy, rel=1e-6
         )
         assert noise_energy == pytest.approx(10.0 ** (sc.noise_dbw / 10.0), rel=0.05)
@@ -280,14 +282,15 @@ class TestPeakMemory:
     @pytest.mark.parametrize("kind", list(ThreatKind), ids=INTENT_NAMES)
     def test_generation_drops_its_terms_before_decoding(self, kind):
         """Decoding runs after the sample's intermediate waveforms are freed,
-        so one sample's heap peak stays within 9.5x the series it returns
-        (10.0-10.4x when every term stays alive through the decode)."""
+        so one sample's heap peak stays within 9.5x its received series
+        (10.3-12.2x when every term stays alive through the decode)."""
         sc = scenario(kind)
+        received = generate_components(sc, seed=18)["received"]
         generate_sample(sc, seed=18)  # first-call allocations stay out of the peak
         tracemalloc.start()
         try:
-            sample = generate_sample(sc, seed=18)
+            generate_sample(sc, seed=18)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.5 * sample.received.nbytes
+        assert peak < 9.5 * received.nbytes

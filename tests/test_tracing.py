@@ -2,8 +2,8 @@
 
 perfbench's Tracer keeps one stack of open spans, and its per-layer
 metrics such as features.local_extrema_ms are read from the spans
-feature_tensor, remove_cp, spectrogram and local_extrema, so they must
-open in that order under feature_tensor.  spans.py is imported by path;
+feature_tensor, spectrogram and local_extrema, so they must open in that
+order under feature_tensor.  spans.py is imported by path;
 the benchmark's files are not changed.
 """
 
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from cpaware import features
-from cpaware.ofdm import FrameConfig
+from cpaware.ofdm import FrameConfig, block_spectra
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,15 +30,15 @@ def test_feature_tensor_traces_in_order():
     frame = FrameConfig(256, 16, 256)
     rng = np.random.default_rng(0)
     received = rng.normal(size=frame.sample_len) + 1j * rng.normal(size=frame.sample_len)
+    spectra = block_spectra(received, frame)
     tracer = spans.Tracer("feature-spans")
     with spans.Instrumentation(tracer):  # a span closed out of order raises here
-        features.feature_tensor(received, frame, features.FeatureConfig(6))
+        features.feature_tensor(spectra, features.FeatureConfig(6))
     by_id = {span["id"]: span for span in tracer.spans}
     extrema = [span for span in tracer.spans if span["name"] == "features.local_extrema"]
     assert len(extrema) == 1
     assert by_id[extrema[0]["parent"]]["name"] == "features.feature_tensor"
     # One span per traced call; none from the band helper.
     assert [span["name"] for span in tracer.spans] == [
-        "features.feature_tensor", "ofdm.remove_cp", "features.spectrogram",
-        "features.local_extrema"]
+        "features.feature_tensor", "features.spectrogram", "features.local_extrema"]
     assert all(span["end"] is not None for span in tracer.spans)

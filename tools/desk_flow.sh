@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the desk flow of one checkout and write its 20 outputs to OUTDIR.
+# Run the desk flow of one checkout and write its 22 outputs to OUTDIR.
 #
 #   tools/desk_flow.sh CHECKOUT OUTDIR
 #
@@ -10,10 +10,12 @@
 # models (8 epochs, batch 8, seed 5, with --log); trains a multitask run
 # for 4 epochs and resumes it to 8; then runs eval --rows-out, baseline
 # --rows-out at theta 1e-2, 1e-3 and 1e-4, the 3-theta baseline sweep,
-# eval --mode sequential and assess.
+# eval --mode sequential and assess of the test set.  Last it writes one
+# seeded random desk series (64 x 72 samples) to series.npz and assesses
+# it with config.json, which covers the raw-series input path.
 #
 # Outputs: 3 datasets, config.json, 5 checkpoints, 5 loss logs, 4 row dumps,
-# report.csv and stdout.txt.  Every command runs inside OUTDIR on relative
+# report.csv, series.npz, series_report.csv and stdout.txt.  Every command runs inside OUTDIR on relative
 # paths, so stdout.txt holds no OUTDIR and two OUTDIRs compare with diff -r.
 # Takes about 8 s on 2 shared cores (numpy 2.4.6), 0.6 s of it the
 # full-geometry set.
@@ -57,3 +59,19 @@ done
 run baseline "${cascade[@]}"
 run eval --mode sequential "${cascade[@]}"
 run assess --ckpt multitask.ckpt --input test.cpad --out report.csv
+
+# np.savez stamps each member with the time of writing; a fixed ZipInfo keeps
+# series.npz byte-identical between runs.
+python3 - <<'PY'
+import zipfile
+
+import numpy as np
+
+rng = np.random.default_rng(6)
+series = rng.normal(size=64 * 72) + 1j * rng.normal(size=64 * 72)
+with zipfile.ZipFile("series.npz", "w") as archive:
+    with archive.open(zipfile.ZipInfo("samples.npy"), "w") as member:
+        np.lib.format.write_array(member, series)
+PY
+run assess --ckpt multitask.ckpt --input series.npz --config config.json \
+    --out series_report.csv

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Compare the desk flow's 20 outputs of a git revision with the working tree's.
+# Compare the desk flow's 22 outputs of a git revision with the working tree's.
 #
 #   tools/flow_diff.sh REV
 #
