@@ -25,7 +25,9 @@ mapping before the first sample and writes each sample's features
 straight into its row, so it allocates no per-record copy.  It fills the
 rows on one worker per CPU the process may run on, at most one per
 record; each row is a function of the config and its index alone, so
-the bytes do not depend on how many workers filled them.
+the bytes do not depend on how many workers filled them, and a failed
+worker's rows are redone by the calling process rather than reported
+from the worker.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import pickle
 import signal
-import traceback
 from dataclasses import asdict
 
 import numpy as np
@@ -55,11 +55,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(words[0]) << 32 | int(words[1])
 
 
-def _kinds(config: ExperimentConfig) -> list[ThreatKind]:
-    """The intent of each record of the recipe: train_per_kind of each, in intent order."""
-    return [kind for kind in ThreatKind for _ in range(config.train_per_kind)]
-
-
 def _worker_count(records: int) -> int:
     """Build workers: one per CPU this process may run on, at most one per
     record; one on a platform that cannot say which CPUs those are."""
@@ -68,40 +63,23 @@ def _worker_count(records: int) -> int:
     return min(len(os.sched_getaffinity(0)), records)
 
 
-def _fork(fill, worker: int, workers: int) -> tuple[int, int]:
-    """Fork a worker that runs ``fill(worker, workers)``; returns its pid and the
-    read end of the pipe that carries its exception, if it raises one.
+def _fork(fill, worker: int, workers: int) -> int:
+    """Fork a worker that runs ``fill(worker, workers)``; returns its pid.
 
-    The child never returns: it leaves by ``os._exit``, so no inherited
-    buffer is flushed and no exit hook or finalizer of the parent runs twice.
+    The worker prints nothing and exits 0 once its share is filled, 1 if
+    ``fill`` raised.  It never returns: it leaves by ``os._exit``, so no
+    inherited buffer is flushed and no exit hook or finalizer of the
+    parent runs twice.
     """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
+    pid = os.fork()
     if pid:
-        os.close(write)
-        return pid, read
+        return pid
     status = 1
     try:
-        os.close(read)
         fill(worker, workers)
         status = 0
-    except BaseException as exc:
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps((exc, traceback.format_exc())))
     finally:
         os._exit(status)
-
-
-def _reap(pid: int, read: int) -> tuple[int, bytes]:
-    """Wait for a forked worker; its exit code and what it sent down its pipe."""
-    with open(read, "rb") as pipe:
-        payload = pipe.read()  # to the end: the worker may block on a full pipe
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), payload
 
 
 def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +88,10 @@ def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     Both arrays are views of one shared anonymous mapping.  ``_worker_count``
     workers fill it: worker ``w`` builds records ``w, w + K, w + 2K, ...``,
     the calling process is worker 0 and forks the other K - 1, so K = 1
-    forks nothing.  A worker's failure is raised here, with the worker's
-    traceback as its cause, once every worker has exited; if the calling
+    forks nothing.  Once every worker has exited, the calling process
+    redoes the share of each one that exited non-zero or was killed by a
+    signal, so a failure that recurs is raised here as itself, and a
+    worker killed from outside costs only its rows' time.  If the calling
     process's own share raises, it kills the others first.  No worker
     outlives the call.  Each forked worker has a resident set of its own:
     at the full geometry (600x512, disk radius 15, 12 records, 2 CPUs,
@@ -119,9 +99,8 @@ def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     against the caller's 100 MiB; at its end 28 of its 53 MiB were its own
     pages, the rest shared with the caller.
     """
-    kinds = _kinds(config)
-    frame = config.frame
-    rows, columns = len(kinds), len(RECORD_COLUMNS)
+    per_kind, frame = config.train_per_kind, config.frame
+    rows, columns = len(ThreatKind) * per_kind, len(RECORD_COLUMNS)
     shape = (rows, *feature_shape(frame))
     block = mmap.mmap(-1, rows * columns * 8 + math.prod(shape) * 4)
     records = np.frombuffer(block, "<f8", rows * columns).reshape(rows, columns)
@@ -130,29 +109,27 @@ def build_records(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     def fill(first: int, step: int) -> None:
         for index in range(first, rows, step):
             seed = derive_seed(config.master_seed, index)
-            sample = generate_sample(config.space.draw(kinds[index], frame, seed), seed)
+            scenario = config.space.draw(ThreatKind(index // per_kind), frame, seed)
+            sample = generate_sample(scenario, seed)
             records[index, 0] = sample.raw_ber
             _, records[index, 1:] = feature_tensor(sample.spectra, config.feature,
                                                    out=tensors[index])
 
     workers = _worker_count(rows)
-    children: list[tuple[int, int]] = []
+    children: list[int] = []
     try:
         for worker in range(1, workers):
             children.append(_fork(fill, worker, workers))
         fill(0, workers)
     except BaseException:
-        for pid, _ in children:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        outcomes = [_reap(pid, read) for pid, read in children]
-    for (pid, _), (status, payload) in zip(children, outcomes):
-        if payload:
-            exc, trace = pickle.loads(payload)
-            raise exc from RuntimeError(f"in build worker {pid}:\n{trace}")
-        if status:
-            raise RuntimeError(f"build worker {pid} exited with status {status}")
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    for worker, status in enumerate(statuses, 1):
+        if status:  # exited non-zero or killed by a signal
+            fill(worker, workers)
     return records, tensors
 
 
@@ -171,17 +148,18 @@ def build_dataset(path, config: ExperimentConfig) -> int:
 def record_labels(config: ExperimentConfig, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The intent indices and log-BER labels of ``records`` by the recipe ``config``;
     a count or a ``raw_ber`` that the module docstring refuses raises ValueError."""
-    kinds = _kinds(config)
-    if len(records) != len(kinds):
+    per_kind = config.train_per_kind
+    expected = len(ThreatKind) * per_kind
+    if len(records) != expected:
         raise ValueError(f"the dataset holds {len(records)} records, its config makes "
-                         f"{len(kinds)} ({len(ThreatKind)} intents x train_per_kind "
-                         f"{config.train_per_kind})")
+                         f"{expected} ({len(ThreatKind)} intents x train_per_kind {per_kind})")
     raw_ber = records[:, 0]
     outside = np.flatnonzero(~((raw_ber >= 0.0) & (raw_ber <= 1.0)))  # NaN too
     if outside.size:
         i = outside[0]
         raise ValueError(f"record {i}: raw_ber {float(raw_ber[i])!r} lies outside [0, 1]")
-    return (np.array([kind.value for kind in kinds], dtype=np.int64),
+    # A ThreatKind's value is its position, so record i's intent is i // per_kind.
+    return (np.arange(expected, dtype=np.int64) // per_kind,
             np.array([label_log_ber(ber, config.frame) for ber in raw_ber.tolist()],
                      dtype=np.float64))
 

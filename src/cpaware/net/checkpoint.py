@@ -57,9 +57,11 @@ def load_model(path) -> tuple[MultitaskNet, Adam, dict]:
     """Rebuild a model, its optimizer and its run record from a checkpoint.
 
     A record key or a tensor that is missing, a seed, batch size or step
-    that is not a non-negative integer, a tensor the rebuilt model or
+    that is not a non-negative integer, a network config that cannot be
+    built, as one too wide to allocate, a tensor the rebuilt model or
     optimizer does not have, or one whose shape or dtype differs from
-    theirs, raises ValueError instead of being grafted into them.
+    theirs, raises ValueError naming the file instead of being grafted
+    into them.
     """
     config_dict, tensors, extras = read_checkpoint(path)
     config = tensorfile.from_json(NetworkConfig, config_dict)
@@ -70,7 +72,10 @@ def load_model(path) -> tuple[MultitaskNet, Adam, dict]:
         if type(extras[key]) is not int or extras[key] < 0:
             raise ValueError(f"{path}: {key} must be a non-negative integer, "
                              f"not {extras[key]!r}")
-    model = MultitaskNet(config)
+    try:
+        model = MultitaskNet(config)
+    except ValueError as exc:  # a map the pools do not divide, or too wide to allocate
+        raise ValueError(f"{path}: {exc}") from None
     optimizer = Adam(model.named_params(), config.learning_rate)
     optimizer.step_count = extras["adam_step"]
     known = _tensors(model, optimizer)

@@ -90,7 +90,11 @@ class MultitaskNet:
                     f"feature map {(h, w)} not divisible by pool 2; "
                     "adjust input_shape or conv_filters"
                 )
-            self.backbone += [Conv2D(c, filters), BatchNorm2D(filters), ReLU(), AvgPool2D()]
+            try:  # numpy refuses an array past the address space with ValueError
+                self.backbone += [Conv2D(c, filters), BatchNorm2D(filters), ReLU(), AvgPool2D()]
+            except (MemoryError, ValueError) as exc:
+                raise ValueError(f"conv_filters {list(config.conv_filters)}: a block of "
+                                 f"{filters} filters cannot be allocated ({exc})") from None
             h, w, c = h // 2, w // 2, filters
         self.backbone.append(GlobalAvgPool())
         self.feature_size = c

@@ -9,6 +9,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -300,8 +302,8 @@ def no_child_left() -> bool:
 
 class TestBuildWorkers:
     """build_records forks one worker per CPU, at most one per record: the
-    bytes do not depend on the count, a worker's failure is raised in the
-    caller and no worker outlives the call."""
+    bytes do not depend on the count, a failed worker's share is redone by
+    the caller and no worker outlives the call."""
 
     @staticmethod
     def digest(records, tensors) -> str:
@@ -335,8 +337,8 @@ class TestBuildWorkers:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_failed_fork_closes_its_pipe(self, monkeypatch):
-        """A fork that fails, as on EAGAIN, is raised with both ends of its
-        pipe closed."""
+        """A fork that fails, as on EAGAIN, is raised and leaves no descriptor
+        open."""
         def no_fork():
             raise OSError(errno.EAGAIN, "fork refused")
 
@@ -347,57 +349,64 @@ class TestBuildWorkers:
             build_records(mini_config(train_per_kind=1))
         assert sorted(os.listdir("/proc/self/fd")) == before
 
-    def fail_at(self, monkeypatch, config, index=None, other=None):
-        """Run two workers; record ``index`` raises ValueError and every other
-        record calls ``other`` first."""
-        doomed = None if index is None else derive_seed(config.master_seed, index)
+    def fail_at(self, monkeypatch, config, index=None, other=None, workers=2):
+        """Run ``workers`` workers; record ``index`` raises ValueError and every
+        other record first calls ``other`` with its own index.  Returns the
+        list of the records the calling process generates, in order."""
+        seeds = {derive_seed(config.master_seed, i): i for i in range(3 * config.train_per_kind)}
         generate = dataset.generate_sample
+        generated = []
 
         def generate_or_fail(scenario, seed):
-            if seed == doomed:
+            generated.append(seeds[seed])  # a forked worker appends to its own copy
+            if seeds[seed] == index:
                 raise ValueError(f"record {index} cannot be generated")
             if other is not None:
-                other()
+                other(seeds[seed])
             return generate(scenario, seed)
 
-        monkeypatch.setattr(dataset, "_worker_count", lambda records: 2)
+        monkeypatch.setattr(dataset, "_worker_count", lambda records: workers)
         monkeypatch.setattr(dataset, "generate_sample", generate_or_fail)
+        return generated
 
     def test_worker_failure_is_raised_in_the_caller(self, monkeypatch):
-        """Record 1 is the forked worker's: its ValueError reaches the caller
-        with the worker's traceback as its cause."""
+        """Record 1 is the forked worker's: the caller redoes the worker's
+        share, so record 1's ValueError is raised in the caller, as itself
+        and with the frame that raised it."""
         config = mini_config(train_per_kind=1)
         self.fail_at(monkeypatch, config, 1)
         with pytest.raises(ValueError, match="^record 1 cannot be generated$") as info:
             build_records(config)
-        cause = str(info.value.__cause__)
-        assert cause.startswith("in build worker ") and "generate_or_fail" in cause
+        assert any(entry.name == "generate_or_fail" for entry in info.traceback)
         assert no_child_left()
 
     def test_callers_failure_stops_the_workers(self, monkeypatch):
         """Record 0 is the caller's own: its failure kills the worker, which is
         still asleep on record 1, instead of waiting for it."""
         config = mini_config(train_per_kind=1)
-        self.fail_at(monkeypatch, config, 0, other=lambda: time.sleep(30))
+        self.fail_at(monkeypatch, config, 0, other=lambda index: time.sleep(30))
         start = time.perf_counter()
         with pytest.raises(ValueError, match="^record 0 cannot be generated$"):
             build_records(config)
         assert time.perf_counter() - start < 10
         assert no_child_left()
 
-    def test_worker_killed_without_a_word_is_raised(self, monkeypatch):
-        """A worker that dies by a signal sends no exception; its exit status
-        is raised instead."""
+    def test_killed_worker_is_redone_by_the_caller(self, monkeypatch):
+        """Three workers build one record each; the one on record 1 dies by a
+        signal.  The caller redoes that record alone, and the bytes are the
+        serial build's."""
         config = mini_config(train_per_kind=1)
+        monkeypatch.setattr(dataset, "_worker_count", lambda records: 1)
+        serial = self.digest(*build_records(config))
         caller = os.getpid()
 
-        def die_in_the_worker():
-            if os.getpid() != caller:
+        def die_in_the_worker(index):
+            if index == 1 and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        self.fail_at(monkeypatch, config, other=die_in_the_worker)
-        with pytest.raises(RuntimeError, match=r"^build worker \d+ exited with status -9$"):
-            build_records(config)
+        generated = self.fail_at(monkeypatch, config, other=die_in_the_worker, workers=3)
+        assert self.digest(*build_records(config)) == serial
+        assert generated == [0, 1]
         assert no_child_left()
 
 
@@ -1173,6 +1182,51 @@ class TestCliExitCodes:
         assert cli_main(["eval", *inputs["train"], "--ckpt", str(ckpt),
                          "--rows-out", str(out)]) == 4
         assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_count_in_header_exits_before_allocating(self, tmp_path):
+        """A 3-record file whose header says train_per_kind 10**9 is refused by
+        its count in a 2 GiB address space; a list of every record's intent
+        used to exhaust it first and exit 5."""
+        resource = pytest.importorskip("resource")
+
+        config = mini_config(train_per_kind=1)
+        data, out = tmp_path / "huge.cpad", tmp_path / "out"
+        write_dataset(data, dataclasses.replace(config, train_per_kind=10**9),
+                      *build_records(config))
+        limit = 2 << 30
+        src = str(Path(tensorfile.__file__).parents[1])
+        # One BLAS thread, so its per-thread buffers fit on a runner of many cores.
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run(
+            [sys.executable, "-m", "cpaware.cli", "train", "--dataset", str(data),
+             "--out", str(out)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 4, run.stderr
+        assert f"{data}: the dataset holds 3 records, its config makes 3000000000" in run.stderr
+        assert not out.exists()
+
+    def test_network_too_wide_to_allocate_exits_with_config_code(self, tmp_path, capsys,
+                                                                  save_untrained):
+        """A block of 10**15 filters needs 512 PiB of kernel, which numpy
+        cannot allocate; a dataset header or a checkpoint naming it is
+        refused, naming conv_filters, where both used to exit 5."""
+        wide = [4, 8, 10**15]
+        data, ckpt, out = tmp_path / "wide.cpad", tmp_path / "m.ckpt", tmp_path / "out"
+        config = mini_config(train_per_kind=1)
+        build_dataset(data, dataclasses.replace(
+            config, net=dataclasses.replace(config.net, conv_filters=tuple(wide))))
+        assert cli_main(["train", "--dataset", str(data), "--out", str(out)]) == 4
+        assert f"conv_filters {wide}: a block of {10**15} filters" in capsys.readouterr().err
+        assert not out.exists()
+
+        save_untrained(ckpt, config.net)
+        net, tensors, extras = read_checkpoint(ckpt)
+        write_checkpoint(ckpt, {**net, "conv_filters": wide}, tensors, extras)
+        assert cli_main(["assess", "--ckpt", str(ckpt), "--input", str(data),
+                         "--out", str(out)]) == 4
+        assert f"{ckpt}: conv_filters {wide}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_record_dataset_exits_with_data_code(self, tmp_path, capsys, save_untrained):
